@@ -14,6 +14,7 @@ one of four regimes:
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .critpost import acc_cloud, acc_full_probe, apt_cloud, critical_locus
 from .engine import derive_escape_radius
@@ -43,10 +44,7 @@ def repelling_periodic_points(p: Poly1, max_period: int = 3,
             continue
         dp = p.deriv()
         for z in fix:
-            orbit = [complex(z)]
-            for _ in range(n - 1):
-                orbit.append(complex(p(orbit[-1])))
-            if abs(np.prod(dp(np.array(orbit)))) > 1.0 + tol:
+            if abs(np.prod(dp(np.array(p.orbit(z, n))))) > 1.0 + tol:
                 pts.append(complex(z))
     if not pts:
         return np.zeros(0, dtype=complex)
@@ -154,8 +152,6 @@ def chain_report(
 
 
 def _nn_spacing(points: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
-
     real = np.column_stack([points.real, points.imag])
     tree = cKDTree(real)
     d, _ = tree.query(real, k=2)

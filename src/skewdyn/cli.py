@@ -30,10 +30,10 @@ from .families import build_s1s2, make_Fa, make_airplane_skew, make_fig3, \
     make_product
 from .lemmas import LEMMA_CHECKS, check_s1s2_bounds, check_s1s2_constants, \
     check_trapping
-from .poly import Poly1, RootFindError
-from .sets import PointCloud, cloud_to_csv, fiber_slice, \
+from .poly import Poly1
+from .sets import PointCloud, base_slice, cloud_to_csv, fiber_slice, \
     hausdorff_distance, sample_J2_inverse, sample_base_julia, \
-    sample_fiber_julia, slice_to_ppm
+    sample_fiber_julia, slice_to_pgm, slice_to_ppm
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -169,28 +169,7 @@ def cmd_render(ns) -> int:
     em = Emitter(ns.out, "render", _ns_config(ns))
     res = int(ns.resolution)
 
-    # base-plane escape-time image
-    half = 1.2 * params.base_radius
-    win = Rect.square(0.0, half)
-    xs = win.re_min + (np.arange(res) + 0.5) * (win.re_max - win.re_min) / res
-    ys = win.im_min + (np.arange(res) + 0.5) * (win.im_max - win.im_min) / res
-    X, Y = np.meshgrid(xs, ys)
-    z = (X + 1j * Y).ravel()
-    esc = np.zeros(z.shape, dtype=int)
-    alive = np.ones(z.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, 201):
-            zn = f.p(z[alive])
-            dead = ~np.isfinite(zn.real) | (np.abs(zn) > params.base_radius)
-            z[alive] = np.where(dead, np.inf, zn)
-            idx = np.where(alive)[0]
-            esc[idx[dead]] = k
-            alive[idx[dead]] = False
-            if not alive.any():
-                break
-    g = (esc % 256).astype(np.uint8).reshape(res, res)
-    g[(esc == 0).reshape(res, res)] = 0
-    em.write("base.pgm", f"P5\n{res} {res}\n255\n".encode() + g.tobytes())
+    em.write("base.pgm", slice_to_pgm(base_slice(f.p, params, (res, res))))
 
     # fiber targets
     targets = []
@@ -527,8 +506,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap, subs = build_parser()
     # apply config-file defaults before parsing so flags override them
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+    pre = argparse.ArgumentParser(prog=ap.prog, add_help=False)
+    pre.add_argument("--config")
+    cfg_path = pre.parse_known_args(argv)[0].config
+    if cfg_path is not None:
         cfg = load_config(cfg_path)
         for s in subs:
             known = {a.dest for a in s._actions}
@@ -539,7 +520,7 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         print(f"precondition failure: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NumericalError, RootFindError) as e:
+    except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

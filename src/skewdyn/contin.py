@@ -64,13 +64,11 @@ class ContinuationTrace:
 def _newton_base(f: SkewProduct, z0: complex, n: int, tol: float,
                  max_iter: int = 60):
     z = complex(z0)
+    dp = f.p.deriv()
     for _ in range(max_iter):
-        orbit = [z]
-        for _ in range(n - 1):
-            orbit.append(complex(f.p(orbit[-1])))
-        val = complex(f.p(orbit[-1])) - z
-        dp = f.p.deriv()
-        mu = complex(np.prod(dp(np.array(orbit))))
+        orbit = f.p.orbit(z, n + 1)
+        val = orbit[-1] - z
+        mu = complex(np.prod(dp(np.array(orbit[:-1]))))
         deriv = mu - 1.0
         if deriv == 0:
             return None
@@ -81,12 +79,8 @@ def _newton_base(f: SkewProduct, z0: complex, n: int, tol: float,
     return None
 
 
-def _newton_fiber(f: SkewProduct, z: complex, w0: complex, n: int, tol: float,
-                  max_iter: int = 60):
-    orbit_z = [complex(z)]
-    for _ in range(n - 1):
-        orbit_z.append(complex(f.p(orbit_z[-1])))
-    fibers = [fiber_poly(f, zz) for zz in orbit_z]
+def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
+    """Newton on w -> (q_{n-1} o ... o q_0)(w) - w over the given fiber maps."""
     dfibers = [q.deriv() for q in fibers]
     w = complex(w0)
     for _ in range(max_iter):
@@ -111,17 +105,16 @@ def _solve_at(f, z_pred, w_pred, n_base, n_fiber, tol):
     if rb is None:
         return None
     z, mu_b = rb
-    rf = _newton_fiber(f, z, w_pred, n_fiber, tol)
+    orbit = f.p.orbit(z, n_fiber)
+    fibers = [fiber_poly(f, zz) for zz in orbit]
+    rf = _newton_fiber(fibers, w_pred, tol)
     if rf is None:
         return None
     w, mu_v = rf
-    orbit = [z]
-    for _ in range(n_fiber - 1):
-        orbit.append(complex(f.p(orbit[-1])))
     res = abs(complex(f.p(orbit[n_base - 1])) - z)
     x = w
-    for zz in orbit:
-        x = complex(fiber_poly(f, zz)(x))
+    for q in fibers:
+        x = complex(q(x))
     res = max(res, abs(x - w))
     return z, w, mu_b, mu_v, res
 

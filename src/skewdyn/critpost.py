@@ -18,8 +18,8 @@ from scipy.spatial import cKDTree
 from .engine import (
     DEFAULT_TAIL_LEN,
     EscapeParams,
+    _one_var_radius,
     chordal_distance,
-    classify_many,
     derive_escape_radius,
 )
 from .errors import NumericalError, PreconditionError
@@ -89,6 +89,25 @@ def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray,
     return None
 
 
+def _bounded_critical_tails(g: Poly1, max_iter: int = 2000,
+                            tail_len: int = 160):
+    """Lazily, the last tail_len iterates of each critical orbit of g that
+    stays within the escape radius for max_iter steps; escaping orbits
+    yield nothing.  Callers set the numpy error state."""
+    radius = _one_var_radius(g.coeffs)
+    for c in roots(g.deriv()):
+        x = complex(c)
+        tail = []
+        for n in range(max_iter):
+            x = complex(g(x))
+            if not np.isfinite(x.real) or abs(x) > radius:
+                break
+            if n >= max_iter - tail_len:
+                tail.append(x)
+        else:
+            yield np.array(tail)
+
+
 def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
                          max_iter: int = 2000, tail_len: int = 160):
     """Hyperbolicity test for a one-variable polynomial.
@@ -100,26 +119,10 @@ def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
     """
     if g.degree < 2:
         raise PreconditionError("degree must be >= 2 for the 1D test")
-    from .engine import _one_var_radius
-
-    radius = _one_var_radius(g.coeffs)
-    crits = roots(g.deriv()) if g.degree >= 2 else np.zeros(0, dtype=complex)
     worst = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in crits:
-            x = complex(c)
-            escaped = False
-            tail = []
-            for n in range(max_iter):
-                x = complex(g(x))
-                if not np.isfinite(x.real) or abs(x) > radius:
-                    escaped = True
-                    break
-                if n >= max_iter - tail_len:
-                    tail.append(x)
-            if escaped:
-                continue
-            found = _attracting_cycle_from_tail(g, np.array(tail))
+        for tail in _bounded_critical_tails(g, max_iter, tail_len):
+            found = _attracting_cycle_from_tail(g, tail)
             if found is None:
                 return False, 0.0
             _, mult = found
@@ -135,25 +138,10 @@ def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
 def _attracting_base_cycles(p: Poly1, max_iter: int = 2000,
                             tail_len: int = 160):
     """Attracting cycles of the base polynomial found from critical tails."""
-    from .engine import _one_var_radius
-
-    radius = _one_var_radius(p.coeffs)
     cycles = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in roots(p.deriv()):
-            x = complex(c)
-            tail = []
-            escaped = False
-            for n in range(max_iter):
-                x = complex(p(x))
-                if not np.isfinite(x.real) or abs(x) > radius:
-                    escaped = True
-                    break
-                if n >= max_iter - tail_len:
-                    tail.append(x)
-            if escaped:
-                continue
-            found = _attracting_cycle_from_tail(p, np.array(tail))
+        for tail in _bounded_critical_tails(p, max_iter, tail_len):
+            found = _attracting_cycle_from_tail(p, tail)
             if found is not None:
                 cyc, _ = found
                 if not any(np.min(np.abs(cyc[0] - k)) < 1e-5 for k in cycles):
@@ -214,11 +202,10 @@ def _base_snap(p: Poly1, base_points: np.ndarray, starts: np.ndarray,
         if z0 in cache:
             row[i] = cache[z0]
             continue
-        orbit = [z0]
+        orbit = p.orbit(z0, max_period + 1)
         r = -1
         for k in range(1, max_period + 1):
-            orbit.append(complex(p(orbit[-1])))
-            if abs(orbit[-1] - orbit[0]) < 1e-9:
+            if abs(orbit[k] - z0) < 1e-9:
                 cycles.append(np.array(orbit[:k], dtype=complex))
                 r = len(cycles) - 1
                 break
@@ -241,12 +228,9 @@ def _step_tracked(f, z, w, k, idx, snap):
     """One tracked step for the selected orbits: returns (zn, wn, wesc,
     drift) where wesc flags fiber escape (trusted) and drift flags base
     coordinates that left the trusted neighborhood of the base sample."""
-    qc, pc = f.q.coeffs, f.p.coeffs
     za, wa = z[idx], w[idx]
-    wn = np.zeros_like(wa)
-    for j in range(qc.shape[1] - 1, -1, -1):
-        wn = wn * wa + npoly.polyval(za, qc[:, j])
-    zn = npoly.polyval(za, pc)
+    wn = f.q(za, wa)
+    zn = f.p(za)
     ra = snap["row"][idx]
     per = ra >= 0
     if per.any():
@@ -391,8 +375,7 @@ def critical_locus(
         bidx = np.where(bounded)[0]
         tstarts = _tail_starts(ends[bidx], 0.25, tail_cap=tail_len)
         per = _collect_windows(f, zs[bidx], cs[bidx], tstarts, ends[bidx],
-                               _base_snap(f.p, base.points, zs[bidx],
-                                          max_base_period),
+                               dict(snap, row=snap["row"][bidx]),
                                per_point=True)
         for j, i in enumerate(bidx):
             tails[i] = per[j]
@@ -432,7 +415,6 @@ def postcritical_cloud(f: SkewProduct, crit, n_iter: int = 200,
     z = zs.copy()
     w = ws.copy()
     alive = np.ones(len(z), dtype=bool)
-    qc, pc = f.q.coeffs, f.p.coeffs
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_iter):
@@ -440,10 +422,8 @@ def postcritical_cloud(f: SkewProduct, crit, n_iter: int = 200,
                 break
             idx = np.where(alive)[0]
             za, wa = z[idx], w[idx]
-            wn = np.zeros_like(wa)
-            for j in range(qc.shape[1] - 1, -1, -1):
-                wn = wn * wa + npoly.polyval(za, qc[:, j])
-            zn = npoly.polyval(za, pc)
+            wn = f.q(za, wa)
+            zn = f.p(za)
             ok = (np.isfinite(zn.real) & np.isfinite(zn.imag)
                   & np.isfinite(wn.real) & np.isfinite(wn.imag)
                   & (np.abs(wn) <= params.radius)
@@ -611,12 +591,12 @@ def find_saddles(f: SkewProduct, max_base_period: int = 3,
             continue
         dp = f.p.deriv()
         for z in zfix:
-            orbit_z = [complex(z)]
-            for _ in range(n - 1):
-                orbit_z.append(complex(f.p(orbit_z[-1])))
+            orbit_z = f.p.orbit(z, n)
             mu_base = complex(np.prod(dp(np.array(orbit_z))))
             if abs(mu_base) <= 1.0 + tol:
                 continue
+            fibers = [fiber_poly(f, zk) for zk in orbit_z]
+            dfibers = [qz.deriv() for qz in fibers]
             for j in range(1, max_fiber_multiple + 1):
                 m = n * j
                 try:
@@ -624,15 +604,14 @@ def find_saddles(f: SkewProduct, max_base_period: int = 3,
                     wfix = roots(Q - Poly1([0.0, 1.0]), tol=1e-8)
                 except (ValueError, NumericalError):
                     continue
-                zloop = orbit_z * j
                 for w in wfix:
                     # vertical multiplier by the chain rule along the cycle
                     mu_v = 1.0 + 0.0j
                     ww = complex(w)
                     pts = []
-                    for zk in zloop:
-                        qz = fiber_poly(f, zk)
-                        mu_v *= qz.deriv()(ww)
+                    for zk, qz, dqz in zip(orbit_z * j, fibers * j,
+                                           dfibers * j):
+                        mu_v *= dqz(ww)
                         pts.append((zk, ww))
                         ww = complex(qz(ww))
                     if abs(mu_v) >= 1.0 - tol:
@@ -775,10 +754,7 @@ def verify_trapping(
     zi = t_cloud.points[:, 0]
     wi = t_cloud.points[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        z1 = npoly.polyval(zi, f.p.coeffs)
-        w1 = np.zeros_like(wi)
-        for j in range(f.q.coeffs.shape[1] - 1, -1, -1):
-            w1 = w1 * wi + npoly.polyval(zi, f.q.coeffs[:, j])
+        z1, w1 = f.p(zi), f.q(zi, wi)
     img = sphere_embed(np.column_stack([z1, w1]))
     dinv, _ = tree.query(img, k=1)
     # resolution scale: local spacing, or the base-coordinate sampling
@@ -822,11 +798,7 @@ def verify_trapping(
     best = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, m + 1):
-            zn = npoly.polyval(z, f.p.coeffs)
-            wn = np.zeros_like(w)
-            for j in range(f.q.coeffs.shape[1] - 1, -1, -1):
-                wn = wn * w + npoly.polyval(z, f.q.coeffs[:, j])
-            z, w = zn, wn
+            z, w = f.p(z), f.q(z, w)
             bad = ~np.isfinite(w.real) | (np.abs(w) > 1e100)
             w = np.where(bad, 1e100, w)
             d, _ = tree.query(sphere_embed(np.column_stack([z, w])), k=1)

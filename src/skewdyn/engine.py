@@ -206,62 +206,6 @@ def classify_orbit(
     return OrbitRecord((complex(x[0]), complex(x[1])), "bounded", None, tail, params)
 
 
-def classify_many(
-    f: SkewProduct,
-    zs,
-    ws,
-    params: EscapeParams,
-    tail_len: int = DEFAULT_TAIL_LEN,
-):
-    """Vectorized classify_orbit over arrays of start points.
-
-    Returns (escaped: bool array, escape_iter: int array with -1 for bounded,
-    tails: complex array of shape (n, tail_len, 2), valid where bounded).
-    """
-    z = np.asarray(zs, dtype=complex).copy()
-    w = np.asarray(ws, dtype=complex).copy()
-    n_pts = z.shape[0]
-    escaped = np.zeros(n_pts, dtype=bool)
-    esc_iter = np.full(n_pts, -1, dtype=int)
-    burn = params.max_iter // 10
-    tails = np.zeros((n_pts, tail_len, 2), dtype=complex)
-    tpos = 0
-    pc = f.p.coeffs
-    qc = f.q.coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, params.max_iter + 1):
-            act = ~escaped
-            if not act.any():
-                break
-            za, wa = z[act], w[act]
-            acc = np.zeros_like(wa)
-            for j in range(qc.shape[1] - 1, -1, -1):
-                acc = acc * wa + np.polynomial.polynomial.polyval(za, qc[:, j])
-            zn = np.polynomial.polynomial.polyval(za, pc)
-            bad = (
-                ~np.isfinite(zn.real) | ~np.isfinite(zn.imag)
-                | ~np.isfinite(acc.real) | ~np.isfinite(acc.imag)
-                | (np.abs(zn) > params.base_radius)
-                | (np.abs(acc) > params.radius)
-            )
-            z[act], w[act] = zn, acc
-            idx = np.where(act)[0]
-            newly = idx[bad]
-            escaped[newly] = True
-            esc_iter[newly] = n
-            if n > burn:
-                live = idx[~bad]
-                tails[live, tpos % tail_len, 0] = zn[~bad]
-                tails[live, tpos % tail_len, 1] = acc[~bad]
-                tpos += 1
-    if tpos >= tail_len:
-        k = tpos % tail_len
-        tails = np.concatenate([tails[:, k:], tails[:, :k]], axis=1)
-    else:
-        tails = tails[:, :tpos]
-    return escaped, esc_iter, tails
-
-
 def chordal_distance(a, b) -> float:
     """Spherical metric 2|a-b| / sqrt((1+|a|^2)(1+|b|^2)), with infinity.
 
@@ -320,10 +264,8 @@ def contraction_probe(
                 f"segment within chordal {dmin:.2e} of the fiber Julia sample"
             )
     diams = [_chordal_diameter(pts)]
-    zc = complex(z)
-    for _ in range(m_max):
+    for zc in f.p.orbit(z, m_max):
         pts = fiber_poly(f, zc)(pts)
-        zc = complex(f.p(zc))
         big = ~np.isfinite(pts) | (np.abs(pts) > 1e150)
         pts = np.where(big, 1e150 + 0j, pts)
         diams.append(_chordal_diameter(pts))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critpost import attract_or_escape_1d
-from .engine import chordal_distance
+from .engine import _one_var_radius, chordal_distance
 from .errors import NumericalError, PreconditionError
-from .poly import Poly1, Poly2, SkewProduct
+from .poly import Poly1, Poly2, SkewProduct, roots
 
 __all__ = [
     "S1S2Constants",
@@ -197,9 +197,6 @@ def _annulus_chordal_margin(pts: np.ndarray, M: float) -> float:
 
 
 def _postcritical_points(s: Poly1, n_iter: int = 200, bound: float = None):
-    from .engine import _one_var_radius
-    from .poly import roots
-
     radius = _one_var_radius(s.coeffs) if bound is None else bound
     pts = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,9 +333,7 @@ def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     )
     consts = S1S2Constants(M=M, r=r, R=R, a=complex(a), xi=xi, k1=k1, k2=k2, d=d)
     # probe target: the fixed base point inside the first root disk
-    from .poly import roots as proots
-
-    fixed = proots(p - Poly1([0.0, 1.0]))
+    fixed = roots(p - Poly1([0.0, 1.0]))
     in_d1 = fixed[np.abs(fixed - R) < 2 * r]
     meta = dict(f.meta)
     meta["probe_target"] = complex(in_d1[0]) if len(in_d1) else complex(fixed[0])

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
+from .errors import NumericalError
+
 __all__ = [
     "Poly1",
     "Poly2",
@@ -87,11 +89,13 @@ class Poly1:
         c = npoly.polyfromroots(np.asarray(rts, dtype=complex))
         return Poly1(c * complex(leading))
 
-    def iterate(self, z, n: int):
-        """n-fold forward image of z (scalar or array) under this polynomial."""
-        for _ in range(n):
-            z = self(z)
-        return z
+    def orbit(self, z, n: int) -> list:
+        """The first n orbit points z, p(z), ..., p^{n-1}(z) of the scalar z,
+        each a Python complex."""
+        out = [complex(z)]
+        for _ in range(n - 1):
+            out.append(complex(self(out[-1])))
+        return out[:n]
 
 
 @dataclass(frozen=True)
@@ -196,15 +200,14 @@ def compose_fiber(f: SkewProduct, z, n: int, cap: int = COMPOSE_DEGREE_CAP) -> P
         raise ValueError(
             f"composed degree {d}^{n} exceeds cap {cap}; evaluate pointwise instead"
         )
-    z = complex(z)
-    comp = fiber_poly(f, z)
-    for _ in range(n - 1):
-        z = complex(f.p(z))
-        comp = fiber_poly(f, z).compose(comp)
+    orbit = f.p.orbit(z, n)
+    comp = fiber_poly(f, orbit[0])
+    for zk in orbit[1:]:
+        comp = fiber_poly(f, zk).compose(comp)
     return comp
 
 
-class RootFindError(RuntimeError):
+class RootFindError(NumericalError):
     def __init__(self, msg, residuals=None, best=None):
         super().__init__(msg)
         self.residuals = residuals

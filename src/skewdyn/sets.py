@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,6 +24,7 @@ __all__ = [
     "sample_base_julia",
     "sample_fiber_julia",
     "fiber_slice",
+    "base_slice",
     "boundary_extract",
     "assemble_J2",
     "sample_J2_inverse",
@@ -59,7 +61,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class FiberSlice:
-    z: complex
+    z: complex | None          # None for the base plane (base_slice)
     window: Rect
     nx: int
     ny: int
@@ -133,6 +135,8 @@ def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
     """
     if p.degree < 2:
         raise PreconditionError("base degree must be >= 2")
+    if n_points < 1:
+        raise PreconditionError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     z = np.array([_repelling_fixed_point(p)], dtype=complex)
     for _ in range(burn_in):
@@ -154,11 +158,7 @@ def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
     tree on the last levels for even coverage.
     """
     rng = np.random.default_rng(seed)
-    zc = complex(z)
-    chain = [zc]
-    for _ in range(depth - 1):
-        zc = complex(f.p(zc))
-        chain.append(zc)
+    chain = f.p.orbit(z, depth)
     tree_levels = int(np.ceil(np.log(n_points) / np.log(f.degree)))
     tree_levels = min(tree_levels, depth)
     w = np.array([2.0 + 0j])
@@ -191,19 +191,39 @@ def fiber_slice(
         half = 1.2 * params.radius
         window = Rect.square(0.0, half)
     nx, ny = resolution
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_orbit = f.p.orbit(z, params.max_iter)
+    esc = _escape_grid((fiber_poly(f, zc) for zc in base_orbit), window,
+                       nx, ny, params.radius)
+    return FiberSlice(complex(z), window, nx, ny, esc == 0, esc, params)
+
+
+def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
+    """Escape-time grid of the base plane under GRID_MAX_ITER steps of p,
+    over the square of half-side 1.2 * params.base_radius about 0."""
+    nx, ny = resolution
+    window = Rect.square(0.0, 1.2 * params.base_radius)
+    esc = _escape_grid(repeat(p, GRID_MAX_ITER), window, nx, ny,
+                       params.base_radius)
+    return FiberSlice(None, window, nx, ny, esc == 0, esc, params)
+
+
+def _escape_grid(maps, window: Rect, nx: int, ny: int,
+                 radius: float) -> np.ndarray:
+    """Escape step of every cell center of the window, (ny, nx), 0 where it
+    never escapes: step n applies the n-th map of `maps` to the cells still
+    within radius, until all have escaped or the maps run out."""
     xs = window.re_min + (np.arange(nx) + 0.5) * (window.re_max - window.re_min) / nx
     ys = window.im_min + (np.arange(ny) + 0.5) * (window.im_max - window.im_min) / ny
     X, Y = np.meshgrid(xs, ys)
     w = (X + 1j * Y).ravel()
     esc = np.zeros(w.shape, dtype=int)
     alive = np.ones(w.shape, dtype=bool)
-    zc = complex(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, params.max_iter + 1):
-            qz = fiber_poly(f, zc)
-            wn = qz(w[alive])
+        for n, g in enumerate(maps, 1):
+            wn = g(w[alive])
             dead = ~np.isfinite(wn.real) | ~np.isfinite(wn.imag) | (
-                np.abs(wn) > params.radius
+                np.abs(wn) > radius
             )
             w[alive] = np.where(dead, np.inf, wn)
             idx = np.where(alive)[0]
@@ -211,10 +231,7 @@ def fiber_slice(
             alive[idx[dead]] = False
             if not alive.any():
                 break
-            zc = complex(f.p(zc))
-    membership = (esc == 0).reshape(ny, nx)
-    return FiberSlice(complex(z), window, nx, ny, membership,
-                      esc.reshape(ny, nx), params)
+    return esc.reshape(ny, nx)
 
 
 def boundary_extract(slice_: FiberSlice) -> PointCloud:
@@ -384,15 +401,17 @@ def continuity_scan(
 
 
 def cloud_to_csv(cloud: PointCloud) -> str:
+    """CSV of the cloud, each field the repr of a Python float (numpy 2
+    scalars would repr as np.float64(...))."""
     buf = io.StringIO()
     if cloud.dim == 1:
         buf.write("re_z,im_z\n")
-        for p in cloud.points:
+        for p in cloud.points.tolist():
             buf.write(f"{p.real!r},{p.imag!r}\n")
     else:
         buf.write("re_z,im_z,re_w,im_w\n")
-        for p in cloud.points:
-            buf.write(f"{p[0].real!r},{p[0].imag!r},{p[1].real!r},{p[1].imag!r}\n")
+        for z, w in cloud.points.tolist():
+            buf.write(f"{z.real!r},{z.imag!r},{w.real!r},{w.imag!r}\n")
     return buf.getvalue()
 
 

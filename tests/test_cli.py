@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from conftest import validate_schema
 from skewdyn.cli import main, parse_complex, parse_poly
 
@@ -61,6 +63,10 @@ def test_precondition_exit_code(tmp_path):
     rc = main(["continue", "--family", "fig3",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+    # an empty base sample is a precondition failure, not a traceback
+    rc = main(["certify", "--family", "Fa", "--n-base", "0",
+               "--out", str(tmp_path / "y")])
+    assert rc == 2
 
 
 def test_unknown_lemma_exit_code(tmp_path):
@@ -77,6 +83,18 @@ def test_saddles_json(tmp_path):
     validate_schema(rep, "saddles")
     assert rep["count"] == len(rep["orbits"]) > 0
     check_manifest(out)
+
+
+def test_saddles_beyond_period_three(tmp_path):
+    # a root-finding failure at some divisor period skips that candidate
+    # instead of aborting the scan with exit 3
+    out = tmp_path / "s4"
+    rc = main(["saddles", "--family", "Fa", "--a=-1",
+               "--max-period", "4", "--out", str(out)])
+    assert rc == 0
+    rep = load(out, "saddles.json")
+    validate_schema(rep, "saddles")
+    assert any(o["base_period"] == 4 for o in rep["orbits"])
 
 
 def test_chain_json(tmp_path):
@@ -130,6 +148,16 @@ def test_render_images(tmp_path):
     check_manifest(out)
 
 
+def test_render_is_independent_of_threads(tmp_path):
+    args = ["render", "--family", "fig3", "--resolution", "48",
+            "--fiber-at", "5,-4"]
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
+    for name in ("base.pgm", "fiber_00.ppm", "fiber_01.ppm", "render.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_separate_report(tmp_path):
     out = tmp_path / "sep"
     rc = main(["separate", "--family", "Fa", "--a=-1", "--q=-1,0,1",
@@ -170,6 +198,18 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert rc == 0
     mani2 = check_manifest(out2)
     assert mani2["config"]["n_base"] == "150"
+
+
+def test_config_option_forms(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = Fa\na = 2\nn-base = 120\n")
+    out = tmp_path / "o"
+    assert main(["chain", f"--config={cfg}", "--out", str(out)]) == 0
+    assert check_manifest(out)["config"]["n_base"] == "120"
+    # a trailing --config without a file is a usage error (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--family", "Fa", "--config"])
+    assert exc.value.code == 2
 
 
 def test_rerun_is_byte_identical(tmp_path):

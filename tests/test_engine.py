@@ -8,7 +8,6 @@ from skewdyn.engine import (
     EscapeParams,
     Rect,
     chordal_distance,
-    classify_many,
     classify_orbit,
     contraction_probe,
     derive_escape_radius,
@@ -93,23 +92,6 @@ def test_status_independent_of_tail_len():
         statuses = {classify_orbit(f, x, params, tail_len=t).status
                     for t in (8, 64, 128)}
         assert len(statuses) == 1
-
-
-def test_classify_many_matches_scalar():
-    # robustly classified starts only: scalar and vectorized evaluation can
-    # differ by one ulp per step, which matters on chaotic boundary orbits
-    f = make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1]))
-    params = derive_escape_radius(f).with_max_iter(300)
-    rng = np.random.default_rng(4)
-    zs = np.ones(40, dtype=complex)  # exactly fixed base point: no drift
-    ws = np.concatenate([0.3 * rng.random(20),            # deep in the basin
-                         2.0 + rng.random(20)])           # clearly escaping
-    escaped, esc_iter, _ = classify_many(f, zs, ws.astype(complex), params)
-    for i in range(40):
-        rec = classify_orbit(f, (zs[i], ws[i]), params)
-        assert (rec.status == "escaped") == bool(escaped[i])
-        if escaped[i]:
-            assert rec.escape_iter == esc_iter[i]
 
 
 def test_chordal_special_values():

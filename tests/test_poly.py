@@ -200,6 +200,14 @@ def test_compose_fiber_matches_pointwise_orbit(maker, z0):
         assert np.max(np.abs(got - direct) / scale) < 1e-9
 
 
+def test_orbit_points():
+    p = Poly1([-1.0, 0.0, 1.0])
+    assert p.orbit(0.0, 5) == [0j, -1 + 0j, 0j, -1 + 0j, 0j]
+    assert all(type(x) is complex for x in p.orbit(0.5, 3))
+    assert p.orbit(0.5, 1) == [0.5 + 0j]
+    assert p.orbit(0.5, 0) == []
+
+
 def test_compose_fiber_cap():
     f = make_Fa(0)
     with pytest.raises(ValueError):

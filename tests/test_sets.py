@@ -205,8 +205,16 @@ def test_cloud_csv_format_and_determinism():
     s2 = cloud_to_csv(PointCloud(pts.copy()))
     assert s1 == s2
     assert s1.splitlines()[0] == "re_z,im_z"
-    c2 = PointCloud(np.column_stack([pts, pts]))
-    assert cloud_to_csv(c2).splitlines()[0] == "re_z,im_z,re_w,im_w"
+    c2 = PointCloud(np.column_stack([pts, pts[::-1]]))
+    lines = cloud_to_csv(c2).splitlines()
+    assert lines[0] == "re_z,im_z,re_w,im_w"
+    # every field is a plain float literal that round-trips bit-exactly
+    for csv_lines, expect in ((s1.splitlines(), c.points[:, None]),
+                              (lines, c2.points)):
+        vals = np.array([[float(x) for x in ln.split(",")]
+                         for ln in csv_lines[1:]])
+        back = vals[:, 0::2] + 1j * vals[:, 1::2]
+        assert back.tobytes() == expect.tobytes()
 
 
 def test_sampler_determinism():
