@@ -14,14 +14,15 @@ one of four regimes:
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .critpost import acc_cloud, acc_full_probe, apt_cloud, critical_locus
 from .engine import derive_escape_radius
 from .errors import NumericalError
 from .poly import Poly1, SkewProduct, roots
 from .sets import (
+    CloudIndex,
     PointCloud,
+    _as_real,
     directed_hausdorff,
     sample_J2_inverse,
     sample_base_julia,
@@ -58,15 +59,9 @@ def repelling_periodic_points(p: Poly1, max_period: int = 3,
 
 
 def _cloud_diameter(cloud: PointCloud) -> float:
-    pts = cloud.points
-    if len(pts) == 0:
+    if len(cloud) == 0:
         return 1.0
-    if pts.ndim == 1:
-        real = np.column_stack([pts.real, pts.imag])
-    else:
-        real = np.column_stack([pts[:, 0].real, pts[:, 0].imag,
-                                pts[:, 1].real, pts[:, 1].imag])
-    span = real.max(axis=0) - real.min(axis=0)
+    span = np.ptp(_as_real(cloud.points), axis=0)
     return float(np.sqrt(np.sum(span**2)))
 
 
@@ -136,7 +131,7 @@ def chain_report(
         report["regime"] = "AllEqualNonempty"
         report["probe_distance"] = 0.0
         return report
-    band = max(0.05, 3.0 * _nn_spacing(base.points))
+    band = max(0.05, 3.0 * CloudIndex(_as_real(base.points)).spacing)
     sel = np.abs(acc.points[:, 0] - complex(target)) <= band
     acc_fiber_w = acc.points[sel, 1]
     if len(acc_fiber_w) == 0:
@@ -149,10 +144,3 @@ def chain_report(
     report["probe_band"] = band
     report["regime"] = "AccNeqA" if far > probe_threshold else "AllEqualNonempty"
     return report
-
-
-def _nn_spacing(points: np.ndarray) -> float:
-    real = np.column_stack([points.real, points.imag])
-    tree = cKDTree(real)
-    d, _ = tree.query(real, k=2)
-    return float(np.median(d[:, 1]))

@@ -490,15 +490,19 @@ def build_parser():
 
 def load_config(path: str) -> dict:
     cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise PreconditionError(f"cannot read config file: {e}") from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PreconditionError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        cfg[key.strip().replace("-", "_")] = val.strip()
     return cfg
 
 
@@ -509,12 +513,12 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(prog=ap.prog, add_help=False)
     pre.add_argument("--config")
     cfg_path = pre.parse_known_args(argv)[0].config
-    if cfg_path is not None:
-        cfg = load_config(cfg_path)
-        for s in subs:
-            known = {a.dest for a in s._actions}
-            s.set_defaults(**{k: v for k, v in cfg.items() if k in known})
     try:
+        if cfg_path is not None:
+            cfg = load_config(cfg_path)
+            for s in subs:
+                known = {a.dest for a in s._actions}
+                s.set_defaults(**{k: v for k, v in cfg.items() if k in known})
         ns = ap.parse_args(argv)
         return ns.func(ns)
     except PreconditionError as e:

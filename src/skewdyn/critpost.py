@@ -24,7 +24,8 @@ from .engine import (
 )
 from .errors import NumericalError, PreconditionError
 from .poly import Poly1, SkewProduct, compose_fiber, fiber_poly, roots
-from .sets import PointCloud, min_chordal_distance, sphere_embed
+from .sets import (CloudIndex, PointCloud, _as_real, min_chordal_distance,
+                   sphere_embed)
 
 __all__ = [
     "CriticalSample",
@@ -153,11 +154,7 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     """Single-linkage cluster labels: connected components of the
     eps-neighbor graph in C^2 (Euclidean on R^4)."""
     n = len(points_2d)
-    real = np.column_stack([
-        points_2d[:, 0].real, points_2d[:, 0].imag,
-        points_2d[:, 1].real, points_2d[:, 1].imag,
-    ])
-    tree = cKDTree(real)
+    tree = cKDTree(_as_real(points_2d))
     parent = np.arange(n)
 
     def find(i):
@@ -175,7 +172,7 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     return labels
 
 
-def _base_snap(p: Poly1, base_points: np.ndarray, starts: np.ndarray,
+def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray,
                max_period: int = 3) -> dict:
     """Drift guard and exact-cycle table for forward base orbits.
 
@@ -185,13 +182,7 @@ def _base_snap(p: Poly1, base_points: np.ndarray, starts: np.ndarray,
     numerically periodic (period <= max_period) are stepped along their
     exact float cycle instead, which never drifts.
     """
-    real = np.column_stack([base_points.real, base_points.imag])
-    tree = cKDTree(real)
-    if len(base_points) > 1:
-        d, _ = tree.query(real, k=2)
-        spacing = float(np.median(d[:, 1]))
-    else:
-        spacing = 0.0
+    spacing = index.spacing if len(index.inverse) > 1 else 0.0
     tol = max(5.0 * spacing, 1e-3)
     n = len(starts)
     row = np.full(n, -1, dtype=int)
@@ -221,13 +212,13 @@ def _base_snap(p: Poly1, base_points: np.ndarray, starts: np.ndarray,
     else:
         pad = np.zeros((0, 1), dtype=complex)
         lens = np.zeros(0, dtype=int)
-    return {"tree": tree, "tol": tol, "row": row, "pad": pad, "lens": lens}
+    return {"index": index, "tol": tol, "row": row, "pad": pad, "lens": lens}
 
 
 def _step_tracked(f, z, w, k, idx, snap):
-    """One tracked step for the selected orbits: returns (zn, wn, wesc,
-    drift) where wesc flags fiber escape (trusted) and drift flags base
-    coordinates that left the trusted neighborhood of the base sample."""
+    """One tracked step for the selected orbits: returns (zn, wn, per)
+    where per flags the exactly periodic base rows, stepped along their
+    stored cycle."""
     za, wa = z[idx], w[idx]
     wn = f.q(za, wa)
     zn = f.p(za)
@@ -248,7 +239,7 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     live_end = np.full(n, n_iter, dtype=int)
     alive = np.ones(n, dtype=bool)
     radius, base_radius = params.radius, params.base_radius
-    tree, tol = snap["tree"], snap["tol"]
+    index, tol = snap["index"], snap["tol"]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_iter + 1):
             if not alive.any():
@@ -265,9 +256,7 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
                           & (np.abs(zg) <= base_radius))
                 dd = np.full(gen.sum(), np.inf)
                 if finite.any():
-                    q = np.column_stack([zg[finite].real, zg[finite].imag])
-                    dist, _ = tree.query(q)
-                    dd[finite] = dist
+                    dd[finite] = index.query(_as_real(zg[finite]))[0]
                 drift[gen] = dd > tol
             esc[idx[wesc]] = k
             live_end[idx[wesc | drift]] = k - 1
@@ -360,14 +349,11 @@ def critical_locus(
             cs.append(complex(c))
     zs = np.array(zs, dtype=complex)
     cs = np.array(cs, dtype=complex)
+    index = CloudIndex(_as_real(base.points))
     if eps_cluster is None:
-        b = np.column_stack([base.points.real, base.points.imag])
-        tree = cKDTree(b)
-        d, _ = tree.query(b, k=2)
-        eps_cluster = 3.0 * float(np.median(d[:, 1]))
-    pts2 = np.column_stack([zs, cs])
-    labels = _cluster(pts2, eps_cluster)
-    snap = _base_snap(f.p, base.points, zs, max_base_period)
+        eps_cluster = 3.0 * index.spacing
+    labels = _cluster(np.column_stack([zs, cs]), eps_cluster)
+    snap = _base_snap(f.p, index, zs, max_base_period)
     esc, ends = _run_spans(f, zs, cs, params.max_iter, params, snap)
     bounded = esc < 0
     tails = [np.zeros((0, 2), dtype=complex)] * len(zs)
@@ -411,7 +397,7 @@ def postcritical_cloud(f: SkewProduct, crit, n_iter: int = 200,
     zs = np.array([s.z for s in crit])
     ws = np.array([s.c for s in crit])
     base_pts = np.unique(zs)
-    tree = cKDTree(np.column_stack([base_pts.real, base_pts.imag]))
+    index = CloudIndex(_as_real(base_pts))
     z = zs.copy()
     w = ws.copy()
     alive = np.ones(len(z), dtype=bool)
@@ -430,9 +416,7 @@ def postcritical_cloud(f: SkewProduct, crit, n_iter: int = 200,
                   & (np.abs(zn) <= params.base_radius))
             zsnap = zn.copy()
             if ok.any():
-                _, near = tree.query(np.column_stack([zn[ok].real,
-                                                      zn[ok].imag]))
-                zsnap[ok] = base_pts[near]
+                zsnap[ok] = base_pts[index.query(_as_real(zn[ok]))[1]]
             alive[idx[~ok]] = False
             z[idx], w[idx] = zsnap, wn
             keep = idx[ok]
@@ -474,7 +458,7 @@ def acc_cloud(f: SkewProduct, crit, n_iter: int = 300,
     if params is None:
         params = derive_escape_radius(f)
     all_z = np.array([s.z for s in crit])
-    base_pts = np.unique(all_z)
+    index = CloudIndex(_as_real(np.unique(all_z)))
     parts = []
     comp_ids = sorted({s.component_id for s in crit})
     for cid in comp_ids:
@@ -484,7 +468,7 @@ def acc_cloud(f: SkewProduct, crit, n_iter: int = 300,
             continue
         zs = np.array([s.z for s in members])
         ws = np.array([s.c for s in members])
-        snap = _base_snap(f.p, base_pts, zs)
+        snap = _base_snap(f.p, index, zs)
         _, ends = _run_spans(f, zs, ws, n_iter, params, snap)
         starts = _tail_starts(ends, tail_frac)
         pts = _collect_windows(f, zs, ws, starts, ends, snap)
@@ -742,30 +726,24 @@ def verify_trapping(
     """
     if t_cloud.dim != 2 or len(t_cloud) == 0:
         raise PreconditionError("t_cloud must be a nonempty 2D cloud")
-    emb = sphere_embed(t_cloud.points)
-    tree = cKDTree(emb)
+    index = CloudIndex(sphere_embed(t_cloud.points))
     spacing = 0.0
     nn = np.zeros(len(t_cloud))
     if len(t_cloud) > 1:
-        d, _ = tree.query(emb, k=2)
-        nn = d[:, 1]
-        spacing = float(np.median(nn))
+        nn = index.nn_distances()
+        spacing = index.spacing
     # forward invariance up to the cloud's local resolution at each point
     zi = t_cloud.points[:, 0]
     wi = t_cloud.points[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         z1, w1 = f.p(zi), f.q(zi, wi)
     img = sphere_embed(np.column_stack([z1, w1]))
-    dinv, _ = tree.query(img, k=1)
+    dinv, _ = index.query(img)
     # resolution scale: local spacing, or the base-coordinate sampling
     # spacing (iterates pile up on the attracting part, so the cloud's own
     # nearest-neighbor distances understate the resolution of its base grid)
     zu = np.unique(zi)
-    base_spacing = 0.0
-    if len(zu) > 1:
-        bt = cKDTree(np.column_stack([zu.real, zu.imag]))
-        db, _ = bt.query(np.column_stack([zu.real, zu.imag]), k=2)
-        base_spacing = float(np.median(db[:, 1]))
+    base_spacing = CloudIndex(_as_real(zu)).spacing if len(zu) > 1 else 0.0
     inv_tol = np.maximum(3.0 * np.maximum(nn, base_spacing), 1e-6)
     if np.any(dinv > inv_tol):
         worst = float(np.max(dinv - inv_tol))
@@ -779,7 +757,7 @@ def verify_trapping(
             f"cloud within chordal {gap:.3e} of the J2 cloud (need > r = {r})"
         )
     # vertical chordal r-circle samples around (a deterministic stride of)
-    # the cloud points; the distance tree still holds the full cloud
+    # the cloud points; the distance index still holds the full cloud
     max_centers = 1000
     stride = max(1, len(t_cloud) // max_centers)
     centers = t_cloud.points[::stride]
@@ -801,7 +779,7 @@ def verify_trapping(
             z, w = f.p(z), f.q(z, w)
             bad = ~np.isfinite(w.real) | (np.abs(w) > 1e100)
             w = np.where(bad, 1e100, w)
-            d, _ = tree.query(sphere_embed(np.column_stack([z, w])), k=1)
+            d, _ = index.query(sphere_embed(np.column_stack([z, w])))
             ratio = float(np.max(d)) / r
             if best is None or ratio < best[1]:
                 best = (k, ratio)

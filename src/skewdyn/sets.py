@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "boundary_extract",
     "assemble_J2",
     "sample_J2_inverse",
+    "CloudIndex",
     "hausdorff_distance",
     "directed_hausdorff",
     "continuity_scan",
@@ -305,19 +307,62 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
 
 
 def _as_real(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        return np.column_stack([pts.real, pts.imag])
-    return np.column_stack([pts[:, 0].real, pts[:, 0].imag,
-                            pts[:, 1].real, pts[:, 1].imag])
+    """Rows [re, im, ...] of complex points, as a float view (no copy)."""
+    pts = np.ascontiguousarray(points, dtype=complex)
+    return (pts[:, None] if pts.ndim == 1 else pts).view(float)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """Index of the first occurrence of each byte-distinct row, in row
+    order, and for every row the position of its distinct row among them."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    # distinct row-byte hashes mean no repeats; the shift breaks sign symmetry
+    u = rows.view(np.uint64)
+    mix = np.uint64(1000003) ** np.arange(rows.shape[1], dtype=np.uint64)
+    h = np.sort(sum((c ^ c >> np.uint64(31)) * m for c, m in zip(u.T, mix)))
+    if np.all(h[1:] != h[:-1]):
+        return np.arange(len(rows)), np.arange(len(rows))
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(key.ravel(), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+class CloudIndex:
+    """Nearest-neighbour index of a real (n, k) point cloud.
+
+    The KD-tree holds each distinct row once, in order of first occurrence
+    (postcritical clouds are mostly repeats, on which a KD-tree over all
+    rows degenerates); distances are those of a tree over all rows.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.keep, self.inverse = _distinct_rows(rows)
+        self.tree = cKDTree(rows[self.keep])
+
+    def query(self, q: np.ndarray):
+        """Distance to the nearest row and that row's index, per query row."""
+        d, i = self.tree.query(q)
+        return d, self.keep[i]
+
+    def nn_distances(self) -> np.ndarray:
+        """Distance from each row to its nearest other row: 0 for a repeated
+        row, inf for the only row."""
+        d = self.tree.query(self.tree.data, k=2)[0][:, 1]
+        return np.where(np.bincount(self.inverse) > 1, 0.0, d)[self.inverse]
+
+    @cached_property
+    def spacing(self) -> float:
+        """Median nearest-neighbour distance of the rows."""
+        return float(np.median(self.nn_distances()))
 
 
 def directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
     """sup over a of the distance to the nearest point of b (Euclidean)."""
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("clouds must be nonempty")
-    tree = cKDTree(_as_real(b.points))
-    d, _ = tree.query(_as_real(a.points), k=1)
+    d, _ = CloudIndex(_as_real(b.points)).query(_as_real(a.points))
     return float(np.max(d))
 
 
@@ -344,8 +389,8 @@ def min_chordal_distance(a: PointCloud, b: PointCloud) -> float:
     """Smallest chordal-product distance between points of two clouds."""
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("clouds must be nonempty")
-    tree = cKDTree(sphere_embed(b.points))
-    d, _ = tree.query(sphere_embed(a.points), k=1)
+    pts = a.points[_distinct_rows(_as_real(a.points))[0]]
+    d, _ = CloudIndex(sphere_embed(b.points)).query(sphere_embed(pts))
     return float(np.min(d))
 
 

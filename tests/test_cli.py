@@ -210,6 +210,13 @@ def test_config_option_forms(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["chain", "--family", "Fa", "--config"])
     assert exc.value.code == 2
+    # a config file that cannot be read, or holds a line without "=", is a
+    # precondition failure (exit 2), not a traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("family Fa\n")
+    for path in (tmp_path / "nope.cfg", tmp_path, bad):
+        assert main(["chain", "--family", "Fa", "--config", str(path),
+                     "--out", str(out)]) == 2
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from skewdyn.engine import Rect, derive_escape_radius
 from skewdyn.errors import PreconditionError
 from skewdyn.families import make_Fa, make_product
 from skewdyn.poly import Poly1
 from skewdyn.sets import (
+    CloudIndex,
     PointCloud,
     assemble_J2,
     boundary_extract,
@@ -144,6 +147,11 @@ def test_hausdorff_basic_properties():
     assert abs(d - 0.1) < 0.01
     b = PointCloud(rng.standard_normal(80) + 1j * rng.standard_normal(80))
     assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
+    # repeated points change neither side of the distance
+    rep = PointCloud(np.concatenate([a.points, a.points[:40], a.points[:5]]))
+    assert hausdorff_distance(rep, a) == 0.0
+    assert hausdorff_distance(rep, b) == hausdorff_distance(a, b)
+    assert hausdorff_distance(b, rep) == hausdorff_distance(b, a)
 
 
 def test_hausdorff_triangle_inequality():
@@ -183,6 +191,34 @@ def test_min_chordal_distance():
     from skewdyn.engine import chordal_distance
 
     assert abs(got - chordal_distance(0.5, 1.0)) < 1e-12
+    # repeated points on either side give the same distance
+    rep = PointCloud(np.repeat(a.points, [3, 5]))
+    assert min_chordal_distance(rep, b) == got
+    assert min_chordal_distance(rep, PointCloud(np.repeat(b.points, 4))) == got
+
+
+_grid_rows = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=40),
+    st.lists(st.tuples(*[st.integers(-6, 6).map(lambda v: v / 2)] * k),
+             min_size=1, max_size=10)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_rows)
+def test_cloud_index_matches_full_tree(data):
+    # a small integer grid makes repeated rows and distance ties common
+    rows, q = (np.array(x, dtype=float) for x in data)
+    index, full = CloudIndex(rows), cKDTree(rows)
+    nn = index.nn_distances()
+    assert np.array_equal(nn, full.query(rows, k=2)[0][:, 1])
+    assert index.spacing == float(np.median(nn))
+    d, i = index.query(q)
+    fd, fi = full.query(q)
+    assert np.array_equal(d, fd)
+    assert np.allclose(np.linalg.norm(rows[i] - q, axis=1), d)
+    if len(np.unique(rows, axis=0)) == len(rows):
+        assert np.array_equal(i, fi)
+    assert np.array_equal(CloudIndex(rows[:1]).nn_distances(), [np.inf])
 
 
 def test_continuity_scan_product_constant_fibers():
