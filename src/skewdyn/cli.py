@@ -11,6 +11,7 @@ under --strict (certify / verify-lemma only).
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import os
@@ -53,10 +54,23 @@ LEMMA_ALIASES = {
 }
 
 
+_IMAG_UNIT = re.compile(r"i(?![a-z])")
+
+
 def parse_complex(text) -> complex:
+    """A finite complex number from '-1.25', '0.5+2i', '1j', ...; malformed
+    or non-finite values are precondition failures."""
     if isinstance(text, (int, float, complex)):
-        return complex(text)
-    return complex(str(text).strip().replace("i", "j"))
+        z = complex(text)
+    else:
+        # 'i' as the imaginary unit, but not the one in 'inf'
+        try:
+            z = complex(_IMAG_UNIT.sub("j", str(text).strip()))
+        except ValueError:
+            raise PreconditionError(f"malformed number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise PreconditionError(f"non-finite number {text!r}")
+    return z
 
 
 _MONOMIAL = re.compile(

@@ -9,7 +9,9 @@ critical locus are surrogate-identified by epsilon-clustering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -97,11 +99,9 @@ def _bounded_critical_tails(g: Poly1, max_iter: int = 2000,
     yield nothing.  Callers set the numpy error state."""
     radius = _one_var_radius(g.coeffs)
     for c in roots(g.deriv()):
-        x = complex(c)
         tail = []
-        for n in range(max_iter):
-            x = complex(g(x))
-            if not np.isfinite(x.real) or abs(x) > radius:
+        for n, x in enumerate(islice(g.walk(c), max_iter)):
+            if not math.isfinite(x.real) or abs(x) > radius:
                 break
             if n >= max_iter - tail_len:
                 tail.append(x)
@@ -155,7 +155,7 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     eps-neighbor graph in C^2 (Euclidean on R^4)."""
     n = len(points_2d)
     tree = cKDTree(_as_real(points_2d))
-    parent = np.arange(n)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:

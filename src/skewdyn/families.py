@@ -8,7 +8,9 @@ and the fixed illustrative map (z^2 - 20, w^2 + z^2 - 0.9 z - 20.5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -201,10 +203,8 @@ def _postcritical_points(s: Poly1, n_iter: int = 200, bound: float = None):
     pts = []
     with np.errstate(over="ignore", invalid="ignore"):
         for c in roots(s.deriv()):
-            x = complex(c)
-            for _ in range(n_iter):
-                x = complex(s(x))
-                if not np.isfinite(x.real) or abs(x) > 1e12:
+            for x in islice(s.walk(c), n_iter):
+                if not math.isfinite(x.real) or abs(x) > 1e12:
                     break
                 pts.append(x)
                 if abs(x) > radius * 4:
@@ -222,6 +222,8 @@ def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     two disks.  The constants (M, r, R, a) come from a verified search;
     failure of any search cap raises with the failing clause.
     """
+    if k1 < 1 or k2 < 1:
+        raise PreconditionError("k1 and k2 must be >= 1")
     d = k1 + k2
     if s1.degree != d or s2.degree != d:
         raise PreconditionError("s1, s2 must have degree k1 + k2")

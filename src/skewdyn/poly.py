@@ -9,6 +9,7 @@ extends to the projective plane).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -89,12 +90,27 @@ class Poly1:
         c = npoly.polyfromroots(np.asarray(rts, dtype=complex))
         return Poly1(c * complex(leading))
 
+    def walk(self, z):
+        """The endless forward orbit p(z), p^2(z), ... of the scalar z, each
+        a Python complex.
+
+        Horner on Python complex coefficients in `npoly.polyval`'s order
+        (`top + x*0`, then `a + acc*x`), so every iterate is bit-equal to
+        `complex(self(x))` at a fraction of its per-step cost.
+        """
+        top, *rest = [complex(a) for a in self.coeffs[::-1]]
+        x = complex(z)
+        while True:
+            acc = top + x * 0
+            for a in rest:
+                acc = a + acc * x
+            x = acc
+            yield x
+
     def orbit(self, z, n: int) -> list:
         """The first n orbit points z, p(z), ..., p^{n-1}(z) of the scalar z,
         each a Python complex."""
-        out = [complex(z)]
-        for _ in range(n - 1):
-            out.append(complex(self(out[-1])))
+        out = [complex(z), *islice(self.walk(z), max(n - 1, 0))]
         return out[:n]
 
 
@@ -245,6 +261,10 @@ def _aberth(coeffs, tol, max_iter=300, seed=0):
     return None
 
 
+def _companion_eigvals(core):
+    return np.linalg.eigvals(npoly.polycompanion(core / core[-1]))
+
+
 def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
     """All complex roots of the polynomial, with multiplicity.
 
@@ -265,13 +285,13 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
     m = len(core) - 1
     out = [0.0 + 0.0j] * lead_zeros
     if m >= 1:
+        eig = None  # companion eigenvalues, solved at most once
         if m == 1:
             x = np.array([-core[0] / core[1]])
         else:
             x = _aberth(core, tol)
             if x is None:
-                comp = npoly.polycompanion(core / core[-1])
-                x = np.linalg.eigvals(comp)
+                x = eig = _companion_eigvals(core)
             # Newton polish
             dc = npoly.polyder(core)
             for _ in range(4):
@@ -281,8 +301,7 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
         scale = max(float(np.max(np.abs(c))), 1.0)
         res = np.abs(npoly.polyval(x, core))
         if np.any(res > tol * scale * max(1.0, float(np.max(np.abs(x))) ** m)):
-            comp = npoly.polycompanion(core / core[-1])
-            x2 = np.linalg.eigvals(comp)
+            x2 = _companion_eigvals(core) if eig is None else eig
             res2 = np.abs(npoly.polyval(x2, core))
             if np.max(res2) < np.max(res):
                 x, res = x2, res2

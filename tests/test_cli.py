@@ -5,6 +5,7 @@ import pytest
 
 from conftest import validate_schema
 from skewdyn.cli import main, parse_complex, parse_poly
+from skewdyn.errors import PreconditionError
 
 
 def load(outdir, name):
@@ -26,6 +27,37 @@ def test_parse_complex():
     assert parse_complex("-1.25") == -1.25
     assert parse_complex("0.5+2i") == 0.5 + 2j
     assert parse_complex("1j") == 1j
+    assert parse_complex("-i") == -1j
+    assert parse_complex("(1+2i)") == 1 + 2j
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1+infi", "1e999",
+                                  "foo", "", "1 2"])
+def test_parse_complex_rejects_malformed_and_non_finite(text):
+    with pytest.raises(PreconditionError):
+        parse_complex(text)
+    with pytest.raises(PreconditionError):
+        parse_poly(f"1,{text},1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--family", "Fa", "--a=inf"],
+    ["certify", "--family", "Fa", "--a=foo"],
+    ["certify", "--family", "Fa", "--a=nan"],
+    ["certify", "--family", "product", "--p", "0,0,1", "--q=1,x,1"],
+    ["chain", "--family", "s1s2", "--s2", "nan,0,1"],
+])
+def test_bad_numeric_flag_exit_code(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("pieces", [["--k1", "0", "--k2", "2"],
+                                    ["--k1=-1", "--k2", "3"]])
+def test_degenerate_piece_counts_exit_code(tmp_path, pieces):
+    argv = ["verify-lemma", "construction-constants", *pieces,
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
 
 
 def test_parse_poly():

@@ -1,10 +1,17 @@
 import json
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import validate_schema
 from skewdyn.critpost import (
+    DEFAULT_MARGIN,
+    _attracting_cycle_from_tail,
+    _cluster,
     acc_cloud,
     acc_full_probe,
     apt_cloud,
@@ -16,10 +23,10 @@ from skewdyn.critpost import (
     report_to_json,
     verify_trapping,
 )
-from skewdyn.engine import chordal_distance
+from skewdyn.engine import _one_var_radius, chordal_distance
 from skewdyn.errors import PreconditionError
 from skewdyn.families import make_Fa, make_product
-from skewdyn.poly import Poly1, compose_fiber, fiber_poly
+from skewdyn.poly import Poly1, compose_fiber, fiber_poly, roots
 from skewdyn.sets import PointCloud, sample_J2_inverse, sample_base_julia
 
 
@@ -48,6 +55,69 @@ def test_attract_or_escape_1d_fails_on_boundary_parameter():
 def test_attract_or_escape_1d_rejects_degree_one():
     with pytest.raises(PreconditionError):
         attract_or_escape_1d(Poly1([1.0, 0.5]))
+
+
+def _reference_attract_or_escape(g, max_iter=2000, tail_len=160):
+    """attract_or_escape_1d with every critical orbit stepped by
+    npoly.polyval and tested with np.isfinite."""
+    radius = _one_var_radius(g.coeffs)
+    worst = np.inf
+    for c in roots(g.deriv()):
+        x, tail = complex(c), []
+        for n in range(max_iter):
+            x = complex(npoly.polyval(x, g.coeffs))
+            if not np.isfinite(x.real) or abs(x) > radius:
+                break
+            if n >= max_iter - tail_len:
+                tail.append(x)
+        else:
+            found = _attracting_cycle_from_tail(g, np.array(tail))
+            if found is None:
+                return False, 0.0
+            m = 1.0 - abs(found[1])
+            if m < DEFAULT_MARGIN:
+                return False, m
+            worst = min(worst, m)
+    return True, 1.0 if worst == np.inf else float(worst)
+
+
+def test_attract_or_escape_1d_matches_polyval_walk():
+    # perturbed quadratics (around attracting, parabolic, escaping and
+    # boundary parameters) and cubics with both critical orbits in play
+    rng = np.random.default_rng(5)
+    panel = []
+    for c in (0, -1, -0.12 + 0.75j, 0.25, -0.75, 1j, 0.3, -1.7549):
+        for _ in range(4):
+            eps = 0.05 * (rng.standard_normal() + 1j * rng.standard_normal())
+            panel.append(Poly1([c + eps, 0, 1]))
+    for _ in range(24):
+        a, b = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        panel.append(Poly1([b, a, 0, 1]))
+    verdicts = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in panel:
+            got = attract_or_escape_1d(g)
+            assert repr(got) == repr(_reference_attract_or_escape(g)), g
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=40))
+def test_cluster_matches_connected_components(rows):
+    # integer points in R^4 with eps = 1.5: no distance lies near eps
+    pts = np.array([complex(a, b) for a, b, _, _ in rows]
+                   + [complex(c, d) for _, _, c, d in rows], dtype=complex)
+    pts = pts.reshape(2, -1).T
+    labels = _cluster(pts, 1.5)
+    n = len(pts)
+    assert labels.shape == (n,)
+    real = np.column_stack([pts.real, pts.imag])
+    dist = np.linalg.norm(real[:, None, :] - real[None, :, :], axis=2)
+    k, ref = connected_components(csr_matrix(dist <= 1.5), directed=False)
+    # the same partition up to relabelling, labels numbered 0..k-1
+    assert len(set(zip(labels.tolist(), ref.tolist()))) == k
+    assert sorted(set(labels.tolist())) == list(range(k))
 
 
 @pytest.fixture(scope="module")

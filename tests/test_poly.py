@@ -3,10 +3,12 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewdyn import poly
 from skewdyn.families import make_Fa, make_fig3, make_product
 from skewdyn.poly import (
     Poly1,
     Poly2,
+    RootFindError,
     SkewProduct,
     check_regular,
     compose_fiber,
@@ -206,6 +208,83 @@ def test_orbit_points():
     assert all(type(x) is complex for x in p.orbit(0.5, 3))
     assert p.orbit(0.5, 1) == [0.5 + 0j]
     assert p.orbit(0.5, 0) == []
+
+
+coefficient = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                 allow_infinity=False)
+pure_imaginary = st.builds(complex, st.sampled_from([0.0, -0.0]),
+                           st.floats(min_value=-1e3, max_value=1e3,
+                                     allow_nan=False).filter(bool))
+start = st.complex_numbers(max_magnitude=1e200, allow_nan=False,
+                           allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coefficient, min_size=2, max_size=5),
+       st.one_of(coefficient.filter(bool), pure_imaginary), start)
+def test_orbit_bit_equal_to_polyval(lower, top, z):
+    # degree 2 to 5; large starts overflow to inf and then to NaN
+    p = Poly1(lower + [top])
+    x, ref = complex(z), [complex(z)]
+    with np.errstate(all="ignore"):
+        for _ in range(39):
+            x = complex(npoly.polyval(x, p.coeffs))
+            ref.append(x)
+    got = np.array(p.orbit(z, 40), dtype=complex)
+    assert np.array_equal(got.view(np.uint64),
+                          np.array(ref, dtype=complex).view(np.uint64))
+    assert p.orbit(z, 0) == []
+
+
+def _fallback_reference(core, tol):
+    """The companion-matrix path of `roots` for a polynomial with no root at
+    0: eigenvalues, four Newton steps, and the raw eigenvalues instead when
+    their residual is smaller and the polished roots miss the bound."""
+    raw = np.linalg.eigvals(npoly.polycompanion(core / core[-1]))
+    x = raw
+    dc = npoly.polyder(core)
+    for _ in range(4):
+        dv = npoly.polyval(x, dc)
+        dv = np.where(dv == 0, 1e-300, dv)
+        x = x - npoly.polyval(x, core) / dv
+    res = np.abs(npoly.polyval(x, core))
+    bound = tol * max(float(np.max(np.abs(core))), 1.0) \
+        * max(1.0, float(np.max(np.abs(x)))) ** (len(core) - 1)
+    if np.any(res > bound) and np.max(np.abs(npoly.polyval(raw, core))) \
+            < np.max(res):
+        return raw
+    return x
+
+
+def test_roots_solves_the_companion_matrix_once(monkeypatch):
+    # passes at once: (w-1)(w-2)(w-3)(w-4i); fails its residual re-check:
+    # the 8-step fiber composition of Fa(-1) over z = 1, minus w, with its
+    # root at 0 peeled off (degree 255)
+    easy = Poly1.from_roots([1.0, 2.0, 3.0, 4j])
+    hard = compose_fiber(make_Fa(-1), 1.0, 8) - Poly1([0.0, 1.0])
+    assert hard.coeffs[0] == 0
+    with np.errstate(all="ignore"):
+        want_easy = _fallback_reference(easy.coeffs, 1e-10)
+        want_hard = _fallback_reference(hard.coeffs[1:], 1e-8)
+    eigvals, calls = np.linalg.eigvals, []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(poly, "_aberth", lambda *a, **k: None)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    with np.errstate(all="ignore"):
+        got = roots(easy)
+        assert calls == [(4, 4)]
+        order = np.lexsort((want_easy.imag, want_easy.real))
+        assert np.array_equal(got, want_easy[order])
+        calls.clear()
+        with pytest.raises(RootFindError) as err:
+            roots(hard, tol=1e-8)
+    assert calls == [(255, 255)]
+    assert np.array_equal(err.value.best.view(np.uint64),
+                          want_hard.view(np.uint64))  # NaNs included
 
 
 def test_compose_fiber_cap():
