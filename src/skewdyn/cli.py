@@ -92,6 +92,20 @@ def parse_poly(text) -> Poly1:
     return Poly1([parse_complex(x) for x in t.split(",")])
 
 
+def int_flag(ns, name: str, minimum: int = 1) -> int:
+    """The integer value of the flag with argparse dest `name`; a
+    non-integer or a value below `minimum` is a precondition failure."""
+    flag, text = "--" + name.replace("_", "-"), getattr(ns, name)
+    try:
+        value = int(text)
+    except ValueError:
+        raise PreconditionError(f"{flag} must be an integer, got {text!r}") \
+            from None
+    if value < minimum:
+        raise PreconditionError(f"{flag} must be >= {minimum}, got {value}")
+    return value
+
+
 def build_family(ns):
     """Construct the addressed example map from parsed flags."""
     name = ns.family
@@ -100,12 +114,13 @@ def build_family(ns):
     if name == "Fa":
         return make_Fa(parse_complex(ns.a))
     if name == "airplane":
-        return make_airplane_skew(int(ns.n))
+        return make_airplane_skew(int_flag(ns, "n"))
     if name == "fig3":
         return make_fig3()
     if name == "s1s2":
         f, _ = build_s1s2(parse_poly(ns.s1), parse_poly(ns.s2),
-                          int(ns.k1), int(ns.k2), seed=int(ns.family_seed))
+                          int_flag(ns, "k1"), int_flag(ns, "k2"),
+                          seed=int_flag(ns, "family_seed", 0))
         return f
     if name == "product":
         return make_product(parse_poly(ns.p), parse_poly(ns.q))
@@ -180,8 +195,9 @@ def _ns_config(ns) -> dict:
 def cmd_render(ns) -> int:
     f = build_family(ns)
     params = derive_escape_radius(f)
+    res, threads = int_flag(ns, "resolution"), int_flag(ns, "threads")
+    n_fibers = int_flag(ns, "fibers") if ns.fibers else None
     em = Emitter(ns.out, "render", _ns_config(ns))
-    res = int(ns.resolution)
 
     em.write("base.pgm", slice_to_pgm(base_slice(f.p, params, (res, res))))
 
@@ -194,10 +210,11 @@ def cmd_render(ns) -> int:
                 targets.append(complex(f.meta["beta"]))
             else:
                 targets.append(parse_complex(tok))
-    elif ns.fibers:
-        n = int(ns.fibers)
-        cloud = sample_base_julia(f.p, max(256, 8 * n), seed=int(ns.seed))
-        targets = list(cloud.points[:: max(1, len(cloud) // n)][:n])
+    elif n_fibers:
+        cloud = sample_base_julia(f.p, max(256, 8 * n_fibers),
+                                  seed=int_flag(ns, "seed", 0))
+        step = max(1, len(cloud) // n_fibers)
+        targets = list(cloud.points[::step][:n_fibers])
     window = None
     if ns.window:
         vals = [float(x) for x in str(ns.window).split(",")]
@@ -210,7 +227,7 @@ def cmd_render(ns) -> int:
         return i, zt, slice_to_ppm(sl), sl.window
 
     fibers_meta = []
-    with ThreadPoolExecutor(max_workers=max(1, int(ns.threads))) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for i, zt, ppm, w in sorted(pool.map(one, enumerate(targets))):
             em.write(f"fiber_{i:02d}.ppm", ppm)
             fibers_meta.append({"index": i, "z": zt,
@@ -227,8 +244,9 @@ def cmd_render(ns) -> int:
 
 def cmd_certify(ns) -> int:
     f = build_family(ns)
-    base = sample_base_julia(f.p, int(ns.n_base), seed=int(ns.seed))
-    j2 = sample_J2_inverse(f, int(ns.n_j2), seed=int(ns.seed) + 1)
+    seed = int_flag(ns, "seed", 0)
+    base = sample_base_julia(f.p, int_flag(ns, "n_base"), seed=seed)
+    j2 = sample_J2_inverse(f, int_flag(ns, "n_j2"), seed=seed + 1)
     params = derive_escape_radius(f, base_points=base.points)
     rep = certify_axiom_a(f, base, j2, margin=float(ns.margin), params=params)
     em = Emitter(ns.out, "certify", _ns_config(ns))
@@ -242,7 +260,8 @@ def cmd_certify(ns) -> int:
 
 def cmd_chain(ns) -> int:
     f = build_family(ns)
-    rep = chain_report(f, n_base=int(ns.n_base), seed=int(ns.seed))
+    rep = chain_report(f, n_base=int_flag(ns, "n_base"),
+                       seed=int_flag(ns, "seed", 0))
     em = Emitter(ns.out, "chain", _ns_config(ns))
     clouds = rep.pop("clouds")
     for key in ("apt", "acc", "j2", "probe"):
@@ -256,7 +275,7 @@ def cmd_chain(ns) -> int:
 
 def cmd_saddles(ns) -> int:
     f = build_family(ns)
-    sads = find_saddles(f, max_base_period=int(ns.max_period))
+    sads = find_saddles(f, max_base_period=int_flag(ns, "max_period"))
     em = Emitter(ns.out, "saddles", _ns_config(ns))
     em.write_json("saddles.json", {
         "count": len(sads),
@@ -283,16 +302,17 @@ def cmd_verify_lemma(ns) -> int:
     em = Emitter(ns.out, "verify-lemma", _ns_config(ns))
     if lemma in ("construction-constants", "construction-bounds"):
         s1, s2 = parse_poly(ns.s1), parse_poly(ns.s2)
-        f, consts = build_s1s2(s1, s2, int(ns.k1), int(ns.k2),
-                               seed=int(ns.family_seed))
+        f, consts = build_s1s2(s1, s2, int_flag(ns, "k1"), int_flag(ns, "k2"),
+                               seed=int_flag(ns, "family_seed", 0))
         if lemma == "construction-constants":
             rep = check_s1s2_constants(consts, s1, s2)
         else:
-            rep = check_s1s2_bounds(f, consts, seed=int(ns.seed))
+            rep = check_s1s2_bounds(f, consts, seed=int_flag(ns, "seed", 0))
     elif lemma == "trapping":
         f = build_family(ns)
-        base = sample_base_julia(f.p, int(ns.n_base), seed=int(ns.seed))
-        j2 = sample_J2_inverse(f, int(ns.n_j2), seed=int(ns.seed) + 1)
+        seed, m = int_flag(ns, "seed", 0), int_flag(ns, "m")
+        base = sample_base_julia(f.p, int_flag(ns, "n_base"), seed=seed)
+        j2 = sample_J2_inverse(f, int_flag(ns, "n_j2"), seed=seed + 1)
         params = derive_escape_radius(f, base_points=base.points)
         if ns.tcloud == "saddles":
             sads = find_saddles(f)
@@ -302,11 +322,12 @@ def cmd_verify_lemma(ns) -> int:
                                  tag="Lambda")
         else:
             crit = critical_locus(f, base, params=params)
-            t_cloud = postcritical_cloud(f, crit, n_iter=int(ns.n_iter),
+            t_cloud = postcritical_cloud(f, crit,
+                                         n_iter=int_flag(ns, "n_iter"),
                                          params=params)
-        rep = check_trapping(f, t_cloud, j2, r=float(ns.r), m=int(ns.m))
+        rep = check_trapping(f, t_cloud, j2, r=float(ns.r), m=m)
     else:
-        kwargs = {"n": int(ns.n), "seed": int(ns.seed)}
+        kwargs = {"n": int_flag(ns, "n"), "seed": int_flag(ns, "seed", 0)}
         if lemma == "box-self-map":
             kwargs["delta_prime"] = float(ns.delta)
         elif lemma == "box-avoid":
@@ -327,13 +348,15 @@ def cmd_continue(ns) -> int:
     a0 = parse_complex(getattr(ns, "from"))
     a1 = parse_complex(ns.to)
     f0 = make_Fa(a0)
-    sads = find_saddles(f0, max_base_period=int(ns.base_period))
-    sads = [s for s in sads if s.base_period == int(ns.base_period)]
-    if not sads:
-        raise PreconditionError("no saddle orbit of the requested base "
-                                "period at the start parameter")
-    start = sads[int(ns.orbit)]
-    samples = a0 + (a1 - a0) * np.linspace(0.0, 1.0, int(ns.steps))
+    period, orbit = int_flag(ns, "base_period"), int_flag(ns, "orbit", 0)
+    sads = find_saddles(f0, max_base_period=period)
+    sads = [s for s in sads if s.base_period == period]
+    if orbit >= len(sads):
+        raise PreconditionError(f"--orbit {orbit} needs {orbit + 1} saddle "
+                                f"orbits of base period {period} at the "
+                                f"start parameter; found {len(sads)}")
+    start = sads[orbit]
+    samples = a0 + (a1 - a0) * np.linspace(0.0, 1.0, int_flag(ns, "steps", 2))
     path = ParamPath(build=lambda a: make_Fa(a), samples=samples, name="a")
     trace = continue_orbit(path, start, tol=float(ns.tol))
     em = Emitter(ns.out, "continue", _ns_config(ns))
@@ -353,8 +376,9 @@ def cmd_continue(ns) -> int:
 def cmd_separate(ns) -> int:
     fA = build_family(ns)
     fB = make_product(Poly1([0.0] * fA.degree + [1.0]), parse_poly(ns.q))
-    rep = separation_evidence(fA, fB, n_steps=int(ns.steps_around),
-                              n_cloud=int(ns.n_cloud), seed=int(ns.seed))
+    rep = separation_evidence(fA, fB, n_steps=int_flag(ns, "steps_around"),
+                              n_cloud=int_flag(ns, "n_cloud"),
+                              seed=int_flag(ns, "seed", 0))
     em = Emitter(ns.out, "separate", _ns_config(ns))
     em.write_json("separate.json", rep)
     em.finish()
@@ -364,22 +388,22 @@ def cmd_separate(ns) -> int:
 
 def cmd_hausdorff(ns) -> int:
     f = build_family(ns)
+    n_samples, seed = int_flag(ns, "n_samples"), int_flag(ns, "seed", 0)
+    workers = int_flag(ns, "threads")
     em = Emitter(ns.out, "hausdorff", _ns_config(ns))
     rows = []
     if ns.theta is not None:
         if ns.family != "Fa":
             raise PreconditionError("--theta comparisons need --family Fa")
         g = f.meta["g"]
-        ref1d = sample_base_julia(g, int(ns.n_samples),
-                                  seed=int(ns.seed) + 1)
+        ref1d = sample_base_julia(g, n_samples, seed=seed + 1)
         for i, tok in enumerate(str(ns.theta).split(",")):
             th = float(tok)
             zb = np.exp(1j * th)
-            fiber = sample_fiber_julia(f, zb, int(ns.n_samples),
-                                       seed=int(ns.seed))
+            fiber = sample_fiber_julia(f, zb, n_samples, seed=seed)
             ref = PointCloud(np.exp(1j * th / 2.0) * ref1d.points,
                              tag="rotated-1d", seed=ref1d.seed)
-            d = hausdorff_distance(fiber, ref)
+            d = hausdorff_distance(fiber, ref, workers)
             em.write(f"fiber_{i}.csv", cloud_to_csv(fiber))
             em.write(f"ref_{i}.csv", cloud_to_csv(ref))
             rows.append({"theta": th, "hausdorff": d})
@@ -389,9 +413,9 @@ def cmd_hausdorff(ns) -> int:
             raise PreconditionError("need --theta or both --fiber-at and "
                                     "--fiber-b")
         za, zb = parse_complex(ns.fiber_at), parse_complex(ns.fiber_b)
-        ca = sample_fiber_julia(f, za, int(ns.n_samples), seed=int(ns.seed))
-        cb = sample_fiber_julia(f, zb, int(ns.n_samples), seed=int(ns.seed))
-        d = hausdorff_distance(ca, cb)
+        ca = sample_fiber_julia(f, za, n_samples, seed=seed)
+        cb = sample_fiber_julia(f, zb, n_samples, seed=seed)
+        d = hausdorff_distance(ca, cb, workers)
         em.write("fiber_a.csv", cloud_to_csv(ca))
         em.write("fiber_b.csv", cloud_to_csv(cb))
         rows.append({"z_a": za, "z_b": zb, "hausdorff": d})
@@ -534,6 +558,7 @@ def main(argv=None) -> int:
                 known = {a.dest for a in s._actions}
                 s.set_defaults(**{k: v for k, v in cfg.items() if k in known})
         ns = ap.parse_args(argv)
+        int_flag(ns, "threads")  # every subcommand takes it; check it once
         return ns.func(ns)
     except PreconditionError as e:
         print(f"precondition failure: {e}", file=sys.stderr)

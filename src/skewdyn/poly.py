@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 COMPOSE_DEGREE_CAP = 4096
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _trim(c):
@@ -61,7 +62,18 @@ class Poly1:
         return len(self.coeffs) - 1
 
     def __call__(self, w):
-        return npoly.polyval(w, self.coeffs)
+        if not (isinstance(w, np.ndarray) and w.size > 1):
+            return npoly.polyval(w, self.coeffs)
+        # Horner in place on one buffer, in `npoly.polyval`'s order (`top +
+        # x*0`, then `a + acc*x`), so the values are bit-equal. A 1-element
+        # array stays on polyval: numpy rounds an in-place product of one
+        # element with its scalar loop, every other product with its SIMD one.
+        c = self.coeffs
+        acc = c[-1] + w * 0
+        for a in c[-2::-1]:
+            acc *= w
+            acc += a
+        return acc
 
     def deriv(self) -> "Poly1":
         if self.degree == 0:
@@ -265,6 +277,23 @@ def _companion_eigvals(core):
     return np.linalg.eigvals(npoly.polycompanion(core / core[-1]))
 
 
+def _newton_polish(core, x0, steps=4):
+    """Newton steps on the roots x0 of core; a root that the steps make
+    non-finite keeps its value from x0."""
+    dc = npoly.polyder(core)
+    x = x0
+    for _ in range(steps):
+        dv = npoly.polyval(x, dc)
+        dv = np.where(dv == 0, 1e-300, dv)
+        x = x - npoly.polyval(x, core) / dv
+    return np.where(np.isfinite(x), x, x0)
+
+
+def _worst(res) -> float:
+    """The largest residual, a NaN counting as inf."""
+    return np.inf if np.isnan(res).any() else float(np.max(res))
+
+
 def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
     """All complex roots of the polynomial, with multiplicity.
 
@@ -292,25 +321,29 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
             x = _aberth(core, tol)
             if x is None:
                 x = eig = _companion_eigvals(core)
-            # Newton polish
-            dc = npoly.polyder(core)
-            for _ in range(4):
-                dv = npoly.polyval(x, dc)
-                dv = np.where(dv == 0, 1e-300, dv)
-                x = x - npoly.polyval(x, core) / dv
         scale = max(float(np.max(np.abs(c))), 1.0)
-        res = np.abs(npoly.polyval(x, core))
-        if np.any(res > tol * scale * max(1.0, float(np.max(np.abs(x))) ** m)):
-            x2 = _companion_eigvals(core) if eig is None else eig
-            res2 = np.abs(npoly.polyval(x2, core))
-            if np.max(res2) < np.max(res):
-                x, res = x2, res2
-            if np.any(res > tol * scale * max(1.0, float(np.max(np.abs(x))) ** m)):
-                raise RootFindError(
-                    "root solve failed to meet residual bound",
-                    residuals=res,
-                    best=x,
-                )
+
+        def misses(x, res):
+            # capped below inf, the bound is missed by NaN and inf residuals
+            top = np.float64(max(1.0, float(np.max(np.abs(x)))))
+            bound = min(tol * scale * top ** m, _FLOAT_MAX)
+            return not (res <= bound).all()
+
+        with np.errstate(all="ignore"):
+            if m > 1:
+                x = _newton_polish(core, x)
+            res = np.abs(npoly.polyval(x, core))
+            if misses(x, res):
+                x2 = _companion_eigvals(core) if eig is None else eig
+                res2 = np.abs(npoly.polyval(x2, core))
+                if _worst(res2) < _worst(res):
+                    x, res = x2, res2
+                if misses(x, res):
+                    raise RootFindError(
+                        "root solve failed to meet residual bound",
+                        residuals=res,
+                        best=x,
+                    )
         out.extend(x.tolist())
     arr = np.array(out, dtype=complex)
     return arr[np.lexsort((arr.imag, arr.real))]

@@ -186,6 +186,9 @@ def fiber_slice(
 
     Classifies the orbit of every cell center; vectorized over the grid
     with a fixed reduction order (cell index), so results are deterministic.
+    The grid runs `params.max_iter` steps along the base orbit of z: a given
+    `params` sets the step count (`render` passes `derive_escape_radius`'s
+    DEFAULT_MAX_ITER), and without one it is GRID_MAX_ITER.
     """
     if params is None:
         params = derive_escape_radius(f).with_max_iter(GRID_MAX_ITER)
@@ -214,25 +217,28 @@ def _escape_grid(maps, window: Rect, nx: int, ny: int,
                  radius: float) -> np.ndarray:
     """Escape step of every cell center of the window, (ny, nx), 0 where it
     never escapes: step n applies the n-th map of `maps` to the cells still
-    within radius, until all have escaped or the maps run out."""
+    within radius, until all have escaped or the maps run out.
+
+    Only the live cells are held: their values `w` and flat cell indices
+    `idx`, in cell order, compacted on the steps where some cell escapes.
+    For a finite radius, `|w| <= radius` is False for inf and NaN, so those
+    escape too.
+    """
     xs = window.re_min + (np.arange(nx) + 0.5) * (window.re_max - window.re_min) / nx
     ys = window.im_min + (np.arange(ny) + 0.5) * (window.im_max - window.im_min) / ny
     X, Y = np.meshgrid(xs, ys)
     w = (X + 1j * Y).ravel()
     esc = np.zeros(w.shape, dtype=int)
-    alive = np.ones(w.shape, dtype=bool)
+    idx = np.arange(w.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, g in enumerate(maps, 1):
-            wn = g(w[alive])
-            dead = ~np.isfinite(wn.real) | ~np.isfinite(wn.imag) | (
-                np.abs(wn) > radius
-            )
-            w[alive] = np.where(dead, np.inf, wn)
-            idx = np.where(alive)[0]
-            esc[idx[dead]] = n
-            alive[idx[dead]] = False
-            if not alive.any():
-                break
+            w = g(w)
+            live = np.abs(w) <= radius
+            if not live.all():
+                esc[idx[~live]] = n
+                w, idx = w[live], idx[live]
+                if not idx.size:
+                    break
     return esc.reshape(ny, nx)
 
 
@@ -341,9 +347,10 @@ class CloudIndex:
         self.keep, self.inverse = _distinct_rows(rows)
         self.tree = cKDTree(rows[self.keep])
 
-    def query(self, q: np.ndarray):
-        """Distance to the nearest row and that row's index, per query row."""
-        d, i = self.tree.query(q)
+    def query(self, q: np.ndarray, workers: int = 1):
+        """Distance to the nearest row and that row's index, per query row;
+        `workers` threads split the query rows (-1: one per CPU)."""
+        d, i = self.tree.query(q, workers=workers)
         return d, self.keep[i]
 
     def nn_distances(self) -> np.ndarray:
@@ -358,19 +365,24 @@ class CloudIndex:
         return float(np.median(self.nn_distances()))
 
 
-def directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
-    """sup over a of the distance to the nearest point of b (Euclidean)."""
+def directed_hausdorff(a: PointCloud, b: PointCloud,
+                       workers: int = 1) -> float:
+    """sup over a of the distance to the nearest point of b (Euclidean),
+    queried on `workers` threads."""
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("clouds must be nonempty")
-    d, _ = CloudIndex(_as_real(b.points)).query(_as_real(a.points))
+    d, _ = CloudIndex(_as_real(b.points)).query(_as_real(a.points), workers)
     return float(np.max(d))
 
 
-def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric Hausdorff distance between two point clouds."""
+def hausdorff_distance(a: PointCloud, b: PointCloud,
+                       workers: int = 1) -> float:
+    """Symmetric Hausdorff distance between two point clouds, queried on
+    `workers` threads."""
     if a.dim != b.dim:
         raise PreconditionError("clouds must have equal dimension")
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+    return max(directed_hausdorff(a, b, workers),
+               directed_hausdorff(b, a, workers))
 
 
 def sphere_embed(points: np.ndarray) -> np.ndarray:

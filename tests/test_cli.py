@@ -52,6 +52,28 @@ def test_bad_numeric_flag_exit_code(tmp_path, argv):
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--family", "Fa", "--n-base", "foo"],
+    ["chain", "--family", "airplane", "--n", "x"],
+    ["hausdorff", "--family", "Fa", "--a=-1", "--theta", "1",
+     "--n-samples", "x"],
+    ["render", "--family", "fig3", "--fibers", "x"],
+    ["render", "--family", "fig3", "--fibers", "0"],
+    ["certify", "--family", "Fa", "--threads", "x"],
+    ["render", "--family", "fig3", "--resolution", "-5"],
+    ["render", "--family", "fig3", "--resolution", "0"],
+    ["render", "--family", "fig3", "--resolution", "2.5"],
+    ["certify", "--family", "Fa", "--seed=-1"],
+    ["separate", "--family", "Fa", "--a=-1", "--n-cloud", "0"],
+    ["verify-lemma", "trapping", "--family", "Fa", "--a=-1", "--m", "0"],
+    ["continue", "--family", "Fa", "--orbit", "9"],
+])
+def test_bad_integer_flag_exit_code(tmp_path, argv, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "precondition failure" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("pieces", [["--k1", "0", "--k2", "2"],
                                     ["--k1=-1", "--k2", "3"]])
 def test_degenerate_piece_counts_exit_code(tmp_path, pieces):

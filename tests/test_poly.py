@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -236,10 +238,54 @@ def test_orbit_bit_equal_to_polyval(lower, top, z):
     assert p.orbit(z, 0) == []
 
 
+_special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300,
+                            -1e-300])
+_generic = st.floats(-4.0, 4.0, width=64)
+any_complex = st.one_of(
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.builds(complex, _special, _special),
+    st.builds(complex, _generic, _generic))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coefficient, min_size=0, max_size=5),
+       st.one_of(coefficient.filter(bool), pure_imaginary),
+       st.lists(any_complex, min_size=0, max_size=40),
+       st.sampled_from(["1-d", "0-d", "strided"]))
+def test_poly1_call_bit_equal_to_polyval(lower, top, xs, layout):
+    # inf, NaN and signed zeros in the input; generic values make the SIMD
+    # and scalar roundings differ, notably on 1-element arrays
+    p = Poly1(lower + [top])
+    x = np.array(xs, dtype=complex)
+    if layout == "0-d" and xs:
+        x = x[0, ...]
+    elif layout == "strided":
+        x = x[::-2]
+    with np.errstate(all="ignore"):
+        got, want = p(x), npoly.polyval(x, p.coeffs)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                          np.atleast_1d(want).view(np.uint64))
+
+
+def test_poly1_call_bit_equal_to_polyval_on_short_arrays():
+    # numpy rounds an in-place product of one element with its scalar loop
+    # and every other product with its SIMD loop; the two differ on about
+    # 40% of generic inputs
+    rng = np.random.default_rng(0)
+    for n in [1, 2, 3] * 100:
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(Poly1(c)(x).view(np.uint64),
+                              npoly.polyval(x, c).view(np.uint64))
+
+
 def _fallback_reference(core, tol):
     """The companion-matrix path of `roots` for a polynomial with no root at
-    0: eigenvalues, four Newton steps, and the raw eigenvalues instead when
-    their residual is smaller and the polished roots miss the bound."""
+    0: eigenvalues, four Newton steps (a root they make non-finite keeps its
+    eigenvalue), and the raw eigenvalues instead when their worst residual
+    is smaller and the polished roots miss the bound (a NaN residual counts
+    as inf and misses it)."""
     raw = np.linalg.eigvals(npoly.polycompanion(core / core[-1]))
     x = raw
     dc = npoly.polyder(core)
@@ -247,25 +293,28 @@ def _fallback_reference(core, tol):
         dv = npoly.polyval(x, dc)
         dv = np.where(dv == 0, 1e-300, dv)
         x = x - npoly.polyval(x, core) / dv
-    res = np.abs(npoly.polyval(x, core))
+    x = np.where(np.isfinite(x), x, raw)
+
+    def worst(r):
+        res = np.abs(npoly.polyval(r, core))
+        return np.max(np.where(np.isnan(res), np.inf, res))
+
     bound = tol * max(float(np.max(np.abs(core))), 1.0) \
         * max(1.0, float(np.max(np.abs(x)))) ** (len(core) - 1)
-    if np.any(res > bound) and np.max(np.abs(npoly.polyval(raw, core))) \
-            < np.max(res):
+    if worst(x) > bound and worst(raw) < worst(x):
         return raw
     return x
 
 
 def test_roots_solves_the_companion_matrix_once(monkeypatch):
-    # passes at once: (w-1)(w-2)(w-3)(w-4i); fails its residual re-check:
-    # the 8-step fiber composition of Fa(-1) over z = 1, minus w, with its
-    # root at 0 peeled off (degree 255)
+    # passes at once: (w-1)(w-2)(w-3)(w-4i); fails its residual re-check,
+    # which no float solve can meet: a sextic with a triple root, all its
+    # roots in the unit disk, at tol 1e-20
     easy = Poly1.from_roots([1.0, 2.0, 3.0, 4j])
-    hard = compose_fiber(make_Fa(-1), 1.0, 8) - Poly1([0.0, 1.0])
-    assert hard.coeffs[0] == 0
+    hard = Poly1.from_roots([0.5, 0.5, 0.5, 0.3j, -0.7, 0.2 - 0.6j])
     with np.errstate(all="ignore"):
         want_easy = _fallback_reference(easy.coeffs, 1e-10)
-        want_hard = _fallback_reference(hard.coeffs[1:], 1e-8)
+        want_hard = _fallback_reference(hard.coeffs, 1e-20)
     eigvals, calls = np.linalg.eigvals, []
 
     def counting(a):
@@ -281,10 +330,43 @@ def test_roots_solves_the_companion_matrix_once(monkeypatch):
         assert np.array_equal(got, want_easy[order])
         calls.clear()
         with pytest.raises(RootFindError) as err:
-            roots(hard, tol=1e-8)
-    assert calls == [(255, 255)]
+            roots(hard, tol=1e-20)
+    assert calls == [(6, 6)]
     assert np.array_equal(err.value.best.view(np.uint64),
-                          want_hard.view(np.uint64))  # NaNs included
+                          want_hard.view(np.uint64))
+
+
+@pytest.mark.parametrize("aberth", [True, False])
+def test_roots_polish_keeps_roots_finite(monkeypatch, aberth):
+    # the 8-step fiber composition of Fa(-1) over z = 1, minus w: the Newton
+    # polish of its companion eigenvalues turns one of them into NaN
+    hard = compose_fiber(make_Fa(-1), 1.0, 8) - Poly1([0.0, 1.0])
+    if not aberth:
+        monkeypatch.setattr(poly, "_aberth", lambda *a, **k: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        try:
+            got = roots(hard, tol=1e-8)
+        except RootFindError as e:
+            got = e.best
+    assert len(got) == 256 and np.all(np.isfinite(got))
+    if not aberth:
+        with np.errstate(all="ignore"):
+            want = _fallback_reference(hard.coeffs[1:], 1e-8)
+        want = np.append(want, 0j)  # the peeled root at 0
+        order = np.lexsort((want.imag, want.real))
+        assert np.array_equal(got.view(np.uint64), want[order].view(np.uint64))
+
+
+def test_roots_nan_residual_is_a_failure(monkeypatch):
+    # a NaN root used to pass: NaN > bound is False and max(1.0, nan) is 1.0
+    easy = Poly1.from_roots([1.0, 2.0, 3.0, 4j])
+    monkeypatch.setattr(poly, "_aberth", lambda *a, **k: None)
+    monkeypatch.setattr(poly, "_companion_eigvals",
+                        lambda core: np.array([1.0, 2.0, 3.0, np.nan]) + 0j)
+    with pytest.raises(RootFindError) as err:
+        roots(easy)
+    assert np.isnan(err.value.residuals[-1])
 
 
 def test_compose_fiber_cap():

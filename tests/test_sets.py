@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from skewdyn.sets import (
     slice_to_ppm,
     sphere_embed,
 )
+from skewdyn.sets import _escape_grid
 
 
 def test_base_julia_circle():
@@ -276,3 +279,94 @@ def test_pgm_ppm_formats():
     # bounded cells are black in both
     body = np.frombuffer(pgm[len(b"P5\n64 48\n255\n"):], dtype=np.uint8)
     assert np.all(body.reshape(48, 64)[sl.membership] == 0)
+
+
+def _full_grid_escape(maps, window, nx, ny, radius):
+    """Reference escape-time grid: the whole grid is indexed at every step
+    and a cell escapes on a non-finite value or |w| > radius."""
+    r = window
+    xs = r.re_min + (np.arange(nx) + 0.5) * (r.re_max - r.re_min) / nx
+    ys = r.im_min + (np.arange(ny) + 0.5) * (r.im_max - r.im_min) / ny
+    X, Y = np.meshgrid(xs, ys)
+    w = (X + 1j * Y).ravel()
+    esc = np.zeros(w.shape, dtype=int)
+    alive = np.ones(w.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, g in enumerate(maps, 1):
+            wn = g(w[alive])
+            dead = ~np.isfinite(wn.real) | ~np.isfinite(wn.imag) | (
+                np.abs(wn) > radius
+            )
+            w[alive] = np.where(dead, np.inf, wn)
+            idx = np.where(alive)[0]
+            esc[idx[dead]] = n
+            alive[idx[dead]] = False
+            if not alive.any():
+                break
+    return esc.reshape(ny, nx)
+
+
+def _assert_same_grid(maps, window, nx, ny, radius):
+    """`_escape_grid` against the reference: bit-equal grids, and both stop
+    after the same number of maps."""
+    used = [[], []]
+    got = _escape_grid((used[0].append(g) or g for g in maps), window,
+                       nx, ny, radius)
+    want = _full_grid_escape((used[1].append(g) or g for g in maps), window,
+                             nx, ny, radius)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(used[0]) == len(used[1])
+    return got
+
+
+_GOLDEN = (5 ** 0.5 - 1) / 2
+_grid_coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                       allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.lists(_grid_coefficient, min_size=4, max_size=4),
+       st.one_of(_grid_coefficient.filter(lambda c: abs(c) > 0.1),
+                 st.floats(0.1, 2.0).map(lambda y: complex(0.0, y))),
+       st.floats(0.0, 1.0), st.sampled_from([1e-2, 1.0, 3.0, 1e100, 1e200]),
+       _grid_coefficient, st.floats(2.0, 1e300), st.integers(1, 60),
+       st.integers(1, 24), st.integers(1, 24))
+def test_escape_grid_bit_equal_to_full_grid(d, lower, top, amp, half, centre,
+                                            radius, steps, nx, ny):
+    # the fiber maps vary along the orbit of an irrational rotation of the
+    # base, which never repeats; windows of half-side 1e100 and 1e200
+    # overflow to inf and NaN within a step or two
+    maps = []
+    for k in range(steps):
+        c = np.array(lower[:d] + [top], dtype=complex)
+        c[0] += amp * cmath.exp(2j * cmath.pi * _GOLDEN * k)
+        maps.append(Poly1(c))
+    window = Rect.square(centre * min(half, 1.0), half)
+    _assert_same_grid(maps, window, nx, ny, radius)
+
+
+def test_escape_grid_stops_when_every_cell_escapes():
+    maps = [Poly1([0.0, 0.0, 1.0])] * 50
+    esc = _assert_same_grid(maps, Rect.square(1e6, 1e5), 16, 8, 10.0)
+    assert np.all(esc == 1)
+
+
+def test_escape_grid_without_escapes():
+    maps = [Poly1([0.1j, 0.0, 1.0]), Poly1([-0.1, 0.0, 1.0])] * 20
+    esc = _assert_same_grid(maps, Rect.square(0.0, 0.4), 16, 8, 2.0)
+    assert not esc.any()
+
+
+def test_cloud_index_query_workers_bit_equal():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((5000, 2))
+    rows[::7] = rows[1::7]  # repeated rows and distance ties
+    q = np.round(rng.standard_normal((20000, 2)), 1)
+    index = CloudIndex(rows)
+    d1, i1 = index.query(q)
+    d2, i2 = index.query(q, workers=2)
+    assert np.array_equal(d1.view(np.uint64), d2.view(np.uint64))
+    assert np.array_equal(i1, i2)
+    a = PointCloud(q.view(complex).ravel())
+    b = PointCloud(rows.view(complex).ravel())
+    assert hausdorff_distance(a, b) == hausdorff_distance(a, b, workers=2)
