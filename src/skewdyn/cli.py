@@ -14,6 +14,7 @@ import argparse
 import cmath
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -104,6 +105,30 @@ def int_flag(ns, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise PreconditionError(f"{flag} must be >= {minimum}, got {value}")
     return value
+
+
+def _finite_float(flag: str, text) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise PreconditionError(f"{flag} must be a number, got {text!r}") \
+            from None
+    if not math.isfinite(value):
+        raise PreconditionError(f"{flag} must be finite, got {text!r}")
+    return value
+
+
+def float_flag(ns, name: str) -> float:
+    """The float value of the flag with argparse dest `name`; a malformed or
+    non-finite value is a precondition failure."""
+    return _finite_float("--" + name.replace("_", "-"), getattr(ns, name))
+
+
+def float_list_flag(ns, name: str) -> list:
+    """The comma-separated float values of the flag with argparse dest
+    `name`; a malformed or non-finite one is a precondition failure."""
+    flag, text = "--" + name.replace("_", "-"), str(getattr(ns, name))
+    return [_finite_float(flag, tok) for tok in text.split(",")]
 
 
 def build_family(ns):
@@ -197,9 +222,14 @@ def cmd_render(ns) -> int:
     params = derive_escape_radius(f)
     res, threads = int_flag(ns, "resolution"), int_flag(ns, "threads")
     n_fibers = int_flag(ns, "fibers") if ns.fibers else None
-    em = Emitter(ns.out, "render", _ns_config(ns))
-
-    em.write("base.pgm", slice_to_pgm(base_slice(f.p, params, (res, res))))
+    window = None
+    if ns.window:
+        vals = float_list_flag(ns, "window")
+        if len(vals) != 4 or not (vals[0] < vals[1] and vals[2] < vals[3]):
+            raise PreconditionError(
+                "--window must be re_min,re_max,im_min,im_max with "
+                f"re_min < re_max and im_min < im_max, got {ns.window!r}")
+        window = Rect(*vals)
 
     # fiber targets
     targets = []
@@ -215,10 +245,9 @@ def cmd_render(ns) -> int:
                                   seed=int_flag(ns, "seed", 0))
         step = max(1, len(cloud) // n_fibers)
         targets = list(cloud.points[::step][:n_fibers])
-    window = None
-    if ns.window:
-        vals = [float(x) for x in str(ns.window).split(",")]
-        window = Rect(*vals)
+
+    em = Emitter(ns.out, "render", _ns_config(ns))
+    em.write("base.pgm", slice_to_pgm(base_slice(f.p, params, (res, res))))
 
     def one(i_z):
         i, zt = i_z
@@ -244,11 +273,11 @@ def cmd_render(ns) -> int:
 
 def cmd_certify(ns) -> int:
     f = build_family(ns)
-    seed = int_flag(ns, "seed", 0)
+    seed, margin = int_flag(ns, "seed", 0), float_flag(ns, "margin")
     base = sample_base_julia(f.p, int_flag(ns, "n_base"), seed=seed)
     j2 = sample_J2_inverse(f, int_flag(ns, "n_j2"), seed=seed + 1)
     params = derive_escape_radius(f, base_points=base.points)
-    rep = certify_axiom_a(f, base, j2, margin=float(ns.margin), params=params)
+    rep = certify_axiom_a(f, base, j2, margin=margin, params=params)
     em = Emitter(ns.out, "certify", _ns_config(ns))
     em.write("certify.json", report_to_json(rep) + "\n")
     em.finish()
@@ -311,6 +340,7 @@ def cmd_verify_lemma(ns) -> int:
     elif lemma == "trapping":
         f = build_family(ns)
         seed, m = int_flag(ns, "seed", 0), int_flag(ns, "m")
+        r = float_flag(ns, "r")
         base = sample_base_julia(f.p, int_flag(ns, "n_base"), seed=seed)
         j2 = sample_J2_inverse(f, int_flag(ns, "n_j2"), seed=seed + 1)
         params = derive_escape_radius(f, base_points=base.points)
@@ -325,13 +355,13 @@ def cmd_verify_lemma(ns) -> int:
             t_cloud = postcritical_cloud(f, crit,
                                          n_iter=int_flag(ns, "n_iter"),
                                          params=params)
-        rep = check_trapping(f, t_cloud, j2, r=float(ns.r), m=m)
+        rep = check_trapping(f, t_cloud, j2, r=r, m=m)
     else:
         kwargs = {"n": int_flag(ns, "n"), "seed": int_flag(ns, "seed", 0)}
         if lemma == "box-self-map":
-            kwargs["delta_prime"] = float(ns.delta)
+            kwargs["delta_prime"] = float_flag(ns, "delta")
         elif lemma == "box-avoid":
-            kwargs["delta"] = float(ns.delta)
+            kwargs["delta"] = float_flag(ns, "delta")
         rep = LEMMA_CHECKS[lemma](**kwargs)
     em.write_json("lemma.json", rep)
     em.finish()
@@ -349,6 +379,7 @@ def cmd_continue(ns) -> int:
     a1 = parse_complex(ns.to)
     f0 = make_Fa(a0)
     period, orbit = int_flag(ns, "base_period"), int_flag(ns, "orbit", 0)
+    tol = float_flag(ns, "tol")
     sads = find_saddles(f0, max_base_period=period)
     sads = [s for s in sads if s.base_period == period]
     if orbit >= len(sads):
@@ -358,7 +389,7 @@ def cmd_continue(ns) -> int:
     start = sads[orbit]
     samples = a0 + (a1 - a0) * np.linspace(0.0, 1.0, int_flag(ns, "steps", 2))
     path = ParamPath(build=lambda a: make_Fa(a), samples=samples, name="a")
-    trace = continue_orbit(path, start, tol=float(ns.tol))
+    trace = continue_orbit(path, start, tol=tol)
     em = Emitter(ns.out, "continue", _ns_config(ns))
     em.write("trace.csv", trace_to_csv(trace))
     em.write_json("continue.json", {
@@ -390,15 +421,15 @@ def cmd_hausdorff(ns) -> int:
     f = build_family(ns)
     n_samples, seed = int_flag(ns, "n_samples"), int_flag(ns, "seed", 0)
     workers = int_flag(ns, "threads")
+    thetas = None if ns.theta is None else float_list_flag(ns, "theta")
     em = Emitter(ns.out, "hausdorff", _ns_config(ns))
     rows = []
-    if ns.theta is not None:
+    if thetas is not None:
         if ns.family != "Fa":
             raise PreconditionError("--theta comparisons need --family Fa")
         g = f.meta["g"]
         ref1d = sample_base_julia(g, n_samples, seed=seed + 1)
-        for i, tok in enumerate(str(ns.theta).split(",")):
-            th = float(tok)
+        for i, th in enumerate(thetas):
             zb = np.exp(1j * th)
             fiber = sample_fiber_julia(f, zb, n_samples, seed=seed)
             ref = PointCloud(np.exp(1j * th / 2.0) * ref1d.points,

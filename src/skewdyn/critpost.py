@@ -9,9 +9,7 @@ critical locus are surrogate-identified by epsilon-clustering.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -20,7 +18,9 @@ from scipy.spatial import cKDTree
 from .engine import (
     DEFAULT_TAIL_LEN,
     EscapeParams,
-    _one_var_radius,
+    _attracting_base_cycles,
+    _attracting_cycle_from_tail,
+    _bounded_critical_tails,
     chordal_distance,
     derive_escape_radius,
 )
@@ -77,38 +77,6 @@ class CertificationReport:
     seeds: dict = field(default_factory=dict)
 
 
-def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray,
-                                max_period: int = 64, tol: float = 1e-6):
-    """Detect an attracting cycle from an orbit tail by self-distance
-    minimization over candidate periods; returns (cycle, multiplier) or None."""
-    t = np.asarray(tail, dtype=complex)
-    if len(t) < 2 * max_period:
-        max_period = max(1, len(t) // 2)
-    for k in range(1, max_period + 1):
-        if np.max(np.abs(t[k:] - t[:-k])) < tol:
-            cyc = t[-k:]
-            mult = np.prod(g.deriv()(cyc))
-            return cyc, complex(mult)
-    return None
-
-
-def _bounded_critical_tails(g: Poly1, max_iter: int = 2000,
-                            tail_len: int = 160):
-    """Lazily, the last tail_len iterates of each critical orbit of g that
-    stays within the escape radius for max_iter steps; escaping orbits
-    yield nothing.  Callers set the numpy error state."""
-    radius = _one_var_radius(g.coeffs)
-    for c in roots(g.deriv()):
-        tail = []
-        for n, x in enumerate(islice(g.walk(c), max_iter)):
-            if not math.isfinite(x.real) or abs(x) > radius:
-                break
-            if n >= max_iter - tail_len:
-                tail.append(x)
-        else:
-            yield np.array(tail)
-
-
 def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
                          max_iter: int = 2000, tail_len: int = 160):
     """Hyperbolicity test for a one-variable polynomial.
@@ -134,20 +102,6 @@ def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
     if worst is np.inf or worst == np.inf:
         worst = 1.0  # all critical orbits escaped
     return True, float(worst)
-
-
-def _attracting_base_cycles(p: Poly1, max_iter: int = 2000,
-                            tail_len: int = 160):
-    """Attracting cycles of the base polynomial found from critical tails."""
-    cycles = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tail in _bounded_critical_tails(p, max_iter, tail_len):
-            found = _attracting_cycle_from_tail(p, tail)
-            if found is not None:
-                cyc, _ = found
-                if not any(np.min(np.abs(cyc[0] - k)) < 1e-5 for k in cycles):
-                    cycles.append(cyc)
-    return cycles
 
 
 def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:

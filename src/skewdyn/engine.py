@@ -1,19 +1,22 @@
 """Orbit iteration engine.
 
 Escape-radius derivation, escape-time orbit classification with omega-tail
-capture, the chordal (spherical) metric, and an empirical probe of chordal
-contraction of fiber segments under iteration.
+capture, attracting cycles from critical tails and the trapping disks that
+certify them, the chordal (spherical) metric, and an empirical probe of
+chordal contraction of fiber segments under iteration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .errors import PreconditionError
-from .poly import SkewProduct, check_regular, fiber_poly
+from .errors import NumericalError, PreconditionError
+from .poly import Poly1, SkewProduct, check_regular, fiber_poly, roots
 
 __all__ = [
     "Rect",
@@ -166,6 +169,115 @@ def derive_escape_radius(
         radius *= 2.0
     return EscapeParams(radius=radius, base_radius=base_radius,
                         max_iter=max_iter, base_window=base_window)
+
+
+def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray,
+                                max_period: int = 64, tol: float = 1e-6):
+    """Detect an attracting cycle from an orbit tail by self-distance
+    minimization over candidate periods; returns (cycle, multiplier) or None."""
+    t = np.asarray(tail, dtype=complex)
+    if len(t) < 2 * max_period:
+        max_period = max(1, len(t) // 2)
+    for k in range(1, max_period + 1):
+        if np.max(np.abs(t[k:] - t[:-k])) < tol:
+            cyc = t[-k:]
+            mult = np.prod(g.deriv()(cyc))
+            return cyc, complex(mult)
+    return None
+
+
+def _bounded_critical_tails(g: Poly1, max_iter: int = 2000,
+                            tail_len: int = 160):
+    """Lazily, the last tail_len iterates of each critical orbit of g that
+    stays within the escape radius for max_iter steps; escaping orbits
+    yield nothing.  Callers set the numpy error state."""
+    radius = _one_var_radius(g.coeffs)
+    for c in roots(g.deriv()):
+        tail = []
+        for n, x in enumerate(islice(g.walk(c), max_iter)):
+            if not math.isfinite(x.real) or abs(x) > radius:
+                break
+            if n >= max_iter - tail_len:
+                tail.append(x)
+        else:
+            yield np.array(tail)
+
+
+def _attracting_base_cycles(p: Poly1, max_iter: int = 2000,
+                            tail_len: int = 160):
+    """Attracting cycles of the polynomial p (a base map, or a fiber period
+    map) found from critical tails."""
+    cycles = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tail in _bounded_critical_tails(p, max_iter, tail_len):
+            found = _attracting_cycle_from_tail(p, tail)
+            if found is not None:
+                cyc, _ = found
+                if not any(np.min(np.abs(cyc[0] - k)) < 1e-5 for k in cycles):
+                    cycles.append(cyc)
+    return cycles
+
+
+def _trap_chains(Q: Poly1, maps: list, radius: float) -> list:
+    """Certified trapping disks around the attracting cycles of the periodic
+    map sequence maps[0], ..., maps[k-1], maps[0], ..., whose period map is
+    Q = maps[k-1] o ... o maps[0].
+
+    One (centers, radii) pair per certified cycle: for a cycle of period m
+    of Q, the L = m * k points of its orbit under the sequence, disk t
+    belonging to maps[t % k].  That map, evaluated by float Horner, sends
+    every float point of disk t strictly into disk (t + 1) % L, and every
+    disk lies inside `radius`, so an orbit that enters a disk never leaves
+    the disks and never escapes.  The certificate: with t_j the Taylor
+    coefficients of g = maps[t % k] at c_t and a_j those of g,
+    r_{t+1} >= (1 + 1e-6) (|t_0 - c_{t+1}| + sum_{j>=1} |t_j| r_t^j
+    + 64 d^2 eps sum_j |a_j| (|c_t| + r_t)^j), where the last term bounds
+    the rounding both of the grid's Horner step and of the t_j.  The chain
+    starts at r_0 = 0.5, halved up to 60 times, and closes when it comes
+    back around within r_0.  A cycle whose chain never closes gets no
+    disks; a failed cycle search gives none at all.
+    """
+    try:
+        cycles = _attracting_base_cycles(Q)
+    except NumericalError:
+        return []
+    k = len(maps)
+    chains = []
+    for cyc in cycles:
+        centers = [complex(cyc[0])]
+        for t in range(len(cyc) * k - 1):
+            centers.append(complex(maps[t % k](centers[-1])))
+        radii = _close_disk_chain(centers, maps, radius)
+        if radii is not None:
+            chains.append((np.array(centers), np.array(radii)))
+    return chains
+
+
+def _close_disk_chain(centers: list, maps: list, radius: float):
+    """Radii that certify the disk chain of `_trap_chains`, or None."""
+    eps = np.finfo(float).eps
+    steps = []
+    for t, c in enumerate(centers):
+        g = maps[t % len(maps)]
+        taylor = g.compose(Poly1([c, 1.0])).coeffs
+        miss = abs(taylor[0] - centers[(t + 1) % len(centers)])
+        a = np.abs(g.coeffs)
+        steps.append((abs(c), miss, np.abs(taylor[1:]), a,
+                      64.0 * g.degree ** 2 * eps))
+    for h in range(61):
+        r = r0 = 0.5 * 2.0 ** -h
+        radii = []
+        for c_abs, miss, taylor, a, rounding in steps:
+            if (c_abs + r) * (1.0 + 1e-6) > radius:
+                break
+            radii.append(r)
+            r = (1.0 + 1e-6) * (
+                miss + float(np.sum(taylor * r ** np.arange(1, len(a))))
+                + rounding * float(np.sum(a * (c_abs + r) ** np.arange(len(a)))))
+        else:
+            if r <= r0:
+                return radii
+    return None
 
 
 def classify_orbit(

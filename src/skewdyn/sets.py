@@ -15,9 +15,10 @@ from itertools import repeat
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .engine import EscapeParams, GRID_MAX_ITER, Rect, derive_escape_radius
+from .engine import (EscapeParams, GRID_MAX_ITER, Rect, _trap_chains,
+                     derive_escape_radius)
 from .errors import NumericalError, PreconditionError
-from .poly import Poly1, SkewProduct, fiber_poly, roots
+from .poly import Poly1, SkewProduct, compose_fiber, fiber_poly, roots
 
 __all__ = [
     "PointCloud",
@@ -189,6 +190,13 @@ def fiber_slice(
     The grid runs `params.max_iter` steps along the base orbit of z: a given
     `params` sets the step count (`render` passes `derive_escape_radius`'s
     DEFAULT_MAX_ITER), and without one it is GRID_MAX_ITER.
+
+    Where the float base orbit repeats exactly, z_{s+k} == z_s within those
+    steps, the fiber maps repeat with period k from step s on, and the grid
+    stops iterating a cell once it enters a certified trapping disk of an
+    attracting cycle of that sequence (`_grid_traps`): its float orbit
+    provably stays in the disks and never escapes, so its escape step is 0,
+    as it would be after all the steps.
     """
     if params is None:
         params = derive_escape_radius(f).with_max_iter(GRID_MAX_ITER)
@@ -199,30 +207,82 @@ def fiber_slice(
     with np.errstate(over="ignore", invalid="ignore"):
         base_orbit = f.p.orbit(z, params.max_iter)
     esc = _escape_grid((fiber_poly(f, zc) for zc in base_orbit), window,
-                       nx, ny, params.radius)
+                       nx, ny, params.radius,
+                       _fiber_traps(f, base_orbit, params.radius))
     return FiberSlice(complex(z), window, nx, ny, esc == 0, esc, params)
 
 
 def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
     """Escape-time grid of the base plane under GRID_MAX_ITER steps of p,
-    over the square of half-side 1.2 * params.base_radius about 0."""
+    over the square of half-side 1.2 * params.base_radius about 0.
+
+    The grid stops iterating a cell once it enters a certified trapping
+    disk of an attracting cycle of p (`_grid_traps`); its escape step is 0,
+    as it would be after all the steps.
+    """
     nx, ny = resolution
     window = Rect.square(0.0, 1.2 * params.base_radius)
     esc = _escape_grid(repeat(p, GRID_MAX_ITER), window, nx, ny,
-                       params.base_radius)
+                       params.base_radius,
+                       _grid_traps(p, [p], 0, params.base_radius))
     return FiberSlice(None, window, nx, ny, esc == 0, esc, params)
 
 
+# the largest degree of a fiber period map that is searched for traps: the
+# critical-orbit search costs about 0.4 s at degree 64 and 4x per doubling
+TRAP_DEGREE_CAP = 64
+
+
+def _fiber_traps(f: SkewProduct, base_orbit: list, radius: float):
+    """`_grid_traps` of the fiber maps along base_orbit, from its first
+    exact repeat z_{s+k} == z_s (bit for bit, finite) on; None when it has
+    none or the k-step fiber composition exceeds TRAP_DEGREE_CAP."""
+    zs = np.asarray(base_orbit, dtype=complex)
+    n = len(zs) if np.isfinite(zs).all() else int(np.argmin(np.isfinite(zs)))
+    first = {}
+    bits = zs[:n].view(np.uint64).reshape(-1, 2).tolist()
+    for i, key in enumerate(map(tuple, bits)):
+        s = first.setdefault(key, i)
+        if s != i:
+            break
+    else:
+        return None
+    k = i - s
+    try:
+        Q = compose_fiber(f, zs[s], k, cap=TRAP_DEGREE_CAP)
+    except ValueError:
+        return None
+    return _grid_traps(Q, [fiber_poly(f, zc) for zc in zs[s:i]], s, radius)
+
+
+def _grid_traps(Q: Poly1, maps: list, start: int, radius: float):
+    """The trapping disks of `engine._trap_chains` for a grid whose maps
+    repeat maps[0..k-1] from step `start` on, as (start, phases): phases[j]
+    holds the centers and shrunk radii of the disks of maps[j]; None when no
+    cycle is certified."""
+    chains = _trap_chains(Q, maps, radius)
+    if not chains:
+        return None
+    k = len(maps)
+    phases = [(np.concatenate([c[j::k] for c, _ in chains]),
+               np.concatenate([r[j::k] for _, r in chains]) * (1.0 - 1e-9))
+              for j in range(k)]
+    return start, phases
+
+
 def _escape_grid(maps, window: Rect, nx: int, ny: int,
-                 radius: float) -> np.ndarray:
+                 radius: float, traps=None) -> np.ndarray:
     """Escape step of every cell center of the window, (ny, nx), 0 where it
     never escapes: step n applies the n-th map of `maps` to the cells still
     within radius, until all have escaped or the maps run out.
 
     Only the live cells are held: their values `w` and flat cell indices
-    `idx`, in cell order, compacted on the steps where some cell escapes.
-    For a finite radius, `|w| <= radius` is False for inf and NaN, so those
-    escape too.
+    `idx`, in cell order, compacted on the steps where some cell escapes or
+    is trapped.  For a finite radius, `|w| <= radius` is False for inf and
+    NaN, so those escape too.  `traps`, from `_grid_traps`, is (s, phases):
+    after each step n >= s, a cell within a disk of phases[(n - s) % k]
+    (|w - c| <= shrunk radius) is trapped and leaves the live cells with
+    escape step 0.
     """
     xs = window.re_min + (np.arange(nx) + 0.5) * (window.re_max - window.re_min) / nx
     ys = window.im_min + (np.arange(ny) + 0.5) * (window.im_max - window.im_min) / ny
@@ -230,12 +290,17 @@ def _escape_grid(maps, window: Rect, nx: int, ny: int,
     w = (X + 1j * Y).ravel()
     esc = np.zeros(w.shape, dtype=int)
     idx = np.arange(w.size)
+    start, phases = traps or (0, None)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, g in enumerate(maps, 1):
             w = g(w)
             live = np.abs(w) <= radius
             if not live.all():
                 esc[idx[~live]] = n
+            if phases and n >= start:
+                for c, r in zip(*phases[(n - start) % len(phases)]):
+                    live &= np.abs(w - c) > r
+            if not live.all():
                 w, idx = w[live], idx[live]
                 if not idx.size:
                     break

@@ -74,6 +74,23 @@ def test_bad_integer_flag_exit_code(tmp_path, argv, capsys):
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--family", "Fa", "--margin", "foo"],
+    ["render", "--family", "fig3", "--window", "1,2"],
+    ["render", "--family", "fig3", "--window=2,-2,-2,2"],
+    ["render", "--family", "fig3", "--window=nan,2,-2,2"],
+    ["hausdorff", "--family", "Fa", "--a=-1", "--theta", "x"],
+    ["verify-lemma", "trapping", "--family", "Fa", "--a=-1", "--r", "foo"],
+    ["verify-lemma", "box-avoid", "--delta", "inf"],
+    ["continue", "--family", "Fa", "--tol", "1e-11x"],
+])
+def test_bad_float_flag_exit_code(tmp_path, argv, capsys):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "precondition failure" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("pieces", [["--k1", "0", "--k2", "2"],
                                     ["--k1=-1", "--k2", "3"]])
 def test_degenerate_piece_counts_exit_code(tmp_path, pieces):
@@ -209,6 +226,22 @@ def test_render_is_independent_of_threads(tmp_path):
     assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
     assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
     for name in ("base.pgm", "fiber_00.ppm", "fiber_01.ppm", "render.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("maps", [
+    ["--p=-1,0,1", "--q=-0.2,0,1", "--fiber-at=0,-1"],  # base 2-cycle 0 <-> -1
+    ["--p=0,0,1", "--q=-0.9,0,1", "--fiber-at=-1"],     # -1 -> 1 -> 1
+])
+def test_render_over_exact_base_cycles_is_independent_of_threads(tmp_path,
+                                                                 maps):
+    args = ["render", "--family", "product", "--resolution", "48", *maps]
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
+    names = [a["path"] for a in check_manifest(out1)["artifacts"]]
+    assert "fiber_00.ppm" in names
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

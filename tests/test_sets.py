@@ -2,13 +2,15 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from skewdyn.engine import Rect, derive_escape_radius
+from skewdyn.engine import Rect, _close_disk_chain, _trap_chains, \
+    derive_escape_radius
 from skewdyn.errors import PreconditionError
-from skewdyn.families import make_Fa, make_product
-from skewdyn.poly import Poly1
+from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
+    make_product
+from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly
 from skewdyn.sets import (
     CloudIndex,
     PointCloud,
@@ -27,7 +29,7 @@ from skewdyn.sets import (
     slice_to_ppm,
     sphere_embed,
 )
-from skewdyn.sets import _escape_grid
+from skewdyn.sets import _escape_grid, _fiber_traps, _grid_traps
 
 
 def test_base_julia_circle():
@@ -370,3 +372,185 @@ def test_cloud_index_query_workers_bit_equal():
     a = PointCloud(q.view(complex).ravel())
     b = PointCloud(rows.view(complex).ravel())
     assert hausdorff_distance(a, b) == hausdorff_distance(a, b, workers=2)
+
+
+def _period_map(maps):
+    """maps[k-1] o ... o maps[0]."""
+    Q = maps[0]
+    for g in maps[1:]:
+        Q = g.compose(Q)
+    return Q
+
+
+def _cardioid(mu):
+    """The c for which w^2 + c has a fixed point of multiplier mu."""
+    return mu / 2 - mu * mu / 4
+
+
+def _cubic_cardioid(mu):
+    """The c for which w^3 + c has a fixed point of multiplier mu."""
+    v = cmath.sqrt(mu / 3)
+    return v - v ** 3
+
+
+def _unit_disk(r, t):
+    return r * cmath.exp(2j * cmath.pi * t)
+
+
+def _monic(d, c):
+    coeffs = np.zeros(d + 1, dtype=complex)
+    coeffs[0], coeffs[d] = c, 1.0
+    return Poly1(coeffs)
+
+
+def _c_values(d):
+    """c from a hyperbolic component of w^d + c (the main cardioid, and for
+    d = 2 the period-2 bulb), or a generic c."""
+    in_disk = st.builds(_unit_disk, st.floats(0, 0.99), st.floats(0, 1))
+    hyperbolic = [in_disk.map(_cardioid if d == 2 else _cubic_cardioid)]
+    if d == 2:
+        hyperbolic.append(in_disk.map(lambda mu: -1 + mu / 4))
+    return st.one_of(*hyperbolic, _grid_coefficient.map(lambda c: 0.75 * c))
+
+
+# (period maps, pre-periodic prefix maps), all of one degree
+_periodic_maps = st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(
+    st.lists(_c_values(d).map(lambda c: _monic(d, c)), min_size=1,
+             max_size=3),
+    st.lists(_grid_coefficient.map(lambda c: _monic(d, c)), max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_periodic_maps, st.integers(1, 150), st.floats(0.2, 2.5),
+       st.sampled_from([2.0, 3.0, 10.0]), st.integers(1, 20),
+       st.integers(1, 20))
+def test_trapped_grid_bit_equal_to_full_grid(sequence, steps, half, radius,
+                                             nx, ny):
+    # the trapped grid stops once every cell has escaped or is trapped, the
+    # reference runs all the steps
+    period, prefix = sequence
+    maps = (prefix + period * steps)[:steps]
+    traps = _grid_traps(_period_map(period), period, len(prefix), radius)
+    event(f"traps: {traps is not None}")
+    window = Rect.square(0.0, half)
+    got = _escape_grid(iter(maps), window, nx, ny, radius, traps)
+    want = _full_grid_escape(iter(maps), window, nx, ny, radius)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_TRAP_CASES = [
+    # (period maps, radius, certified radii of the first cycle or None)
+    ([Poly1([0, 0, 1])], 2.0, [0.5]),
+    ([Poly1([0, 0, 1])], 0.4, [0.25]),         # the disks lie inside radius
+    ([Poly1([-0.9, 0, 1])], 2.0, None),
+    ([Poly1([-0.2, 0, 1]), Poly1([0.1j, 0, 1])], 2.0, None),
+    ([_monic(3, _cubic_cardioid(0.5j))] * 3, 2.0, None),
+    ([Poly1([-1.75487766624669276, 0, 1])], 5.5, None),    # airplane
+    ([_monic(2, -0.1), _monic(2, 0.2j), _monic(2, -0.3)], 3.0, None),
+    ([_monic(2, -1), _monic(2, -0.1), _monic(2, -1)], 3.0, None),
+]
+
+
+def _assert_sound(chains, period, radius):
+    """Every disk lies inside the radius, and 512 of its boundary and 512
+    of its interior points, stepped once by the map it belongs to, land
+    strictly inside the next disk of its chain."""
+    rng = np.random.default_rng(0)
+    theta = np.exp(2j * np.pi * np.arange(512) / 512)
+    for centers, rs in chains:
+        assert len(centers) % len(period) == 0
+        assert np.all(np.abs(centers) + rs < radius)
+        for t, (c, r) in enumerate(zip(centers, rs)):
+            inside = np.sqrt(rng.random(512)) * np.exp(
+                2j * np.pi * rng.random(512))
+            pts = np.concatenate([c + r * theta, c + r * inside])
+            img = period[t % len(period)](pts)
+            nxt = (t + 1) % len(centers)
+            assert np.all(np.abs(img - centers[nxt]) < rs[nxt])
+
+
+@pytest.mark.parametrize("period, radius, radii", _TRAP_CASES)
+def test_trap_disks_are_sound(period, radius, radii):
+    chains = _trap_chains(_period_map(period), period, radius)
+    assert chains
+    if radii is not None:
+        assert np.array_equal(chains[0][1], radii)
+    _assert_sound(chains, period, radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.0, -0.9, -0.2 + 0.3j]), _grid_coefficient)
+def test_disk_chain_through_points_off_the_cycle_is_sound(c, offset):
+    # centres moved off the cycle: a chain that still closes must be sound
+    g = Poly1([c, 0, 1])
+    (centers, _), = _trap_chains(g, [g], 4.0)
+    moved = list(centers + 0.2 * offset)
+    radii = _close_disk_chain(moved, [g], 4.0)
+    event(f"closes: {radii is not None}")
+    if radii is not None:
+        _assert_sound([(np.array(moved), np.array(radii))], [g], 4.0)
+
+
+def test_trapped_grid_checks_the_disks_of_the_current_phase():
+    # the superattracting 2-cycle 0 -> 1.5 -> 0 of w^2 + 1.5, w^2 - 2.25:
+    # a cell near 1.5 before w^2 + 1.5 escapes, one near 0 does not
+    period = [Poly1([1.5, 0, 1]), Poly1([-2.25, 0, 1])]
+    window = Rect(-0.5, 2.0, -0.5, 0.5)
+    for prefix in ([], period[1:]):
+        maps = (prefix + period * 40)[:60]
+        traps = _grid_traps(_period_map(period), period, len(prefix), 10.0)
+        assert traps is not None
+        got = _escape_grid(iter(maps), window, 40, 16, 10.0, traps)
+        want = _full_grid_escape(iter(maps), window, 40, 16, 10.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (want == 0).any() and (want > 0).any()
+
+
+def test_w2_minus_09_disks():
+    # the 2-cycle of w^2 - 0.9 gets disks of radii 0.125 and about 0.237
+    (centers, rs), = _trap_chains(Poly1([-0.9, 0, 1]), [Poly1([-0.9, 0, 1])],
+                                  2.0)
+    assert sorted(np.round(rs, 3)) == [0.125, 0.237]
+    assert np.allclose(sorted(centers), [(-1 - 0.6 ** 0.5) / 2,
+                                         (-1 + 0.6 ** 0.5) / 2])
+
+
+def test_no_trap_disks_without_an_attracting_cycle():
+    # w^2 + i: the critical orbit is pre-periodic to a repelling cycle
+    g = Poly1([1j, 0, 1])
+    assert _trap_chains(g, [g], 4.0) == []
+    # z^2 - 20: the critical orbit escapes
+    f = make_fig3()
+    params = derive_escape_radius(f)
+    assert _grid_traps(f.p, [f.p], 0, params.base_radius) is None
+    # airplane(3) over beta: the float base orbit drifts and never repeats
+    f = make_airplane_skew(3)
+    params = derive_escape_radius(f)
+    orbit = f.p.orbit(f.meta["beta"], params.max_iter)
+    assert _fiber_traps(f, orbit, params.radius) is None
+
+
+def _skew(p, q_rows):
+    return SkewProduct(p=Poly1(p), q=Poly2(q_rows))
+
+
+@pytest.mark.parametrize("f, z, start, period", [
+    # the exact base 2-cycle 0 <-> -1 of z^2 - 1; q_0 = w^2, q_{-1} = w^2 - 0.2
+    (_skew([-1, 0, 1], [[0, 0, 1], [0.2, 0, 0]]), 0.0, 0, 2),
+    (_skew([-1, 0, 1], [[0, 0, 1], [0.2, 0, 0]]), -1.0, 0, 2),
+    # the pre-periodic point -1 -> 1 -> 1 of z^2; q_{-1} = w^2 - 0.2, q_1 = w^2
+    (_skew([0, 0, 1], [[-0.1, 0, 1], [0.1, 0, 0]]), -1.0, 1, 1),
+])
+def test_fiber_slice_over_exact_base_cycle(f, z, start, period):
+    params = derive_escape_radius(f)
+    orbit = f.p.orbit(z, params.max_iter)
+    traps = _fiber_traps(f, orbit, params.radius)
+    assert traps[0] == start and len(traps[1]) == period
+    window = Rect(-2, 2, -2, 2)
+    sl = fiber_slice(f, z, window=window, resolution=(64, 48), params=params)
+    want = _full_grid_escape([fiber_poly(f, zc) for zc in orbit], window,
+                             64, 48, params.radius)
+    assert np.array_equal(sl.escape_iters.view(np.uint64),
+                          want.view(np.uint64))
+    assert 0 < sl.membership.sum() < sl.membership.size
+
