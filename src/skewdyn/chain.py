@@ -16,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .critpost import acc_cloud, acc_full_probe, apt_cloud, critical_locus
-from .engine import derive_escape_radius
-from .errors import NumericalError
-from .poly import Poly1, SkewProduct, roots
+from .engine import derive_escape_radius, repelling_cycles
+from .poly import Poly1, SkewProduct
 from .sets import (
     CloudIndex,
     PointCloud,
@@ -34,25 +33,10 @@ __all__ = ["repelling_periodic_points", "chain_report"]
 def repelling_periodic_points(p: Poly1, max_period: int = 3,
                               tol: float = 1e-2) -> np.ndarray:
     """Repelling periodic points of the base polynomial, periods 1..max."""
-    pts = []
-    for n in range(1, max_period + 1):
-        q = p
-        for _ in range(n - 1):
-            q = p.compose(q)
-        try:
-            fix = roots(q - Poly1([0.0, 1.0]), tol=1e-8)
-        except NumericalError:
-            continue
-        dp = p.deriv()
-        for z in fix:
-            if abs(np.prod(dp(np.array(p.orbit(z, n))))) > 1.0 + tol:
-                pts.append(complex(z))
-    if not pts:
-        return np.zeros(0, dtype=complex)
-    arr = np.array(pts, dtype=complex)
-    # dedupe
-    keep = []
-    for z in arr:
+    pts = [z for n in range(1, max_period + 1)
+           for z, _, _ in repelling_cycles(p, n, tol)]
+    keep = []  # dedupe
+    for z in pts:
         if not any(abs(z - k) < 1e-8 for k in keep):
             keep.append(z)
     return np.array(keep, dtype=complex)

@@ -5,7 +5,7 @@ evidence, and Hausdorff comparisons.
 Every command writes its artifacts into the output directory together with
 a JSON manifest listing each file with a sha256 content hash.  Exit codes:
 0 success, 2 precondition failure, 3 numerical failure, 4 negative verdict
-under --strict (certify / verify-lemma only).
+under --strict (certify Failed, verify-lemma fail, continue Lost).
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
 from .chain import chain_report
 from .contin import ParamPath, continue_orbit, separation_evidence, trace_to_csv
 from .critpost import find_saddles, certify_axiom_a, critical_locus, \
-    postcritical_cloud, report_to_json
+    postcritical_cloud
 from .engine import Rect, derive_escape_radius
 from .errors import NumericalError, PreconditionError
 from .families import build_s1s2, make_Fa, make_airplane_skew, make_fig3, \
@@ -119,9 +120,14 @@ def _finite_float(flag: str, text) -> float:
 
 
 def float_flag(ns, name: str) -> float:
-    """The float value of the flag with argparse dest `name`; a malformed or
-    non-finite value is a precondition failure."""
-    return _finite_float("--" + name.replace("_", "-"), getattr(ns, name))
+    """The float value of the flag with argparse dest `name`; a malformed,
+    non-finite or non-positive value is a precondition failure (every float
+    flag is a radius, margin or tolerance)."""
+    flag = "--" + name.replace("_", "-")
+    value = _finite_float(flag, getattr(ns, name))
+    if value <= 0.0:
+        raise PreconditionError(f"{flag} must be > 0, got {value}")
+    return value
 
 
 def float_list_flag(ns, name: str) -> list:
@@ -237,6 +243,9 @@ def cmd_render(ns) -> int:
         for tok in str(ns.fiber_at).split(","):
             tok = tok.strip()
             if tok == "beta":
+                if "beta" not in f.meta:
+                    raise PreconditionError(
+                        "--fiber-at beta needs --family airplane")
                 targets.append(complex(f.meta["beta"]))
             else:
                 targets.append(parse_complex(tok))
@@ -279,7 +288,7 @@ def cmd_certify(ns) -> int:
     params = derive_escape_radius(f, base_points=base.points)
     rep = certify_axiom_a(f, base, j2, margin=margin, params=params)
     em = Emitter(ns.out, "certify", _ns_config(ns))
-    em.write("certify.json", report_to_json(rep) + "\n")
+    em.write_json("certify.json", asdict(rep))
     em.finish()
     print(rep.verdict)
     if ns.strict and not rep.verdict.startswith("Certified"):
@@ -401,6 +410,8 @@ def cmd_continue(ns) -> int:
     })
     em.finish()
     print(trace.outcome)
+    if ns.strict and trace.outcome.startswith("Lost"):
+        return EXIT_VERDICT
     return EXIT_OK
 
 

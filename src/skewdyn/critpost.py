@@ -8,7 +8,6 @@ critical locus are surrogate-identified by epsilon-clustering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .engine import (
     _bounded_critical_tails,
     chordal_distance,
     derive_escape_radius,
+    repelling_cycles,
 )
 from .errors import NumericalError, PreconditionError
 from .poly import Poly1, SkewProduct, compose_fiber, fiber_poly, roots
@@ -42,7 +42,6 @@ __all__ = [
     "find_saddles",
     "certify_axiom_a",
     "verify_trapping",
-    "report_to_json",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -511,8 +510,8 @@ def find_saddles(f: SkewProduct, max_base_period: int = 3,
                  max_fiber_multiple: int = 2):
     """Saddle periodic orbits: base-repelling, fiber-attracting cycles.
 
-    Scans base periods n <= max_base_period via roots of p^n(z) - z with
-    |(p^n)'(z)| > 1 + tol, then fiber-periodic points of the composed
+    Scans the repelling base cycles of periods n <= max_base_period
+    (`engine.repelling_cycles`), then fiber-periodic points of the composed
     fiber maps Q_z^{nj}, j <= max_fiber_multiple, with attracting vertical
     multiplier (a fiber cycle over a period-n base point can have period
     any multiple of n); orbits duplicated across divisor periods are
@@ -520,19 +519,7 @@ def find_saddles(f: SkewProduct, max_base_period: int = 3,
     """
     saddles = []
     for n in range(1, max_base_period + 1):
-        q = f.p
-        for _ in range(n - 1):
-            q = f.p.compose(q)
-        try:
-            zfix = roots(q - Poly1([0.0, 1.0]), tol=1e-8)
-        except NumericalError:
-            continue
-        dp = f.p.deriv()
-        for z in zfix:
-            orbit_z = f.p.orbit(z, n)
-            mu_base = complex(np.prod(dp(np.array(orbit_z))))
-            if abs(mu_base) <= 1.0 + tol:
-                continue
+        for z, orbit_z, mu_base in repelling_cycles(f.p, n, tol):
             fibers = [fiber_poly(f, zk) for zk in orbit_z]
             dfibers = [qz.deriv() for qz in fibers]
             for j in range(1, max_fiber_multiple + 1):
@@ -746,13 +733,3 @@ def verify_trapping(
         "pass": False, "m": best[0], "worst_ratio": best[1], "r": r,
         "cloud_spacing": spacing, "j2_gap": gap,
     }
-
-
-def report_to_json(rep: CertificationReport) -> str:
-    obj = {
-        "clauses": rep.clauses,
-        "verdict": rep.verdict,
-        "sample_counts": rep.sample_counts,
-        "seeds": rep.seeds,
-    }
-    return json.dumps(obj, sort_keys=True, indent=2)

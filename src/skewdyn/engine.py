@@ -1,14 +1,12 @@
 """Orbit iteration engine.
 
-Escape-radius derivation, escape-time orbit classification with omega-tail
-capture, attracting cycles from critical tails and the trapping disks that
-certify them, the chordal (spherical) metric, and an empirical probe of
-chordal contraction of fiber segments under iteration.
+Escape-radius derivation, repelling cycles of a base polynomial, attracting
+cycles from critical tails and the trapping disks that certify them, and
+the chordal (spherical) metric.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -21,12 +19,9 @@ from .poly import Poly1, SkewProduct, check_regular, fiber_poly, roots
 __all__ = [
     "Rect",
     "EscapeParams",
-    "OrbitRecord",
     "derive_escape_radius",
-    "classify_orbit",
+    "repelling_cycles",
     "chordal_distance",
-    "contraction_probe",
-    "orbit_record_to_json",
 ]
 
 DEFAULT_MAX_ITER = 2000
@@ -80,15 +75,6 @@ class EscapeParams:
 
     def with_max_iter(self, m: int) -> "EscapeParams":
         return EscapeParams(self.radius, self.base_radius, m, self.base_window)
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    start: tuple
-    status: str                 # "escaped" | "bounded"
-    escape_iter: int | None
-    tail: np.ndarray            # shape (T, 2) complex; empty when escaped
-    params: EscapeParams
 
 
 def _one_var_radius(coeffs) -> float:
@@ -169,6 +155,29 @@ def derive_escape_radius(
         radius *= 2.0
     return EscapeParams(radius=radius, base_radius=base_radius,
                         max_iter=max_iter, base_window=base_window)
+
+
+def repelling_cycles(p: Poly1, n: int, tol: float = 1e-2) -> list:
+    """The repelling period-n points of p, as (z, orbit, multiplier) triples:
+    z runs over the roots of the expanded polynomial p^n(z) - z, in the order
+    `roots` returns them, orbit is z, p(z), ..., p^{n-1}(z) and multiplier
+    is (p^n)'(z), kept when its modulus exceeds 1 + tol.  Empty when the
+    root finder fails."""
+    q = p
+    for _ in range(n - 1):
+        q = p.compose(q)
+    try:
+        fix = roots(q - Poly1([0.0, 1.0]), tol=1e-8)
+    except NumericalError:
+        return []
+    dp = p.deriv()
+    cycles = []
+    for z in fix:
+        orbit = p.orbit(z, n)
+        mult = complex(np.prod(dp(np.array(orbit))))
+        if abs(mult) > 1.0 + tol:
+            cycles.append((complex(z), orbit, mult))
+    return cycles
 
 
 def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray,
@@ -280,44 +289,6 @@ def _close_disk_chain(centers: list, maps: list, radius: float):
     return None
 
 
-def classify_orbit(
-    f: SkewProduct,
-    x,
-    params: EscapeParams,
-    tail_len: int = DEFAULT_TAIL_LEN,
-) -> OrbitRecord:
-    """Iterate f from x; escaped once either coordinate leaves its radius.
-
-    Bounded orbits retain the last `tail_len` iterates (after a 10% burn-in
-    of max_iter) as the omega-tail sample.  Non-finite intermediates count
-    as escaped at that step.
-    """
-    z, w = complex(x[0]), complex(x[1])
-    burn = params.max_iter // 10
-    buf = np.zeros((tail_len, 2), dtype=complex)
-    filled = 0
-    for n in range(1, params.max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z, w = complex(f.p(z)), complex(f.q(z, w))
-        if (
-            not np.isfinite(z.real) or not np.isfinite(z.imag)
-            or not np.isfinite(w.real) or not np.isfinite(w.imag)
-            or abs(z) > params.base_radius
-            or abs(w) > params.radius
-        ):
-            return OrbitRecord((complex(x[0]), complex(x[1])), "escaped", n,
-                               np.zeros((0, 2), dtype=complex), params)
-        if n > burn:
-            buf[filled % tail_len] = (z, w)
-            filled += 1
-    if filled >= tail_len:
-        k = filled % tail_len
-        tail = np.concatenate([buf[k:], buf[:k]])
-    else:
-        tail = buf[:filled]
-    return OrbitRecord((complex(x[0]), complex(x[1])), "bounded", None, tail, params)
-
-
 def chordal_distance(a, b) -> float:
     """Spherical metric 2|a-b| / sqrt((1+|a|^2)(1+|b|^2)), with infinity.
 
@@ -336,60 +307,3 @@ def chordal_distance(a, b) -> float:
     b = np.asarray(b, dtype=complex)
     d = 2.0 * np.abs(a - b) / np.sqrt((1.0 + np.abs(a) ** 2) * (1.0 + np.abs(b) ** 2))
     return float(d) if d.ndim == 0 else d
-
-
-def _chordal_diameter(pts: np.ndarray) -> float:
-    a = pts[:, None]
-    b = pts[None, :]
-    s = np.sqrt(1.0 + np.abs(pts) ** 2)
-    d = 2.0 * np.abs(a - b) / (s[:, None] * s[None, :])
-    return float(np.max(d))
-
-
-def contraction_probe(
-    f: SkewProduct,
-    z,
-    segment,
-    m_max: int,
-    jz_cloud=None,
-    delta: float = 1e-3,
-    n_samples: int = 64,
-):
-    """Chordal diameters of forward images of a fiber segment, m = 0..m_max.
-
-    The segment must stay chordal distance >= delta from the supplied fiber
-    Julia sample (contraction holds only away from the Julia set); the
-    caller fits the geometric decay rate of the returned diameters.
-    """
-    a, b = complex(segment[0]), complex(segment[1])
-    t = np.linspace(0.0, 1.0, max(n_samples, 64))
-    pts = a + t * (b - a)
-    if jz_cloud is not None and len(jz_cloud) > 0:
-        jz = np.asarray(jz_cloud, dtype=complex)
-        sp = np.sqrt(1.0 + np.abs(pts) ** 2)
-        sj = np.sqrt(1.0 + np.abs(jz) ** 2)
-        dmin = np.min(
-            2.0 * np.abs(pts[:, None] - jz[None, :]) / (sp[:, None] * sj[None, :])
-        )
-        if dmin < delta:
-            raise PreconditionError(
-                f"segment within chordal {dmin:.2e} of the fiber Julia sample"
-            )
-    diams = [_chordal_diameter(pts)]
-    for zc in f.p.orbit(z, m_max):
-        pts = fiber_poly(f, zc)(pts)
-        big = ~np.isfinite(pts) | (np.abs(pts) > 1e150)
-        pts = np.where(big, 1e150 + 0j, pts)
-        diams.append(_chordal_diameter(pts))
-    return np.array(diams)
-
-
-def orbit_record_to_json(rec: OrbitRecord) -> str:
-    obj = {
-        "status": rec.status,
-        "escape_iter": rec.escape_iter,
-        "tail": [
-            [p[0].real, p[0].imag, p[1].real, p[1].imag] for p in rec.tail
-        ],
-    }
-    return json.dumps(obj, sort_keys=True)

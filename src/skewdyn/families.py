@@ -79,14 +79,6 @@ def make_Fa(a) -> SkewProduct:
     )
 
 
-def _orbit_poly_in_c(n: int):
-    """Coefficients (in c) of the n-th critical orbit point of w^2 + c."""
-    x = Poly1([0.0, 1.0])  # orbit_1 = c
-    for _ in range(n - 1):
-        x = x * x + Poly1([0.0, 1.0])
-    return x
-
-
 def solve_superattracting_param(n: int, tol: float = 1e-12) -> float:
     """Real parameter c closest to -2 whose critical point has exact
     period n under w^2 + c.

@@ -26,12 +26,6 @@ __all__ = [
     "fiber_poly",
     "roots",
     "compose_fiber",
-    "poly1_to_text",
-    "poly1_from_text",
-    "poly2_to_text",
-    "poly2_from_text",
-    "skew_to_text",
-    "skew_from_text",
 ]
 
 COMPOSE_DEGREE_CAP = 4096
@@ -94,9 +88,6 @@ class Poly1:
     def __sub__(self, other: "Poly1") -> "Poly1":
         return Poly1(npoly.polysub(self.coeffs, other.coeffs))
 
-    def __mul__(self, other: "Poly1") -> "Poly1":
-        return Poly1(npoly.polymul(self.coeffs, other.coeffs))
-
     @staticmethod
     def from_roots(rts, leading=1.0) -> "Poly1":
         c = npoly.polyfromroots(np.asarray(rts, dtype=complex))
@@ -142,13 +133,6 @@ class Poly2:
         if len(nz) == 0:
             return 0
         return int((nz[:, 0] + nz[:, 1]).max())
-
-    @property
-    def w_degree(self) -> int:
-        nz = np.argwhere(self.coeffs != 0)
-        if len(nz) == 0:
-            return 0
-        return int(nz[:, 1].max())
 
     def __call__(self, z, w):
         # Horner in w of the z-evaluated coefficient functions.
@@ -347,62 +331,3 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
         out.extend(x.tolist())
     arr = np.array(out, dtype=complex)
     return arr[np.lexsort((arr.imag, arr.real))]
-
-
-# -- text serialization: one `j re im` line per nonzero Poly1 coefficient,
-#    `i j re im` for Poly2, 17 significant digits for exact round-trip.
-
-def poly1_to_text(p: Poly1) -> str:
-    lines = []
-    for j, c in enumerate(p.coeffs):
-        if c != 0 or j == len(p.coeffs) - 1:
-            lines.append(f"{j} {c.real:.17g} {c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def poly1_from_text(text: str) -> Poly1:
-    entries = {}
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        j, re, im = int(parts[0]), float(parts[1]), float(parts[2])
-        entries[j] = complex(re, im)
-    c = np.zeros(max(entries) + 1, dtype=complex)
-    for j, v in entries.items():
-        c[j] = v
-    return Poly1(c)
-
-
-def poly2_to_text(q: Poly2) -> str:
-    lines = []
-    for (i, j), c in np.ndenumerate(q.coeffs):
-        if c != 0:
-            lines.append(f"{i} {j} {c.real:.17g} {c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def poly2_from_text(text: str) -> Poly2:
-    entries = {}
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        i, j, re, im = int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
-        entries[(i, j)] = complex(re, im)
-    ni = max(k[0] for k in entries) + 1
-    nj = max(k[1] for k in entries) + 1
-    c = np.zeros((ni, nj), dtype=complex)
-    for (i, j), v in entries.items():
-        c[i, j] = v
-    return Poly2(c)
-
-
-def skew_to_text(f: SkewProduct) -> str:
-    return "[p]\n" + poly1_to_text(f.p) + "[q]\n" + poly2_to_text(f.q)
-
-
-def skew_from_text(text: str) -> SkewProduct:
-    parts = text.split("[q]")
-    ptxt = parts[0].replace("[p]", "")
-    return SkewProduct(p=poly1_from_text(ptxt), q=poly2_from_text(parts[1]))

@@ -1,8 +1,11 @@
 """Sampling and measuring the dynamical sets.
 
-Base Julia sets by inverse iteration, fiber slices by escape-time grids,
-fiber Julia samples by pullback along the forward base orbit, the global
-two-variable Julia set, and Hausdorff distances between point clouds.
+Base Julia sets by inverse iteration; escape-time grids of fiber slices
+and of the base plane, which stop iterating cells caught by certified
+trapping disks; fiber Julia samples by pullback along the forward base
+orbit; the two-variable Julia set by coupled inverse iteration; a
+duplicate-aware nearest-neighbour index for Hausdorff and chordal distances
+between point clouds; and CSV and image output.
 """
 
 from __future__ import annotations
@@ -27,13 +30,10 @@ __all__ = [
     "sample_fiber_julia",
     "fiber_slice",
     "base_slice",
-    "boundary_extract",
-    "assemble_J2",
     "sample_J2_inverse",
     "CloudIndex",
     "hausdorff_distance",
     "directed_hausdorff",
-    "continuity_scan",
     "cloud_to_csv",
     "slice_to_pgm",
     "slice_to_ppm",
@@ -307,46 +307,6 @@ def _escape_grid(maps, window: Rect, nx: int, ny: int,
     return esc.reshape(ny, nx)
 
 
-def boundary_extract(slice_: FiberSlice) -> PointCloud:
-    """Cell centers along the bounded/escaped interface of a fiber slice.
-
-    Bounded cells with an escaped 4-neighbor, plus escaped cells adjacent
-    to a bounded one (thickening the band by at most one cell).
-    """
-    m = slice_.membership
-    if not m.any():
-        return PointCloud(np.zeros(0, dtype=complex), tag="Jz-empty")
-    pad = np.pad(m, 1, constant_values=False)
-    nbr_escaped = (
-        ~pad[:-2, 1:-1] | ~pad[2:, 1:-1] | ~pad[1:-1, :-2] | ~pad[1:-1, 2:]
-    )
-    nbr_bounded = (
-        pad[:-2, 1:-1] | pad[2:, 1:-1] | pad[1:-1, :-2] | pad[1:-1, 2:]
-    )
-    boundary = (m & nbr_escaped) | (~m & nbr_bounded)
-    centers = slice_.centers()
-    return PointCloud(centers[boundary], tag=f"Jz({slice_.z})")
-
-
-def assemble_J2(
-    f: SkewProduct,
-    base: PointCloud,
-    per_fiber_budget: int = 32,
-    depth: int = 40,
-    seed: int = 0,
-) -> PointCloud:
-    """Union of fiber Julia samples over a base Julia sample (dimension 2)."""
-    if base.dim != 1 or len(base) == 0:
-        raise PreconditionError("base must be a nonempty 1D cloud")
-    out = np.empty((len(base) * per_fiber_budget, 2), dtype=complex)
-    for i, z in enumerate(base.points):
-        jc = sample_fiber_julia(f, z, per_fiber_budget, depth=depth,
-                                seed=seed + i)
-        out[i * per_fiber_budget:(i + 1) * per_fiber_budget, 0] = z
-        out[i * per_fiber_budget:(i + 1) * per_fiber_budget, 1] = jc.points
-    return PointCloud(out, tag="J2", seed=seed)
-
-
 def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
                       burn_in: int = 100) -> PointCloud:
     """Sample the two-variable Julia set by coupled inverse iteration.
@@ -469,57 +429,6 @@ def min_chordal_distance(a: PointCloud, b: PointCloud) -> float:
     pts = a.points[_distinct_rows(_as_real(a.points))[0]]
     d, _ = CloudIndex(sphere_embed(b.points)).query(sphere_embed(pts))
     return float(np.min(d))
-
-
-def continuity_scan(
-    f: SkewProduct,
-    z0,
-    base: PointCloud,
-    radii,
-    mode: str = "J",
-    n_fiber: int = 2000,
-    resolution=(128, 128),
-    seed: int = 0,
-):
-    """Hausdorff deviation of nearby fiber sets from the fiber over z0.
-
-    For each radius, compares the J_z (mode "J", pullback clouds) or K_z
-    (mode "K", bounded grid cells, with area ratio) of base samples within
-    that radius of z0 against the z0 fiber.  Rows with no base sample in
-    range are marked absent.
-    """
-    z0 = complex(z0)
-    rows = []
-    if mode == "J":
-        ref = sample_fiber_julia(f, z0, n_fiber, seed=seed)
-    else:
-        ref_slice = fiber_slice(f, z0, resolution=resolution)
-        ref = PointCloud(ref_slice.centers()[ref_slice.membership])
-        ref_area = max(int(ref_slice.membership.sum()), 1)
-    for r in sorted(radii, reverse=True):
-        near = base.points[np.abs(base.points - z0) <= r]
-        near = near[np.abs(near - z0) > 0][:8]
-        if len(near) == 0:
-            rows.append({"radius": r, "absent": True})
-            continue
-        worst = 0.0
-        worst_area = 0.0
-        for i, z in enumerate(near):
-            if mode == "J":
-                cl = sample_fiber_julia(f, z, n_fiber, seed=seed + 1 + i)
-                worst = max(worst, hausdorff_distance(cl, ref))
-            else:
-                sl = fiber_slice(f, z, resolution=resolution)
-                area = int(sl.membership.sum())
-                worst_area = max(worst_area, area / ref_area)
-                if area and len(ref):
-                    cl = PointCloud(sl.centers()[sl.membership])
-                    worst = max(worst, hausdorff_distance(cl, ref))
-        row = {"radius": r, "absent": False, "max_hausdorff": worst}
-        if mode == "K":
-            row["max_area_ratio"] = worst_area
-        rows.append(row)
-    return rows
 
 
 def cloud_to_csv(cloud: PointCloud) -> str:

@@ -83,6 +83,9 @@ def test_bad_integer_flag_exit_code(tmp_path, argv, capsys):
     ["verify-lemma", "trapping", "--family", "Fa", "--a=-1", "--r", "foo"],
     ["verify-lemma", "box-avoid", "--delta", "inf"],
     ["continue", "--family", "Fa", "--tol", "1e-11x"],
+    ["verify-lemma", "trapping", "--family", "Fa", "--a=-1", "--r=-1"],
+    ["certify", "--family", "Fa", "--a=-1", "--margin=-5"],
+    ["verify-lemma", "box-avoid", "--n", "3", "--delta=-1"],
 ])
 def test_bad_float_flag_exit_code(tmp_path, argv, capsys):
     out = tmp_path / "x"
@@ -138,6 +141,11 @@ def test_precondition_exit_code(tmp_path):
     rc = main(["certify", "--family", "Fa", "--n-base", "0",
                "--out", str(tmp_path / "y")])
     assert rc == 2
+    # only the airplane family defines the base fixed point beta
+    rc = main(["render", "--family", "Fa", "--a=-1", "--fiber-at", "beta",
+               "--out", str(tmp_path / "z")])
+    assert rc == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_unknown_lemma_exit_code(tmp_path):
@@ -202,6 +210,18 @@ def test_continue_trace(tmp_path):
     assert lines[0].startswith("lambda_re,lambda_im,")
     assert len(lines) == 1 + rep["steps"]
     check_manifest(out)
+
+
+def test_continue_strict_lost_exit_code(tmp_path, capsys):
+    argv = ["continue", "--family", "Fa", "--from=-1", "--to=-1.3",
+            "--steps", "4"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--strict", "--out", str(tmp_path / "b")]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "Lost(multiplier-crossing)"] * 2
+    assert (load(tmp_path / "a", "continue.json")
+            == load(tmp_path / "b", "continue.json"))
+    check_manifest(tmp_path / "b")
 
 
 def test_render_images(tmp_path):

@@ -8,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import validate_schema
+from skewdyn.cli import main
 from skewdyn.critpost import (
     DEFAULT_MARGIN,
     _attracting_cycle_from_tail,
@@ -20,7 +21,6 @@ from skewdyn.critpost import (
     critical_locus,
     find_saddles,
     postcritical_cloud,
-    report_to_json,
     verify_trapping,
 )
 from skewdyn.engine import _one_var_radius, chordal_distance
@@ -259,12 +259,11 @@ def test_certify_fails_on_boundary_parameter():
     assert not rep.clauses["ii"]["pass"]
 
 
-def test_report_json_schema():
-    f = make_Fa(0)
-    base = sample_base_julia(f.p, 200, seed=0)
-    j2 = sample_J2_inverse(f, 2000, seed=1)
-    rep = certify_axiom_a(f, base, j2)
-    obj = json.loads(report_to_json(rep))
+def test_report_json_schema(tmp_path):
+    out = tmp_path / "c"
+    assert main(["certify", "--family", "Fa", "--a", "0", "--n-base", "200",
+                 "--n-j2", "2000", "--seed", "0", "--out", str(out)]) == 0
+    obj = json.loads((out / "certify.json").read_text())
     validate_schema(obj, "certification")
     assert obj["verdict"] == "Certified-P2"
 

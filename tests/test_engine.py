@@ -1,22 +1,18 @@
-import json
-
 import numpy as np
 import pytest
 
-from conftest import validate_schema
+from skewdyn import engine
 from skewdyn.engine import (
     EscapeParams,
     Rect,
     chordal_distance,
-    classify_orbit,
-    contraction_probe,
     derive_escape_radius,
-    orbit_record_to_json,
+    repelling_cycles,
 )
-from skewdyn.errors import PreconditionError
+from skewdyn.poly import RootFindError
 from skewdyn.families import make_Fa, make_fig3, make_product
 from skewdyn.poly import Poly1, fiber_poly
-from skewdyn.sets import sample_base_julia, sample_fiber_julia
+from skewdyn.sets import sample_base_julia
 
 
 def test_radius_for_pure_square():
@@ -51,47 +47,32 @@ def test_radius_with_base_points_is_tighter(s1s2_basic):
     assert tight.radius < 1e-3 * loose.radius
 
 
-def test_classify_exact_two_cycle():
-    f = make_Fa(-1)
-    params = derive_escape_radius(f)
-    rec = classify_orbit(f, (1.0, 0.0), params)
-    assert rec.status == "bounded"
-    for z, w in rec.tail:
-        assert abs(z - 1.0) < 1e-12
-        assert min(abs(w), abs(w + 1.0)) < 1e-12
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_repelling_cycles_of_z_squared(n):
+    # z^2 has 2^n - 1 points of period dividing n on the unit circle, each
+    # of multiplier 2^n, and the superattracting fixed point 0
+    cycles = repelling_cycles(Poly1([0, 0, 1]), n)
+    assert len(cycles) == 2**n - 1
+    for z, orbit, mult in cycles:
+        assert orbit[0] == z and len(orbit) == n
+        assert all(b == a * a for a, b in zip(orbit, orbit[1:]))
+        assert abs(orbit[-1] ** 2 - z) < 1e-12
+        assert abs(mult - 2**n * np.prod(orbit)) < 1e-9
+        assert abs(abs(mult) - 2**n) < 1e-9
 
 
-def test_classify_escape():
-    f = make_product(Poly1([0, 0, 1]), Poly1([0, 0, 1]))
-    params = derive_escape_radius(f)
-    rec = classify_orbit(f, (1.0, 2.0), params)
-    assert rec.status == "escaped"
-    assert rec.escape_iter is not None and rec.escape_iter <= 10
-    assert len(rec.tail) == 0
+def test_repelling_cycles_keep_only_repelling_points():
+    # z^2 - 0.75: fixed points 1.5 (multiplier 3) and -0.5 (multiplier -1)
+    cycles = repelling_cycles(Poly1([-0.75, 0, 1]), 1)
+    assert [(z, m) for z, _, m in cycles] == [(1.5, 3.0)]
 
 
-def test_classify_fig3_bounded_fiber_two_cycle():
-    f = make_fig3()
-    params = derive_escape_radius(f)
-    rec = classify_orbit(f, (-4.0, 0.0), params)
-    assert rec.status == "bounded"
-    # 1D oracle: the attracting 2-cycle of w^2 - 0.9
-    w = 0.0
-    for _ in range(10000):
-        w = w * w - 0.9
-    cyc = {w, w * w - 0.9}
-    assert abs(4 * np.prod([abs(c) for c in cyc])) < 1.0
-    for _, wv in rec.tail:
-        assert min(abs(wv - c) for c in cyc) < 1e-6
+def test_repelling_cycles_empty_when_roots_fail(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootFindError("no roots")
 
-
-def test_status_independent_of_tail_len():
-    f = make_Fa(-1)
-    params = derive_escape_radius(f)
-    for x in [(1.0, 0.0), (1.0, 2.0), (0.5 + 0.1j, 0.3)]:
-        statuses = {classify_orbit(f, x, params, tail_len=t).status
-                    for t in (8, 64, 128)}
-        assert len(statuses) == 1
+    monkeypatch.setattr(engine, "roots", fail)
+    assert repelling_cycles(Poly1([-1, 0, 1]), 2) == []
 
 
 def test_chordal_special_values():
@@ -110,59 +91,6 @@ def test_chordal_triangle_inequality():
     ac = chordal_distance(pts[:, 0], pts[:, 2])
     assert np.all(ac <= ab + bc + 1e-12)
     assert np.max(np.abs(chordal_distance(pts[:, 1], pts[:, 0]) - ab)) == 0.0
-
-
-def test_contraction_probe_decays():
-    f = make_Fa(-1)
-    jz = sample_fiber_julia(f, 1.0, 500, seed=0).points
-    diams = contraction_probe(f, 1.0, (0.1, 0.2), 12, jz_cloud=jz)
-    assert diams[0] > 0
-    # least-squares slope of the log-diameters is negative
-    pos = diams[diams > 1e-300]
-    m = np.arange(len(pos))
-    slope = np.polyfit(m, np.log(pos), 1)[0]
-    assert slope < 0
-
-
-def test_contraction_probe_negative_slope_ensemble():
-    # >= 20 probes; mean slope negative with a 95% normal bound
-    f = make_Fa(-1)
-    jz = sample_fiber_julia(f, 1.0, 500, seed=0).points
-    rng = np.random.default_rng(6)
-    slopes = []
-    while len(slopes) < 20:
-        a = 0.05 + 0.3 * rng.random()
-        b = a + 0.05 + 0.1 * rng.random()
-        try:
-            diams = contraction_probe(f, 1.0, (a, b), 10, jz_cloud=jz)
-        except PreconditionError:
-            continue
-        pos = diams[diams > 1e-300]
-        slopes.append(np.polyfit(np.arange(len(pos)), np.log(pos), 1)[0])
-    slopes = np.array(slopes)
-    assert slopes.mean() + 1.96 * slopes.std(ddof=1) / np.sqrt(len(slopes)) < 0
-
-
-def test_contraction_probe_degenerate_segment():
-    f = make_Fa(-1)
-    diams = contraction_probe(f, 1.0, (0.15, 0.15), 5)
-    assert np.all(diams == 0.0)
-
-
-def test_contraction_probe_rejects_segment_near_julia():
-    f = make_Fa(-1)
-    jz = sample_fiber_julia(f, 1.0, 500, seed=0).points
-    target = complex(jz[0])
-    with pytest.raises(PreconditionError):
-        contraction_probe(f, 1.0, (target, target + 0.05), 5, jz_cloud=jz)
-
-
-def test_orbit_record_json_schema():
-    f = make_Fa(-1)
-    params = derive_escape_radius(f)
-    for x in [(1.0, 0.0), (1.0, 3.0)]:
-        obj = json.loads(orbit_record_to_json(classify_orbit(f, x, params)))
-        validate_schema(obj, "orbit")
 
 
 def test_rect_helpers():

@@ -14,10 +14,7 @@ from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly
 from skewdyn.sets import (
     CloudIndex,
     PointCloud,
-    assemble_J2,
-    boundary_extract,
     cloud_to_csv,
-    continuity_scan,
     directed_hausdorff,
     fiber_slice,
     hausdorff_distance,
@@ -84,31 +81,6 @@ def test_disconnected_fiber_has_no_interior():
     interior = (m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1]
                 & m[1:-1, :-2] & m[1:-1, 2:])
     assert interior.sum() == 0
-
-
-def test_boundary_extract_unit_circle():
-    f = make_product(Poly1([0, 0, 1]), Poly1([0, 0, 1]))
-    sl = fiber_slice(f, 1.0, window=Rect(-1.5, 1.5, -1.5, 1.5),
-                     resolution=(256, 256))
-    cloud = boundary_extract(sl)
-    assert len(cloud) > 0
-    cw = sl.cell_width()
-    assert np.max(np.abs(np.abs(cloud.points) - 1.0)) < 2 * cw
-
-
-def test_boundary_extract_empty():
-    f = make_product(Poly1([0, 0, 1]), Poly1([0, 0, 1]))
-    sl = fiber_slice(f, 1.0, window=Rect(2.0, 3.0, 2.0, 3.0),
-                     resolution=(32, 32))
-    assert len(boundary_extract(sl)) == 0
-
-
-def test_assemble_j2_product_torus():
-    f = make_product(Poly1([0, 0, 1]), Poly1([0, 0, 1]))
-    base = sample_base_julia(f.p, 50, seed=0)
-    j2 = assemble_J2(f, base, per_fiber_budget=16)
-    assert np.max(np.abs(np.abs(j2.points[:, 0]) - 1.0)) < 1e-9
-    assert np.max(np.abs(np.abs(j2.points[:, 1]) - 1.0)) < 1e-6
 
 
 def test_j2_inverse_forward_invariant():
@@ -224,18 +196,6 @@ def test_cloud_index_matches_full_tree(data):
     if len(np.unique(rows, axis=0)) == len(rows):
         assert np.array_equal(i, fi)
     assert np.array_equal(CloudIndex(rows[:1]).nn_distances(), [np.inf])
-
-
-def test_continuity_scan_product_constant_fibers():
-    f = make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1]))
-    base = sample_base_julia(f.p, 200, seed=0)
-    rows = continuity_scan(f, 1.0, base, [0.5, 0.1], mode="K",
-                           resolution=(64, 64))
-    for row in rows:
-        if not row["absent"]:
-            # K_z constant in z for a product: deviations at cell scale
-            assert row["max_hausdorff"] < 0.2
-            assert abs(row["max_area_ratio"] - 1.0) < 0.1
 
 
 def test_cloud_csv_format_and_determinism():
@@ -553,4 +513,3 @@ def test_fiber_slice_over_exact_base_cycle(f, z, start, period):
     assert np.array_equal(sl.escape_iters.view(np.uint64),
                           want.view(np.uint64))
     assert 0 < sl.membership.sum() < sl.membership.size
-
