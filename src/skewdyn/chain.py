@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .critpost import acc_cloud, acc_full_probe, apt_cloud, critical_locus
+from .critpost import (MAX_BASE_PERIOD, acc_cloud, acc_full_probe, apt_cloud,
+                       critical_locus)
 from .engine import derive_escape_radius, repelling_cycles
 from .poly import Poly1, SkewProduct
 from .sets import (
@@ -29,12 +30,15 @@ from .sets import (
 
 __all__ = ["repelling_periodic_points", "chain_report"]
 
+RATIO_THRESHOLD = 10.0  # acc_to_apt above this times the floor: AptNeqAcc
+PROBE_THRESHOLD = 0.1   # probe_distance above this: AccNeqA
 
-def repelling_periodic_points(p: Poly1, max_period: int = 3,
-                              tol: float = 1e-2) -> np.ndarray:
+
+def repelling_periodic_points(p: Poly1,
+                              max_period: int = MAX_BASE_PERIOD) -> np.ndarray:
     """Repelling periodic points of the base polynomial, periods 1..max."""
     pts = [z for n in range(1, max_period + 1)
-           for z, _, _ in repelling_cycles(p, n, tol)]
+           for z, _, _ in repelling_cycles(p, n)]
     keep = []  # dedupe
     for z in pts:
         if not any(abs(z - k) < 1e-8 for k in keep):
@@ -53,23 +57,17 @@ def chain_report(
     f: SkewProduct,
     n_base: int = 400,
     seed: int = 7,
-    max_base_period: int = 3,
-    n_iter: int = 300,
-    tail_frac: float = 0.25,
-    probe_depth: int = 40,
     j2_fibers: int = 150,
     per_fiber_budget: int = 24,
-    ratio_threshold: float = 10.0,
-    probe_threshold: float = 0.1,
 ) -> dict:
     """Compute the accumulation clouds and classify the chain regime.
 
     The base sample is augmented with the repelling periodic points of
-    period <= max_base_period, so that fibers carrying bounded critical
+    period <= MAX_BASE_PERIOD, so that fibers carrying bounded critical
     orbits over periodic bases are always represented.
     """
     base_rand = sample_base_julia(f.p, n_base, seed=seed)
-    periodic = repelling_periodic_points(f.p, max_base_period)
+    periodic = repelling_periodic_points(f.p)
     base = PointCloud(np.concatenate([base_rand.points, periodic]),
                       tag="Jp", seed=seed)
     params = derive_escape_radius(f, base_points=base.points)
@@ -77,8 +75,7 @@ def chain_report(
     apt = apt_cloud(crit)
     j2 = sample_J2_inverse(f, j2_fibers * per_fiber_budget, seed=seed + 1)
     w_bound = 1.5 * float(np.max(np.abs(j2.points[:, 1]))) if len(j2) else None
-    acc = acc_cloud(f, crit, n_iter=n_iter, tail_frac=tail_frac,
-                    params=params, w_bound=w_bound)
+    acc = acc_cloud(f, crit, params=params, w_bound=w_bound)
     report = {
         "apt_count": len(apt),
         "acc_count": len(acc),
@@ -99,7 +96,7 @@ def chain_report(
     report["acc_to_apt"] = d_acc_apt
     report["apt_to_acc"] = d_apt_acc
     report["ratio_floor"] = floor
-    if d_acc_apt > ratio_threshold * floor:
+    if d_acc_apt > RATIO_THRESHOLD * floor:
         report["regime"] = "AptNeqAcc"
         return report
     target = f.meta.get("probe_target")
@@ -108,8 +105,7 @@ def chain_report(
         report["regime"] = "AllEqualNonempty"
         report["probe"] = None
         return report
-    probe = acc_full_probe(f, target, policy, depth=probe_depth,
-                           params=params)
+    probe = acc_full_probe(f, target, policy, params=params)
     report["clouds"]["probe"] = probe
     if len(probe) == 0:
         report["regime"] = "AllEqualNonempty"
@@ -126,5 +122,6 @@ def chain_report(
                           - acc_fiber_w[None, :]), axis=1)))
     report["probe_distance"] = far
     report["probe_band"] = band
-    report["regime"] = "AccNeqA" if far > probe_threshold else "AllEqualNonempty"
+    report["regime"] = ("AccNeqA" if far > PROBE_THRESHOLD
+                        else "AllEqualNonempty")
     return report

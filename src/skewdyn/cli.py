@@ -337,7 +337,6 @@ def cmd_verify_lemma(ns) -> int:
         raise PreconditionError(
             f"unknown check {ns.lemma!r}; known: "
             + ", ".join(sorted(LEMMA_CHECKS) + sorted(LEMMA_ALIASES)))
-    em = Emitter(ns.out, "verify-lemma", _ns_config(ns))
     if lemma in ("construction-constants", "construction-bounds"):
         s1, s2 = parse_poly(ns.s1), parse_poly(ns.s2)
         f, consts = build_s1s2(s1, s2, int_flag(ns, "k1"), int_flag(ns, "k2"),
@@ -372,6 +371,7 @@ def cmd_verify_lemma(ns) -> int:
         elif lemma == "box-avoid":
             kwargs["delta"] = float_flag(ns, "delta")
         rep = LEMMA_CHECKS[lemma](**kwargs)
+    em = Emitter(ns.out, "verify-lemma", _ns_config(ns))
     em.write_json("lemma.json", rep)
     em.finish()
     print(f"{rep['id']}: {'pass' if rep['pass'] else 'fail'}")
@@ -432,12 +432,18 @@ def cmd_hausdorff(ns) -> int:
     f = build_family(ns)
     n_samples, seed = int_flag(ns, "n_samples"), int_flag(ns, "seed", 0)
     workers = int_flag(ns, "threads")
-    thetas = None if ns.theta is None else float_list_flag(ns, "theta")
-    em = Emitter(ns.out, "hausdorff", _ns_config(ns))
-    rows = []
-    if thetas is not None:
+    if ns.theta is not None:
+        thetas = float_list_flag(ns, "theta")
         if ns.family != "Fa":
             raise PreconditionError("--theta comparisons need --family Fa")
+    elif ns.fiber_at is None or ns.fiber_b is None:
+        raise PreconditionError("need --theta or both --fiber-at and "
+                                "--fiber-b")
+    else:
+        za, zb = parse_complex(ns.fiber_at), parse_complex(ns.fiber_b)
+    em = Emitter(ns.out, "hausdorff", _ns_config(ns))
+    rows = []
+    if ns.theta is not None:
         g = f.meta["g"]
         ref1d = sample_base_julia(g, n_samples, seed=seed + 1)
         for i, th in enumerate(thetas):
@@ -451,10 +457,6 @@ def cmd_hausdorff(ns) -> int:
             rows.append({"theta": th, "hausdorff": d})
             print(f"theta={th}: {d:.6f}")
     else:
-        if ns.fiber_at is None or ns.fiber_b is None:
-            raise PreconditionError("need --theta or both --fiber-at and "
-                                    "--fiber-b")
-        za, zb = parse_complex(ns.fiber_at), parse_complex(ns.fiber_b)
         ca = sample_fiber_julia(f, za, n_samples, seed=seed)
         cb = sample_fiber_julia(f, zb, n_samples, seed=seed)
         d = hausdorff_distance(ca, cb, workers)

@@ -8,6 +8,7 @@ critical locus are surrogate-identified by epsilon-clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,6 @@ import numpy.polynomial.polynomial as npoly
 from scipy.spatial import cKDTree
 
 from .engine import (
-    DEFAULT_TAIL_LEN,
     EscapeParams,
     _attracting_base_cycles,
     _attracting_cycle_from_tail,
@@ -44,9 +44,14 @@ __all__ = [
     "verify_trapping",
 ]
 
-RESIDUAL_TOL = 1e-9
 DEFAULT_MARGIN = 1e-2
 MIN_PC_SAMPLES = 1000
+MAX_BASE_PERIOD = 3     # base cycles: exact-cycle table and saddle search
+TAIL_FRAC = 0.25        # an orbit tail is the last quarter of its span
+TAIL_LEN = 64           # at most this many tail steps in `critical_locus`
+ACC_ITER = 300          # steps of each member orbit in `acc_cloud`
+PROBE_TAIL_FRAC = 0.5   # share of the probe points `acc_full_probe` keeps
+MAX_FIBER_MULTIPLE = 2  # fiber periods n*j, j <= this, in `find_saddles`
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,7 @@ class CertificationReport:
     seeds: dict = field(default_factory=dict)
 
 
-def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
-                         max_iter: int = 2000, tail_len: int = 160):
+def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN):
     """Hyperbolicity test for a one-variable polynomial.
 
     Every critical orbit must either escape or settle within 1e-6 of a
@@ -89,7 +93,7 @@ def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN,
         raise PreconditionError("degree must be >= 2 for the 1D test")
     worst = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for tail in _bounded_critical_tails(g, max_iter, tail_len):
+        for tail in _bounded_critical_tails(g):
             found = _attracting_cycle_from_tail(g, tail)
             if found is None:
                 return False, 0.0
@@ -125,14 +129,13 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     return labels
 
 
-def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray,
-               max_period: int = 3) -> dict:
+def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     """Drift guard and exact-cycle table for forward base orbits.
 
     Long forward orbits on the expanding base Julia set leave it by float
     error alone, so iterates are only trusted while the base coordinate
     stays within a tolerance of the base sample.  Start points that are
-    numerically periodic (period <= max_period) are stepped along their
+    numerically periodic (period <= MAX_BASE_PERIOD) are stepped along their
     exact float cycle instead, which never drifts.
     """
     spacing = index.spacing if len(index.inverse) > 1 else 0.0
@@ -146,9 +149,9 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray,
         if z0 in cache:
             row[i] = cache[z0]
             continue
-        orbit = p.orbit(z0, max_period + 1)
+        orbit = p.orbit(z0, MAX_BASE_PERIOD + 1)
         r = -1
-        for k in range(1, max_period + 1):
+        for k in range(1, MAX_BASE_PERIOD + 1):
             if abs(orbit[k] - z0) < 1e-9:
                 cycles.append(np.array(orbit[:k], dtype=complex))
                 r = len(cycles) - 1
@@ -168,40 +171,44 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray,
     return {"index": index, "tol": tol, "row": row, "pad": pad, "lens": lens}
 
 
-def _step_tracked(f, z, w, k, idx, snap):
-    """One tracked step for the selected orbits: returns (zn, wn, per)
-    where per flags the exactly periodic base rows, stepped along their
-    stored cycle."""
-    za, wa = z[idx], w[idx]
-    wn = f.q(za, wa)
-    zn = f.p(za)
-    ra = snap["row"][idx]
-    per = ra >= 0
-    if per.any():
-        zn[per] = snap["pad"][ra[per], k % snap["lens"][ra[per]]]
-    return zn, wn, per
-
-
 def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
-               snap: dict):
-    """Per-orbit fiber-escape step (-1 if none) and last trusted step."""
+               snap: dict, width: int):
+    """Step each tracked orbit once: to fiber escape, base drift or n_iter.
+
+    An orbit is trusted up to its last step before escape or drift (exactly
+    periodic base rows are stepped along their stored cycle and never
+    drift).  Returns (esc, owner, step, tail): esc[i] is the fiber-escape
+    step of orbit i (-1 if none); tail lists the last
+    min(ceil(TAIL_FRAC * end), width) trusted iterates of every orbit, end
+    its last trusted step, by orbit and then by step, with owner and step
+    the orbit index and step of each row.  An orbit's last `width` trusted
+    iterates are kept in a ring buffer as it goes.
+    """
     z = np.asarray(zs, dtype=complex).copy()
     w = np.asarray(ws, dtype=complex).copy()
     n = len(z)
     esc = np.full(n, -1, dtype=int)
-    live_end = np.full(n, n_iter, dtype=int)
+    end = np.full(n, n_iter, dtype=int)
+    ring = np.zeros((n, width, 2), dtype=complex)
     alive = np.ones(n, dtype=bool)
     radius, base_radius = params.radius, params.base_radius
     index, tol = snap["index"], snap["tol"]
+    row, pad, lens = snap["row"], snap["pad"], snap["lens"]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_iter + 1):
             if not alive.any():
                 break
             idx = np.where(alive)[0]
-            zn, wn, per = _step_tracked(f, z, w, k, idx, snap)
+            za, wa = z[idx], w[idx]
+            wn = f.q(za, wa)
+            zn = f.p(za)
+            ra = row[idx]
+            per = ra >= 0
+            if per.any():
+                zn[per] = pad[ra[per], k % lens[ra[per]]]
             wesc = (~np.isfinite(wn.real) | ~np.isfinite(wn.imag)
                     | (np.abs(wn) > radius))
-            drift = np.zeros(len(idx), dtype=bool)
+            stop = wesc.copy()
             gen = ~per & ~wesc
             if gen.any():
                 zg = zn[gen]
@@ -210,82 +217,35 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
                 dd = np.full(gen.sum(), np.inf)
                 if finite.any():
                     dd[finite] = index.query(_as_real(zg[finite]))[0]
-                drift[gen] = dd > tol
+                stop[gen] = dd > tol
             esc[idx[wesc]] = k
-            live_end[idx[wesc | drift]] = k - 1
-            alive[idx[wesc | drift]] = False
+            end[idx[stop]] = k - 1
+            alive[idx[stop]] = False
             z[idx], w[idx] = zn, wn
-    return esc, live_end
+            live = ~stop
+            ring[idx[live], (k - 1) % width, 0] = zn[live]
+            ring[idx[live], (k - 1) % width, 1] = wn[live]
+    count = np.minimum(np.ceil(TAIL_FRAC * end).astype(int), width)
+    owner = np.repeat(np.arange(n), count)
+    first = np.cumsum(count) - count
+    step = end[owner] - count[owner] + 1 + np.arange(len(owner)) - first[owner]
+    return esc, owner, step, ring[owner, (step - 1) % width]
 
 
-def _collect_windows(f: SkewProduct, zs, ws, starts, ends, snap: dict,
-                     per_point: bool = False):
-    """Forward iterates start_i <= k <= end_i of each orbit; per_point
-    returns a list of (T_i, 2) arrays, else one concatenated array."""
-    z = np.asarray(zs, dtype=complex).copy()
-    w = np.asarray(ws, dtype=complex).copy()
-    n = len(z)
-    starts = np.asarray(starts, dtype=int)
-    ends = np.asarray(ends, dtype=int)
-    chunks, owners = [], []
-    nmax = int(ends.max()) if n else 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nmax + 1):
-            act = ends >= k
-            if not act.any():
-                break
-            idx = np.where(act)[0]
-            zn, wn, _ = _step_tracked(f, z, w, k, idx, snap)
-            z[idx], w[idx] = zn, wn
-            rec = starts[idx] <= k
-            if rec.any():
-                chunks.append(np.column_stack([zn[rec], wn[rec]]))
-                owners.append(idx[rec])
-    if not chunks:
-        if per_point:
-            return [np.zeros((0, 2), dtype=complex) for _ in range(n)]
-        return np.zeros((0, 2), dtype=complex)
-    pts = np.concatenate(chunks)
-    if not per_point:
-        return pts
-    own = np.concatenate(owners)
-    out = [np.zeros((0, 2), dtype=complex)] * n
-    order = np.argsort(own, kind="stable")
-    own_s, pts_s = own[order], pts[order]
-    bounds = np.searchsorted(own_s, np.arange(n + 1))
-    for i in range(n):
-        out[i] = pts_s[bounds[i]:bounds[i + 1]]
-    return out
-
-
-def _tail_starts(ends: np.ndarray, tail_frac: float,
-                 tail_cap: int | None = None) -> np.ndarray:
-    """Start index of the last tail_frac fraction of each orbit span."""
-    span = np.maximum(ends, 0)
-    width = np.ceil(tail_frac * span).astype(int)
-    if tail_cap is not None:
-        width = np.minimum(width, tail_cap)
-    return np.maximum(ends - width + 1, 1)
-
-
-def critical_locus(
-    f: SkewProduct,
-    base: PointCloud,
-    eps_cluster: float | None = None,
-    params: EscapeParams | None = None,
-    tail_len: int = DEFAULT_TAIL_LEN,
-    max_base_period: int = 3,
-):
+def critical_locus(f: SkewProduct, base: PointCloud,
+                   params: EscapeParams | None = None):
     """Fiber critical points over a base Julia sample, classified and
     clustered.
 
     For each base sample z, the roots of dq_z/dw are classified by orbit
     escape; component ids come from single-linkage clustering in C^2 with
-    threshold eps_cluster (default 3x the nearest-neighbor base spacing).
-    Orbits are trusted only while the base coordinate stays near the base
-    sample (exactly periodic base points never drift); an orbit whose fiber
-    coordinate has not escaped by the end of its trusted span counts as
-    bounded and its omega-tail is the last quarter of that span.
+    threshold 3x the nearest-neighbor base spacing.  Each orbit is stepped
+    once, for params.max_iter steps, by `_run_spans`: it is trusted only
+    while the base coordinate stays near the base sample (exactly periodic
+    base points never drift); an orbit whose fiber coordinate has not
+    escaped by the end of its trusted span counts as bounded and its
+    omega-tail is the last quarter of that span, at most TAIL_LEN steps, in
+    step order.
     """
     if params is None:
         params = derive_escape_radius(f)
@@ -303,21 +263,13 @@ def critical_locus(
     zs = np.array(zs, dtype=complex)
     cs = np.array(cs, dtype=complex)
     index = CloudIndex(_as_real(base.points))
-    if eps_cluster is None:
-        eps_cluster = 3.0 * index.spacing
-    labels = _cluster(np.column_stack([zs, cs]), eps_cluster)
-    snap = _base_snap(f.p, index, zs, max_base_period)
-    esc, ends = _run_spans(f, zs, cs, params.max_iter, params, snap)
+    labels = _cluster(np.column_stack([zs, cs]), 3.0 * index.spacing)
+    snap = _base_snap(f.p, index, zs)
+    esc, owner, _, tail = _run_spans(f, zs, cs, params.max_iter, params, snap,
+                                     TAIL_LEN)
     bounded = esc < 0
-    tails = [np.zeros((0, 2), dtype=complex)] * len(zs)
-    if bounded.any():
-        bidx = np.where(bounded)[0]
-        tstarts = _tail_starts(ends[bidx], 0.25, tail_cap=tail_len)
-        per = _collect_windows(f, zs[bidx], cs[bidx], tstarts, ends[bidx],
-                               dict(snap, row=snap["row"][bidx]),
-                               per_point=True)
-        for j, i in enumerate(bidx):
-            tails[i] = per[j]
+    tails = np.split(tail, np.searchsorted(owner, np.arange(1, len(zs))))
+    empty = np.zeros((0, 2), dtype=complex)
     out = []
     for i in range(len(zs)):
         out.append(
@@ -326,7 +278,7 @@ def critical_locus(
                 c=cs[i],
                 component_id=int(labels[i]),
                 status="bounded" if bounded[i] else "escaped",
-                omega_tail=tails[i],
+                omega_tail=tails[i] if bounded[i] else empty,
             )
         )
     return out
@@ -391,47 +343,39 @@ def apt_cloud(crit) -> PointCloud:
     return PointCloud(np.concatenate(tails), tag="Apt")
 
 
-def acc_cloud(f: SkewProduct, crit, n_iter: int = 300,
-              tail_frac: float = 0.25,
-              params: EscapeParams | None = None,
+def acc_cloud(f: SkewProduct, crit, params: EscapeParams | None = None,
               w_bound: float | None = None) -> PointCloud:
     """Per-component accumulation: forward-orbit tails of every member of
     each critical-locus cluster, union over clusters.
 
     An all-escaped component contributes nothing, matching the
     all-or-nothing component criterion.  Any other component contributes,
-    for each member, the last tail_frac fraction of the member's trusted
-    span — for escapers that span ends just before fiber escape, so slow
-    escapers shadowing the unstable set of the saddle part are retained.
-    Fiber coordinates above w_bound (transient fly-out positions) are
-    pruned.
+    for each member, the last quarter of the member's trusted span within
+    ACC_ITER steps — for escapers that span ends just before fiber escape,
+    so slow escapers shadowing the unstable set of the saddle part are
+    retained.  The members of all contributing components are stepped in
+    one `_run_spans` walk; the points are listed by component (in id
+    order), then by step, then by member.  Fiber coordinates above w_bound
+    (transient fly-out positions) are pruned.
     """
     if not crit:
         raise PreconditionError("empty critical locus")
     if params is None:
         params = derive_escape_radius(f)
     all_z = np.array([s.z for s in crit])
+    all_c = np.array([s.c for s in crit])
     index = CloudIndex(_as_real(np.unique(all_z)))
-    parts = []
-    comp_ids = sorted({s.component_id for s in crit})
-    for cid in comp_ids:
-        members = [s for s in crit if s.component_id == cid]
-        statuses = {s.status for s in members}
-        if statuses == {"escaped"}:
-            continue
-        zs = np.array([s.z for s in members])
-        ws = np.array([s.c for s in members])
-        snap = _base_snap(f.p, index, zs)
-        _, ends = _run_spans(f, zs, ws, n_iter, params, snap)
-        starts = _tail_starts(ends, tail_frac)
-        pts = _collect_windows(f, zs, ws, starts, ends, snap)
-        if w_bound is not None and len(pts):
-            pts = pts[np.abs(pts[:, 1]) <= w_bound]
-        if len(pts):
-            parts.append(pts)
-    if not parts:
-        return PointCloud(np.zeros((0, 2), dtype=complex), tag="Acc")
-    return PointCloud(np.concatenate(parts), tag="Acc")
+    _, rank = np.unique([s.component_id for s in crit], return_inverse=True)
+    bounded = np.array([s.status == "bounded" for s in crit])
+    members = np.flatnonzero(np.bincount(rank, weights=bounded)[rank] > 0)
+    zs, ws = all_z[members], all_c[members]
+    _, owner, step, pts = _run_spans(f, zs, ws, ACC_ITER, params,
+                                     _base_snap(f.p, index, zs),
+                                     math.ceil(TAIL_FRAC * ACC_ITER))
+    pts = pts[np.lexsort((owner, step, rank[members][owner]))]
+    if w_bound is not None:
+        pts = pts[np.abs(pts[:, 1]) <= w_bound]
+    return PointCloud(pts, tag="Acc")
 
 
 def acc_full_probe(
@@ -439,7 +383,6 @@ def acc_full_probe(
     z_target,
     branch_policy,
     depth: int = 40,
-    tail_frac: float = 0.5,
     params: EscapeParams | None = None,
 ) -> PointCloud:
     """Full-locus accumulation probe into the fiber of z_target.
@@ -448,8 +391,8 @@ def acc_full_probe(
     branch_policy (a symbol string indexing regions in f.meta["regions"],
     cycled, or a callable choosing among candidate preimages), places the
     fiber critical point over each z_{-k}, and pushes it forward k steps.
-    Returns the last tail_frac fraction of the resulting points, all lying
-    in the fiber of z_target.
+    Returns the last PROBE_TAIL_FRAC fraction of the resulting points, all
+    lying in the fiber of z_target.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
@@ -500,29 +443,27 @@ def acc_full_probe(
     if not pts:
         return PointCloud(np.zeros((0, 2), dtype=complex), tag="AccFullProbe")
     pts.sort(key=lambda t: t[0])
-    cut = int(len(pts) * (1.0 - tail_frac))
+    cut = int(len(pts) * (1.0 - PROBE_TAIL_FRAC))
     kept = np.array([(p[1], p[2]) for p in pts[cut:]], dtype=complex)
     return PointCloud(kept, tag="AccFullProbe")
 
 
-def find_saddles(f: SkewProduct, max_base_period: int = 3,
-                 tol: float = DEFAULT_MARGIN,
-                 max_fiber_multiple: int = 2):
+def find_saddles(f: SkewProduct, max_base_period: int = MAX_BASE_PERIOD):
     """Saddle periodic orbits: base-repelling, fiber-attracting cycles.
 
     Scans the repelling base cycles of periods n <= max_base_period
     (`engine.repelling_cycles`), then fiber-periodic points of the composed
-    fiber maps Q_z^{nj}, j <= max_fiber_multiple, with attracting vertical
-    multiplier (a fiber cycle over a period-n base point can have period
-    any multiple of n); orbits duplicated across divisor periods are
-    removed.
+    fiber maps Q_z^{nj}, j <= MAX_FIBER_MULTIPLE, with vertical multiplier
+    modulus below 1 - DEFAULT_MARGIN (a fiber cycle over a period-n base
+    point can have period any multiple of n); orbits duplicated across
+    divisor periods are removed.
     """
     saddles = []
     for n in range(1, max_base_period + 1):
-        for z, orbit_z, mu_base in repelling_cycles(f.p, n, tol):
+        for z, orbit_z, mu_base in repelling_cycles(f.p, n):
             fibers = [fiber_poly(f, zk) for zk in orbit_z]
             dfibers = [qz.deriv() for qz in fibers]
-            for j in range(1, max_fiber_multiple + 1):
+            for j in range(1, MAX_FIBER_MULTIPLE + 1):
                 m = n * j
                 try:
                     Q = compose_fiber(f, z, m)
@@ -539,7 +480,7 @@ def find_saddles(f: SkewProduct, max_base_period: int = 3,
                         mu_v *= dqz(ww)
                         pts.append((zk, ww))
                         ww = complex(qz(ww))
-                    if abs(mu_v) >= 1.0 - tol:
+                    if abs(mu_v) >= 1.0 - DEFAULT_MARGIN:
                         continue
                     if abs(ww - complex(w)) > 1e-6 * max(1.0, abs(w)):
                         continue
@@ -585,8 +526,6 @@ def certify_axiom_a(
     base: PointCloud,
     j2: PointCloud,
     margin: float = DEFAULT_MARGIN,
-    crit=None,
-    n_iter: int = 200,
     params: EscapeParams | None = None,
 ) -> CertificationReport:
     """Four-clause hyperbolicity certification of a regular skew product.
@@ -603,9 +542,8 @@ def certify_axiom_a(
     clauses = {}
     ok_i, m_i = attract_or_escape_1d(f.p, margin)
     clauses["i"] = {"pass": bool(ok_i), "margin": float(m_i)}
-    if crit is None:
-        crit = critical_locus(f, base, params=params)
-    pc = postcritical_cloud(f, crit, n_iter=n_iter, params=params)
+    crit = critical_locus(f, base, params=params)
+    pc = postcritical_cloud(f, crit, params=params)
     n_pc = len(pc)
     if n_pc < MIN_PC_SAMPLES:
         return CertificationReport(
@@ -655,7 +593,6 @@ def verify_trapping(
     j2: PointCloud,
     r: float,
     m: int = 50,
-    n_ring: int = 32,
 ) -> dict:
     """Check that the vertical r-neighborhood of a forward-invariant cloud
     contracts into its r/2-neighborhood under some iterate f^k, k <= m.
@@ -702,6 +639,7 @@ def verify_trapping(
     max_centers = 1000
     stride = max(1, len(t_cloud) // max_centers)
     centers = t_cloud.points[::stride]
+    n_ring = 32
     phis = 2.0 * np.pi * np.arange(n_ring) / n_ring
     zs, ws = [], []
     for zc, wc in centers:

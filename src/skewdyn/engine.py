@@ -26,7 +26,10 @@ __all__ = [
 
 DEFAULT_MAX_ITER = 2000
 GRID_MAX_ITER = 200
-DEFAULT_TAIL_LEN = 64
+CYCLE_TAIL_LEN = 160    # critical-tail length searched for attracting cycles
+CYCLE_MAX_PERIOD = 64
+CYCLE_TOL = 1e-6
+REPELLING_TOL = 1e-2    # repelling means a multiplier modulus above 1 + this
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,12 @@ def derive_escape_radius(
                         max_iter=max_iter, base_window=base_window)
 
 
-def repelling_cycles(p: Poly1, n: int, tol: float = 1e-2) -> list:
+def repelling_cycles(p: Poly1, n: int) -> list:
     """The repelling period-n points of p, as (z, orbit, multiplier) triples:
     z runs over the roots of the expanded polynomial p^n(z) - z, in the order
     `roots` returns them, orbit is z, p(z), ..., p^{n-1}(z) and multiplier
-    is (p^n)'(z), kept when its modulus exceeds 1 + tol.  Empty when the
-    root finder fails."""
+    is (p^n)'(z), kept when its modulus exceeds 1 + REPELLING_TOL.  Empty
+    when the root finder fails."""
     q = p
     for _ in range(n - 1):
         q = p.compose(q)
@@ -175,50 +178,47 @@ def repelling_cycles(p: Poly1, n: int, tol: float = 1e-2) -> list:
     for z in fix:
         orbit = p.orbit(z, n)
         mult = complex(np.prod(dp(np.array(orbit))))
-        if abs(mult) > 1.0 + tol:
+        if abs(mult) > 1.0 + REPELLING_TOL:
             cycles.append((complex(z), orbit, mult))
     return cycles
 
 
-def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray,
-                                max_period: int = 64, tol: float = 1e-6):
+def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray):
     """Detect an attracting cycle from an orbit tail by self-distance
-    minimization over candidate periods; returns (cycle, multiplier) or None."""
+    minimization over candidate periods up to CYCLE_MAX_PERIOD (at most half
+    the tail); returns (cycle, multiplier) or None."""
     t = np.asarray(tail, dtype=complex)
-    if len(t) < 2 * max_period:
-        max_period = max(1, len(t) // 2)
+    max_period = min(CYCLE_MAX_PERIOD, max(1, len(t) // 2))
     for k in range(1, max_period + 1):
-        if np.max(np.abs(t[k:] - t[:-k])) < tol:
+        if np.max(np.abs(t[k:] - t[:-k])) < CYCLE_TOL:
             cyc = t[-k:]
             mult = np.prod(g.deriv()(cyc))
             return cyc, complex(mult)
     return None
 
 
-def _bounded_critical_tails(g: Poly1, max_iter: int = 2000,
-                            tail_len: int = 160):
-    """Lazily, the last tail_len iterates of each critical orbit of g that
-    stays within the escape radius for max_iter steps; escaping orbits
-    yield nothing.  Callers set the numpy error state."""
+def _bounded_critical_tails(g: Poly1):
+    """Lazily, the last CYCLE_TAIL_LEN iterates of each critical orbit of g
+    that stays within the escape radius for DEFAULT_MAX_ITER steps; escaping
+    orbits yield nothing.  Callers set the numpy error state."""
     radius = _one_var_radius(g.coeffs)
     for c in roots(g.deriv()):
         tail = []
-        for n, x in enumerate(islice(g.walk(c), max_iter)):
+        for n, x in enumerate(islice(g.walk(c), DEFAULT_MAX_ITER)):
             if not math.isfinite(x.real) or abs(x) > radius:
                 break
-            if n >= max_iter - tail_len:
+            if n >= DEFAULT_MAX_ITER - CYCLE_TAIL_LEN:
                 tail.append(x)
         else:
             yield np.array(tail)
 
 
-def _attracting_base_cycles(p: Poly1, max_iter: int = 2000,
-                            tail_len: int = 160):
+def _attracting_base_cycles(p: Poly1):
     """Attracting cycles of the polynomial p (a base map, or a fiber period
     map) found from critical tails."""
     cycles = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for tail in _bounded_critical_tails(p, max_iter, tail_len):
+        for tail in _bounded_critical_tails(p):
             found = _attracting_cycle_from_tail(p, tail)
             if found is not None:
                 cyc, _ = found

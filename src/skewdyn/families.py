@@ -204,6 +204,34 @@ def _postcritical_points(s: Poly1, n_iter: int = 200, bound: float = None):
     return np.array(pts, dtype=complex)
 
 
+def _lower_part(s: Poly1, d: int) -> np.ndarray:
+    """The coefficients of t = s - w^d, padded to length d."""
+    t = np.zeros(d, dtype=complex)
+    t[: len(s.coeffs) - 1] = s.coeffs[:-1]
+    return t
+
+
+def _s1s2_conditions(t1, t2, r: float, M: float) -> tuple:
+    """(expansion, dominance, sup_bound) of the two-attractor construction:
+    M^(d-1) > 36, and sum_j (|t_ij| + 2r) M^j and sum_j |t_ij| M^j at most
+    M^d / 2 for both lower parts t_i."""
+    d = len(t1)
+    pows = M ** np.arange(d)
+    return (
+        M ** (d - 1) > 36.0,
+        max(float(np.sum((np.abs(t) + 2 * r) * pows)) for t in (t1, t2))
+        <= 0.5 * M**d,
+        max(float(np.sum(np.abs(t) * pows)) for t in (t1, t2)) <= 0.5 * M**d,
+    )
+
+
+def _ring_margin(pcs, M: float) -> float:
+    """Smallest chordal distance from the postcritical point sets pcs to the
+    ring M <= |w| <= 3M; inf when every set is empty."""
+    return min((_annulus_chordal_margin(pc, M) for pc in pcs if len(pc)),
+               default=np.inf)
+
+
 def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     """Skew product whose fibers over two Cantor base pieces shadow the
     monic hyperbolic maps s1 and s2.
@@ -225,10 +253,7 @@ def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     ok2, m2 = attract_or_escape_1d(s2)
     if not (ok1 and ok2):
         raise PreconditionError("s1 and s2 must pass the 1D hyperbolicity test")
-    t1 = np.zeros(d, dtype=complex)
-    t1[: len(s1.coeffs) - 1] = s1.coeffs[:-1]
-    t2 = np.zeros(d, dtype=complex)
-    t2[: len(s2.coeffs) - 1] = s2.coeffs[:-1]
+    t1, t2 = _lower_part(s1, d), _lower_part(s2, d)
 
     # r search: hyperbolicity of both s_i robust under coefficient
     # perturbations of size 2r (margins stay above half the clean value)
@@ -258,26 +283,13 @@ def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     # M search: leading-term dominance and postcritical avoidance of the
     # ring M <= |w| <= 3M (checked along forward orbits, which covers the
     # ring's preimages)
+    pcs = [_postcritical_points(s) for s in (s1, s2)]
     M = 2.0
     while True:
         if M > 1e6:
             raise NumericalError("constant search failed: M above 1e6")
-        c1 = M ** (d - 1) > 36.0                                   # expansion
-        lower1 = float(np.sum((np.abs(t1) + 2 * r) * M ** np.arange(d)))
-        lower2 = float(np.sum((np.abs(t2) + 2 * r) * M ** np.arange(d)))
-        c2 = max(lower1, lower2) <= 0.5 * M**d                      # dominance
-        c3 = max(
-            float(np.sum(np.abs(t1) * M ** np.arange(d))),
-            float(np.sum(np.abs(t2) * M ** np.arange(d))),
-        ) <= 0.5 * M**d                                             # sup bound
-        c4 = True
-        if c1 and c2 and c3:
-            for s in (s1, s2):
-                pc = _postcritical_points(s)
-                if len(pc) and _annulus_chordal_margin(pc, M) < 0.05:
-                    c4 = False
-                    break
-        if c1 and c2 and c3 and c4:
+        if (all(_s1s2_conditions(t1, t2, r, M))
+                and _ring_margin(pcs, M) >= 0.05):
             break
         M *= 2.0
 

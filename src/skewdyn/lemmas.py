@@ -12,8 +12,8 @@ import numpy as np
 
 from .critpost import verify_trapping
 from .errors import PreconditionError
-from .families import S1S2Constants, make_airplane_skew, _annulus_chordal_margin, \
-    _postcritical_points
+from .families import (S1S2Constants, _lower_part, _postcritical_points,
+                       _ring_margin, _s1s2_conditions, make_airplane_skew)
 from .poly import Poly1, SkewProduct, fiber_poly
 from .sets import sample_base_julia
 
@@ -184,26 +184,9 @@ def check_box_avoid(n: int, delta: float = 0.2, n_samples: int = 20000,
 def check_s1s2_constants(consts: S1S2Constants, s1: Poly1, s2: Poly1) -> dict:
     """Re-verify the searched constants of the two-attractor construction."""
     M, r, R, d = consts.M, consts.r, consts.R, consts.d
-    t1 = np.zeros(d, dtype=complex)
-    t1[: len(s1.coeffs) - 1] = s1.coeffs[:-1]
-    t2 = np.zeros(d, dtype=complex)
-    t2[: len(s2.coeffs) - 1] = s2.coeffs[:-1]
-    c_exp = M ** (d - 1) > 36.0
-    pows = M ** np.arange(d)
-    c_dom = max(
-        float(np.sum((np.abs(t1) + 2 * r) * pows)),
-        float(np.sum((np.abs(t2) + 2 * r) * pows)),
-    ) <= 0.5 * M**d
-    c_sup = max(
-        float(np.sum(np.abs(t1) * pows)),
-        float(np.sum(np.abs(t2) * pows)),
-    ) <= 0.5 * M**d
-    pc_margin = min(
-        _annulus_chordal_margin(_postcritical_points(s1), M)
-        if len(_postcritical_points(s1)) else np.inf,
-        _annulus_chordal_margin(_postcritical_points(s2), M)
-        if len(_postcritical_points(s2)) else np.inf,
-    )
+    c_exp, c_dom, c_sup = _s1s2_conditions(_lower_part(s1, d),
+                                           _lower_part(s2, d), r, M)
+    pc_margin = _ring_margin([_postcritical_points(s) for s in (s1, s2)], M)
     c_R = abs(R - (2.0 * M**d - r)) < 1e-9
     return {
         "id": "construction-constants",

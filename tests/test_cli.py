@@ -86,12 +86,15 @@ def test_bad_integer_flag_exit_code(tmp_path, argv, capsys):
     ["verify-lemma", "trapping", "--family", "Fa", "--a=-1", "--r=-1"],
     ["certify", "--family", "Fa", "--a=-1", "--margin=-5"],
     ["verify-lemma", "box-avoid", "--n", "3", "--delta=-1"],
+    ["hausdorff", "--family", "fig3", "--fiber-at", "x", "--fiber-b", "1"],
+    ["hausdorff", "--family", "fig3", "--fiber-at", "5"],
+    ["hausdorff", "--family", "fig3", "--theta", "1.0"],
 ])
 def test_bad_float_flag_exit_code(tmp_path, argv, capsys):
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     assert "precondition failure" in capsys.readouterr().err
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pieces", [["--k1", "0", "--k2", "2"],
