@@ -9,11 +9,9 @@ from .poly import (
     Poly1,
     Poly2,
     SkewProduct,
-    eval_skew,
     check_regular,
     fiber_poly,
     roots,
-    compose_fiber,
 )
 
 __version__ = "0.1.0"

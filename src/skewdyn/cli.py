@@ -550,7 +550,8 @@ def build_parser():
     s.add_argument("--steps", default="11")
     s.add_argument("--base-period", dest="base_period", default="2")
     s.add_argument("--orbit", default="0", help="index among saddles of the "
-                                                "requested period")
+                                                "requested base period, in "
+                                                "saddles.json order")
     s.add_argument("--tol", default="1e-11")
 
     s = sub("separate", cmd_separate, help="fiber-monodromy separation "

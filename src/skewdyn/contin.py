@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critpost import SaddleOrbit
+from .engine import _newton_fiber
 from .errors import PreconditionError
 from .poly import SkewProduct, fiber_poly
 from .sets import sample_fiber_julia
@@ -76,27 +77,6 @@ def _newton_base(f: SkewProduct, z0: complex, n: int, tol: float,
         z = z - step
         if abs(val) < tol and abs(step) < tol:
             return z, mu
-    return None
-
-
-def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
-    """Newton on w -> (q_{n-1} o ... o q_0)(w) - w over the given fiber maps."""
-    dfibers = [q.deriv() for q in fibers]
-    w = complex(w0)
-    for _ in range(max_iter):
-        x = w
-        mu = 1.0 + 0.0j
-        for q, dq in zip(fibers, dfibers):
-            mu *= complex(dq(x))
-            x = complex(q(x))
-        val = x - w
-        deriv = mu - 1.0
-        if deriv == 0:
-            return None
-        step = val / deriv
-        w = w - step
-        if abs(val) < tol and abs(step) < tol:
-            return w, mu
     return None
 
 

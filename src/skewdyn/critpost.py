@@ -17,15 +17,15 @@ from scipy.spatial import cKDTree
 
 from .engine import (
     EscapeParams,
-    _attracting_base_cycles,
     _attracting_cycle_from_tail,
     _bounded_critical_tails,
     chordal_distance,
     derive_escape_radius,
+    fiber_cycles,
     repelling_cycles,
 )
 from .errors import NumericalError, PreconditionError
-from .poly import Poly1, SkewProduct, compose_fiber, fiber_poly, roots
+from .poly import Poly1, SkewProduct, fiber_poly, roots
 from .sets import (CloudIndex, PointCloud, _as_real, min_chordal_distance,
                    sphere_embed)
 
@@ -51,7 +51,6 @@ TAIL_FRAC = 0.25        # an orbit tail is the last quarter of its span
 TAIL_LEN = 64           # at most this many tail steps in `critical_locus`
 ACC_ITER = 300          # steps of each member orbit in `acc_cloud`
 PROBE_TAIL_FRAC = 0.5   # share of the probe points `acc_full_probe` keeps
-MAX_FIBER_MULTIPLE = 2  # fiber periods n*j, j <= this, in `find_saddles`
 
 
 @dataclass(frozen=True)
@@ -451,60 +450,64 @@ def acc_full_probe(
 def find_saddles(f: SkewProduct, max_base_period: int = MAX_BASE_PERIOD):
     """Saddle periodic orbits: base-repelling, fiber-attracting cycles.
 
-    Scans the repelling base cycles of periods n <= max_base_period
-    (`engine.repelling_cycles`), then fiber-periodic points of the composed
-    fiber maps Q_z^{nj}, j <= MAX_FIBER_MULTIPLE, with vertical multiplier
-    modulus below 1 - DEFAULT_MARGIN (a fiber cycle over a period-n base
-    point can have period any multiple of n); orbits duplicated across
-    divisor periods are removed.
+    Scans the repelling base points z of period dividing n, for
+    n <= max_base_period (`engine.repelling_cycles`), skipping a z within
+    1e-9 of a base orbit already scanned, so each base cycle is scanned
+    once, from its first point in the order below.  Over each, the cycles
+    of the fiber maps along its base orbit (`engine.fiber_cycles`, which
+    walks their critical orbits) with vertical multiplier modulus below
+    1 - DEFAULT_MARGIN are saddles.  A fiber cycle can have any length that
+    is a multiple of n, up to the tail search's CYCLE_MAX_PERIOD multiples;
+    no other cap on the fiber period remains.  A cycle that shares a point
+    (to 1e-6) with an earlier saddle is dropped, so each orbit appears once.
+
+    Canonical order, which `saddles.json` lists and `continue --orbit`
+    indexes: by n; then by base point z, in `repelling_cycles`' order (the
+    roots of p^n(z) - z sorted by real, then imaginary part); then by cycle
+    length; then by fiber point, by real, then imaginary part.  The fiber
+    point is the least, in that order, of the cycle's points over z, and the
+    cycle starts there.
     """
-    saddles = []
+    saddles, scanned = [], []
     for n in range(1, max_base_period + 1):
         for z, orbit_z, mu_base in repelling_cycles(f.p, n):
-            fibers = [fiber_poly(f, zk) for zk in orbit_z]
-            dfibers = [qz.deriv() for qz in fibers]
-            for j in range(1, MAX_FIBER_MULTIPLE + 1):
-                m = n * j
-                try:
-                    Q = compose_fiber(f, z, m)
-                    wfix = roots(Q - Poly1([0.0, 1.0]), tol=1e-8)
-                except (ValueError, NumericalError):
+            if any(abs(z - y) < 1e-9 for y in scanned):
+                continue  # on a base orbit already scanned
+            scanned.extend(orbit_z)
+            cycles, _ = fiber_cycles([fiber_poly(f, zk) for zk in orbit_z])
+            for ws, mu_v in cycles:
+                if abs(mu_v) >= 1.0 - DEFAULT_MARGIN:
                     continue
-                for w in wfix:
-                    # vertical multiplier by the chain rule along the cycle
-                    mu_v = 1.0 + 0.0j
-                    ww = complex(w)
-                    pts = []
-                    for zk, qz, dqz in zip(orbit_z * j, fibers * j,
-                                           dfibers * j):
-                        mu_v *= dqz(ww)
-                        pts.append((zk, ww))
-                        ww = complex(qz(ww))
-                    if abs(mu_v) >= 1.0 - DEFAULT_MARGIN:
-                        continue
-                    if abs(ww - complex(w)) > 1e-6 * max(1.0, abs(w)):
-                        continue
-                    cyc = np.array(pts, dtype=complex)
-                    dup = False
-                    for s in saddles:
-                        d = np.abs(s.cycle[None, :, 0] - cyc[:, None, 0]) \
-                            + np.abs(s.cycle[None, :, 1] - cyc[:, None, 1])
-                        if np.min(d) < 1e-6:
-                            dup = True
-                            break
-                    if dup:
-                        continue
-                    saddles.append(
-                        SaddleOrbit(
-                            base_period=n,
-                            base_point=complex(z),
-                            fiber_point=complex(w),
-                            base_multiplier=mu_base,
-                            vertical_multiplier=complex(mu_v),
-                            cycle=cyc,
-                        )
+                cyc = np.column_stack([np.resize(orbit_z, len(ws)), ws])
+                if any(np.min(np.abs(s.cycle[None, :, 0] - cyc[:, None, 0])
+                              + np.abs(s.cycle[None, :, 1] - cyc[:, None, 1]))
+                       < 1e-6 for s in saddles):
+                    continue
+                saddles.append(
+                    SaddleOrbit(
+                        base_period=n,
+                        base_point=complex(z),
+                        fiber_point=complex(ws[0]),
+                        base_multiplier=mu_base,
+                        vertical_multiplier=mu_v,
+                        cycle=cyc,
                     )
+                )
     return saddles
+
+
+def _fibers_hyperbolic(maps: list, margin: float):
+    """Clause (iii) over one base cycle, whose fiber maps are maps: every
+    critical orbit of the sequence must escape or settle on a cycle
+    (`engine.fiber_cycles`) whose multiplier modulus is below 1 - margin.
+    Returns (ok, worst margin): 0 when some bounded critical orbit settles
+    on no cycle, else the least 1 - |multiplier| over the cycles, 1 when
+    every critical orbit escapes."""
+    cycles, undetermined = fiber_cycles(maps)
+    if undetermined:
+        return False, 0.0
+    worst = min((1.0 - abs(mult) for _, mult in cycles), default=1.0)
+    return worst >= margin, worst
 
 
 def _map_at_infinity(f: SkewProduct) -> Poly1:
@@ -532,10 +535,11 @@ def certify_axiom_a(
 
     (i) the base polynomial is hyperbolic; (ii) the postcritical cloud over
     the base Julia sample keeps chordal distance > margin from the J2
-    cloud; (iii) the composed fiber maps over each attracting base cycle
-    are hyperbolic; (iv) the induced map on the line at infinity is
-    hyperbolic.  Verdict Certified-C2 needs (i)-(iii); Certified-P2 also
-    needs (iv); fewer than 1000 postcritical samples gives Inconclusive.
+    cloud; (iii) the fiber map sequence over each base cycle on which the
+    critical orbits of p settle is hyperbolic (`_fibers_hyperbolic`); (iv)
+    the induced map on the line at infinity is hyperbolic.  Verdict
+    Certified-C2 needs (i)-(iii); Certified-P2 also needs (iv); fewer than
+    1000 postcritical samples gives Inconclusive.
     """
     if params is None:
         params = derive_escape_radius(f)
@@ -555,22 +559,11 @@ def certify_axiom_a(
         )
     dist = min_chordal_distance(pc, j2)
     clauses["ii"] = {"pass": bool(dist > margin), "margin": float(dist)}
-    ok_iii, m_iii = True, np.inf
-    for cyc in _attracting_base_cycles(f.p):
-        z0 = complex(cyc[0])
-        try:
-            Q = compose_fiber(f, z0, len(cyc))
-        except ValueError:
-            Q = None
-        if Q is None:
-            ok_iii = False
-            m_iii = 0.0
-            break
-        ok, m = attract_or_escape_1d(Q, margin)
+    ok_iii, m_iii = True, 1.0
+    for cyc, _ in fiber_cycles([f.p])[0]:
+        ok, m = _fibers_hyperbolic([fiber_poly(f, z) for z in cyc], margin)
         ok_iii = ok_iii and ok
         m_iii = min(m_iii, m)
-    if m_iii is np.inf or m_iii == np.inf:
-        m_iii = 1.0
     clauses["iii"] = {"pass": bool(ok_iii), "margin": float(m_iii)}
     ok_iv, m_iv = attract_or_escape_1d(_map_at_infinity(f), margin)
     clauses["iv"] = {"pass": bool(ok_iv), "margin": float(m_iv)}

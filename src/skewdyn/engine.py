@@ -1,26 +1,29 @@
 """Orbit iteration engine.
 
-Escape-radius derivation, repelling cycles of a base polynomial, attracting
-cycles from critical tails and the trapping disks that certify them, and
-the chordal (spherical) metric.
+Escape-radius derivation, repelling cycles of a base polynomial, the cycles
+of a periodic map sequence found by walking its critical orbits, the
+trapping disks that certify the attracting ones, and the chordal
+(spherical) metric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .poly import Poly1, SkewProduct, check_regular, fiber_poly, roots
+from .poly import Poly1, SkewProduct, check_regular, roots
 
 __all__ = [
     "Rect",
     "EscapeParams",
     "derive_escape_radius",
     "repelling_cycles",
+    "fiber_cycles",
     "chordal_distance",
 ]
 
@@ -29,6 +32,7 @@ GRID_MAX_ITER = 200
 CYCLE_TAIL_LEN = 160    # critical-tail length searched for attracting cycles
 CYCLE_MAX_PERIOD = 64
 CYCLE_TOL = 1e-6
+NEWTON_TOL = 1e-12      # relative step and residual that end a cycle polish
 REPELLING_TOL = 1e-2    # repelling means a multiplier modulus above 1 + this
 
 
@@ -54,12 +58,6 @@ class Rect:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.corners())))
 
-    def sample(self, n, seed=0):
-        rng = np.random.default_rng(seed)
-        re = rng.uniform(self.re_min, self.re_max, n)
-        im = rng.uniform(self.im_min, self.im_max, n)
-        return re + 1j * im
-
     @staticmethod
     def square(center: complex, half_side: float) -> "Rect":
         c = complex(center)
@@ -74,10 +72,9 @@ class EscapeParams:
     radius: float
     base_radius: float
     max_iter: int = DEFAULT_MAX_ITER
-    base_window: Rect = field(default=Rect(-2.0, 2.0, -2.0, 2.0))
 
     def with_max_iter(self, m: int) -> "EscapeParams":
-        return EscapeParams(self.radius, self.base_radius, m, self.base_window)
+        return EscapeParams(self.radius, self.base_radius, m)
 
 
 def _one_var_radius(coeffs) -> float:
@@ -88,38 +85,24 @@ def _one_var_radius(coeffs) -> float:
     return max(2.0, (4.0 / lead) ** (1.0 / (d - 1)), (2.0 / lead) * (1.0 + lower))
 
 
-def derive_escape_radius(
-    f: SkewProduct,
-    base_window: Rect | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-    base_points=None,
-) -> EscapeParams:
+def derive_escape_radius(f: SkewProduct, base_points=None) -> EscapeParams:
     """Radius R such that |q_z(w)| >= 2|w| for |w| >= R over the base region.
 
-    Coefficient-norm construction with sampled verification (1000 points on
-    the circle |w| = R over 100 base points); doubled on failure, which
-    terminates by leading-term dominance of regular maps.  When base_points
-    is given, the coefficient bounds are evaluated at those points instead
-    of over the enclosing window, which can be far tighter for bases whose
-    Julia set fills little of its bounding box.
+    With lead the w^d coefficient of q and `lower` a bound on the sum of
+    the moduli of the lower coefficients b_j(z), j < d, R is the largest of
+    2, (4/lead)^(1/(d-1)) and (2/lead)(1 + lower), so leading-term
+    dominance gives the doubling at every z where `lower` holds, with no
+    sampling check.  Without base_points, `lower` bounds the b_j over the
+    square of half-side base_radius about 0, which holds the base Julia
+    set.  With base_points it is evaluated at those points only, which can
+    be far tighter for bases whose Julia set fills little of its bounding
+    box, and the radius is then proven only at those points.
     """
     ok, diag = check_regular(f)
     if not ok:
         raise PreconditionError(f"map is not regular: {diag}")
     d = f.degree
     base_radius = _one_var_radius(f.p.coeffs)
-    if base_window is None:
-        if base_points is not None:
-            pts = np.asarray(base_points, dtype=complex)
-            pad = 0.1 * (np.max(np.abs(pts)) + 1.0)
-            base_window = Rect(
-                float(pts.real.min() - pad), float(pts.real.max() + pad),
-                float(pts.imag.min() - pad), float(pts.imag.max() + pad),
-            )
-        else:
-            base_window = Rect(-base_radius, base_radius,
-                               -base_radius, base_radius)
     c = f.q.coeffs
     lead = abs(c[0, d])
     if base_points is not None:
@@ -130,34 +113,16 @@ def derive_escape_radius(
         Babs = np.abs(np.polynomial.polynomial.polyval(pts, c))
         lower = float(np.max(np.sum(Babs[:d], axis=0)))
     else:
-        zmax = base_window.max_abs()
+        zmax = Rect.square(0.0, base_radius).max_abs()
         powers = zmax ** np.arange(c.shape[0])
-        B = np.abs(c).T @ powers  # B[j] bounds |b_j(z)| on the window
+        B = np.abs(c).T @ powers  # B[j] bounds |b_j(z)| on the square
         lower = float(np.sum(B[:d]))
     radius = max(
         2.0,
         (4.0 / lead) ** (1.0 / (d - 1)),
         (2.0 / lead) * (1.0 + lower),
     )
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        if base_points is not None:
-            pts = np.asarray(base_points, dtype=complex)
-            zs = pts[rng.integers(0, len(pts), min(100, len(pts)))]
-        else:
-            zs = base_window.sample(100, seed=int(rng.integers(2**31)))
-        ws = radius * np.exp(2j * np.pi * rng.random(1000))
-        good = True
-        for z in zs:
-            qz = fiber_poly(f, z)
-            if np.any(np.abs(qz(ws)) < 2.0 * radius):
-                good = False
-                break
-        if good:
-            break
-        radius *= 2.0
-    return EscapeParams(radius=radius, base_radius=base_radius,
-                        max_iter=max_iter, base_window=base_window)
+    return EscapeParams(radius=radius, base_radius=base_radius)
 
 
 def repelling_cycles(p: Poly1, n: int) -> list:
@@ -183,18 +148,25 @@ def repelling_cycles(p: Poly1, n: int) -> list:
     return cycles
 
 
-def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray):
-    """Detect an attracting cycle from an orbit tail by self-distance
-    minimization over candidate periods up to CYCLE_MAX_PERIOD (at most half
-    the tail); returns (cycle, multiplier) or None."""
+def _tail_period(tail):
+    """The least period m <= CYCLE_MAX_PERIOD (at most half the tail) with
+    which the tail repeats to CYCLE_TOL, or None."""
     t = np.asarray(tail, dtype=complex)
     max_period = min(CYCLE_MAX_PERIOD, max(1, len(t) // 2))
-    for k in range(1, max_period + 1):
-        if np.max(np.abs(t[k:] - t[:-k])) < CYCLE_TOL:
-            cyc = t[-k:]
-            mult = np.prod(g.deriv()(cyc))
-            return cyc, complex(mult)
+    for m in range(1, max_period + 1):
+        if np.max(np.abs(t[m:] - t[:-m])) < CYCLE_TOL:
+            return m
     return None
+
+
+def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray):
+    """Detect an attracting cycle from an orbit tail by self-distance
+    minimization (`_tail_period`); returns (cycle, multiplier) or None."""
+    m = _tail_period(tail)
+    if m is None:
+        return None
+    cyc = np.asarray(tail, dtype=complex)[-m:]
+    return cyc, complex(np.prod(g.deriv()(cyc)))
 
 
 def _bounded_critical_tails(g: Poly1):
@@ -213,52 +185,142 @@ def _bounded_critical_tails(g: Poly1):
             yield np.array(tail)
 
 
-def _attracting_base_cycles(p: Poly1):
-    """Attracting cycles of the polynomial p (a base map, or a fiber period
-    map) found from critical tails."""
-    cycles = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tail in _bounded_critical_tails(p):
-            found = _attracting_cycle_from_tail(p, tail)
-            if found is not None:
-                cyc, _ = found
-                if not any(np.min(np.abs(cyc[0] - k)) < 1e-5 for k in cycles):
-                    cycles.append(cyc)
-    return cycles
+def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
+    """Newton on w -> (q_{n-1} o ... o q_0)(w) - w over the given fiber maps,
+    evaluated along the orbit; returns (w, multiplier) or None."""
+    dfibers = [q.deriv() for q in fibers]
+    w = complex(w0)
+    for _ in range(max_iter):
+        x = w
+        mu = 1.0 + 0.0j
+        for q, dq in zip(fibers, dfibers):
+            mu *= complex(dq(x))
+            x = complex(q(x))
+        val = x - w
+        deriv = mu - 1.0
+        if deriv == 0:
+            return None
+        step = val / deriv
+        w = w - step
+        if abs(val) < tol and abs(step) < tol:
+            return w, mu
+    return None
 
 
-def _trap_chains(Q: Poly1, maps: list, radius: float) -> list:
-    """Certified trapping disks around the attracting cycles of the periodic
-    map sequence maps[0], ..., maps[k-1], maps[0], ..., whose period map is
-    Q = maps[k-1] o ... o maps[0].
-
-    One (centers, radii) pair per certified cycle: for a cycle of period m
-    of Q, the L = m * k points of its orbit under the sequence, disk t
-    belonging to maps[t % k].  That map, evaluated by float Horner, sends
-    every float point of disk t strictly into disk (t + 1) % L, and every
-    disk lies inside `radius`, so an orbit that enters a disk never leaves
-    the disks and never escapes.  The certificate: with t_j the Taylor
-    coefficients of g = maps[t % k] at c_t and a_j those of g,
-    r_{t+1} >= (1 + 1e-6) (|t_0 - c_{t+1}| + sum_{j>=1} |t_j| r_t^j
-    + 64 d^2 eps sum_j |a_j| (|c_t| + r_t)^j), where the last term bounds
-    the rounding both of the grid's Horner step and of the t_j.  The chain
-    starts at r_0 = 0.5, halved up to 60 times, and closes when it comes
-    back around within r_0.  A cycle whose chain never closes gets no
-    disks; a failed cycle search gives none at all.
-    """
-    try:
-        cycles = _attracting_base_cycles(Q)
-    except NumericalError:
-        return []
+def _sequence_cycle(maps: list, m: int, w0: complex):
+    """The cycle of length m k through (about) the phase-0 point w0 of the
+    sequence maps[0..k-1], as (points, multiplier): w0 polished by Newton
+    on the m k maps (kept as is if Newton fails), its orbit started at its
+    least phase-0 point in (real, imag) order, and the chain-rule product of
+    the maps' derivatives along it."""
     k = len(maps)
+    seq = maps * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        polished = _newton_fiber(seq, w0, NEWTON_TOL * max(1.0, abs(w0)))
+        pts = [complex(w0) if polished is None else polished[0]]
+        for g in seq[:-1]:
+            pts.append(complex(g(pts[-1])))
+        first = min(range(0, len(pts), k),
+                    key=lambda i: (pts[i].real, pts[i].imag))
+        pts = pts[first:] + pts[:first]
+        mult = 1.0 + 0.0j
+        for g, w in zip(seq, pts):
+            mult *= complex(g.deriv()(w))
+    return np.array(pts), mult
+
+
+def fiber_cycles(maps: list):
+    """The cycles on which the critical orbits of the periodic map sequence
+    maps[0], ..., maps[k-1], maps[0], ... settle, with no map composed.
+
+    Every attracting cycle of the period map Q = maps[k-1] o ... o maps[0]
+    attracts a critical point of Q (Fatou), and the orbit of that point runs
+    along the sequence through a critical point of some maps[j].  So each
+    of the k (d - 1) critical points of the maps is walked along the
+    sequence from its own phase, for at most DEFAULT_MAX_ITER periods.  A
+    walk stops when it leaves the escape radius of every map; when a
+    phase-0 point comes within CYCLE_TOL of a phase-0 point of a cycle
+    already found; or when its last CYCLE_TAIL_LEN phase-0 points, checked
+    every CYCLE_TAIL_LEN periods and at the end, repeat with a period m
+    (`_tail_period`).  That cycle is polished by Newton on its m k maps
+    (`_sequence_cycle`) and kept unless it meets a cycle already found.
+
+    Returns (cycles, undetermined).  cycles lists (points, multiplier) pairs
+    sorted by (len(points), points[0].real, points[0].imag): the L = m k
+    points of the cycle, point t in the fiber where maps[t % k] applies
+    next, from its least phase-0 point in (real, imag) order, and the
+    product of the maps' derivatives along it.  A cycle may repel (an
+    exactly periodic float orbit), so callers judge the multiplier.
+    undetermined counts the critical orbits that neither escape nor settle,
+    and the critical points of a map whose root solve failed.
+    """
+    k = len(maps)
+    radius = max(_one_var_radius(g.coeffs) for g in maps)
+    horner = [(complex(g.coeffs[-1]), [complex(a) for a in g.coeffs[-2::-1]])
+              for g in maps]
+    cycles, known, undetermined = [], [], 0
+    for j, g in enumerate(maps):
+        try:
+            crits = roots(g.deriv())
+        except NumericalError:
+            undetermined += g.degree - 1
+            continue
+        for c in crits:
+            x, phase, n = complex(c), j, 0
+            tail = deque(maxlen=CYCLE_TAIL_LEN)
+            while n < DEFAULT_MAX_ITER:
+                # Horner in `npoly.polyval`'s order, as `Poly1.walk`
+                top, rest = horner[phase]
+                acc = top + x * 0
+                for a in rest:
+                    acc = a + acc * x
+                x = acc
+                phase = phase + 1 if phase + 1 < k else 0
+                if not abs(x) <= radius:  # escaped, or inf or NaN
+                    break
+                if phase:
+                    continue
+                n += 1
+                tail.append(x)
+                if any(abs(x - y) < CYCLE_TOL for y in known):
+                    break
+                if n % CYCLE_TAIL_LEN and n < DEFAULT_MAX_ITER:
+                    continue
+                m = _tail_period(tail)
+                if m is not None:
+                    pts, mult = _sequence_cycle(maps, m, x)
+                    if not any(abs(pts[0] - y) < CYCLE_TOL for y in known):
+                        cycles.append((pts, mult))
+                        known.extend(pts[::k].tolist())
+                    break
+            else:
+                undetermined += 1
+    cycles.sort(key=lambda c: (len(c[0]), c[0][0].real, c[0][0].imag))
+    return cycles, undetermined
+
+
+def _trap_chains(maps: list, radius: float) -> list:
+    """Certified trapping disks around the attracting cycles of the periodic
+    map sequence maps[0], ..., maps[k-1], maps[0], ... (`fiber_cycles`).
+
+    One (centers, radii) pair per certified cycle: for a cycle of length
+    L = m * k, its L points, disk t belonging to maps[t % k].  That map,
+    evaluated by float Horner, sends every float point of disk t strictly
+    into disk (t + 1) % L, and every disk lies inside `radius`, so an orbit
+    that enters a disk never leaves the disks and never escapes.  The
+    certificate: with t_j the Taylor coefficients of g = maps[t % k] at c_t
+    and a_j those of g, r_{t+1} >= (1 + 1e-6) (|t_0 - c_{t+1}| + sum_{j>=1}
+    |t_j| r_t^j + 64 d^2 eps sum_j |a_j| (|c_t| + r_t)^j), where the last
+    term bounds the rounding both of the grid's Horner step and of the t_j.
+    The chain starts at r_0 = 0.5, halved up to 60 times, and closes when it
+    comes back around within r_0.  A cycle whose chain never closes (every
+    repelling one) gets no disks.
+    """
     chains = []
-    for cyc in cycles:
-        centers = [complex(cyc[0])]
-        for t in range(len(cyc) * k - 1):
-            centers.append(complex(maps[t % k](centers[-1])))
-        radii = _close_disk_chain(centers, maps, radius)
+    for centers, _ in fiber_cycles(maps)[0]:
+        radii = _close_disk_chain(centers.tolist(), maps, radius)
         if radii is not None:
-            chains.append((np.array(centers), np.array(radii)))
+            chains.append((centers, np.array(radii)))
     return chains
 
 

@@ -21,14 +21,11 @@ __all__ = [
     "Poly2",
     "SkewProduct",
     "RootFindError",
-    "eval_skew",
     "check_regular",
     "fiber_poly",
     "roots",
-    "compose_fiber",
 ]
 
-COMPOSE_DEGREE_CAP = 4096
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -87,11 +84,6 @@ class Poly1:
 
     def __sub__(self, other: "Poly1") -> "Poly1":
         return Poly1(npoly.polysub(self.coeffs, other.coeffs))
-
-    @staticmethod
-    def from_roots(rts, leading=1.0) -> "Poly1":
-        c = npoly.polyfromroots(np.asarray(rts, dtype=complex))
-        return Poly1(c * complex(leading))
 
     def walk(self, z):
         """The endless forward orbit p(z), p^2(z), ... of the scalar z, each
@@ -186,37 +178,10 @@ def check_regular(f: SkewProduct):
     return True, "regular"
 
 
-def eval_skew(f: SkewProduct, x):
-    """Apply f = (p(z), q(z, w)) to the point x = (z, w)."""
-    z, w = x
-    return f.p(z), f.q(z, w)
-
-
 def fiber_poly(f: SkewProduct, z) -> Poly1:
     """The one-variable fiber map w -> q(z, w) over base point z."""
     z = complex(z)
     return Poly1(npoly.polyval(z, f.q.coeffs))
-
-
-def compose_fiber(f: SkewProduct, z, n: int, cap: int = COMPOSE_DEGREE_CAP) -> Poly1:
-    """Explicit coefficients of the n-step fiber composition over z.
-
-    Chains the fiber maps along the base orbit z, p(z), ..., p^{n-1}(z).
-    Fails if the resulting degree d^n exceeds `cap` (coefficient blowup);
-    callers should fall back to pointwise orbit evaluation.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = f.degree
-    if d**n > cap:
-        raise ValueError(
-            f"composed degree {d}^{n} exceeds cap {cap}; evaluate pointwise instead"
-        )
-    orbit = f.p.orbit(z, n)
-    comp = fiber_poly(f, orbit[0])
-    for zk in orbit[1:]:
-        comp = fiber_poly(f, zk).compose(comp)
-    return comp
 
 
 class RootFindError(NumericalError):

@@ -13,6 +13,7 @@ from skewdyn.critpost import (
     DEFAULT_MARGIN,
     _attracting_cycle_from_tail,
     _cluster,
+    _fibers_hyperbolic,
     acc_cloud,
     acc_full_probe,
     apt_cloud,
@@ -25,8 +26,9 @@ from skewdyn.critpost import (
 )
 from skewdyn.engine import _one_var_radius, chordal_distance
 from skewdyn.errors import PreconditionError
-from skewdyn.families import make_Fa, make_product
-from skewdyn.poly import Poly1, compose_fiber, fiber_poly, roots
+from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
+    make_product
+from skewdyn.poly import Poly1, fiber_poly, roots
 from skewdyn.sets import PointCloud, sample_J2_inverse, sample_base_julia
 
 
@@ -236,9 +238,82 @@ def test_saddle_invariants():
             z = complex(f.p(z))
         assert abs(z - s.cycle[0][0]) < 1e-7
         assert abs(w - s.cycle[0][1]) < 1e-7
-        # vertical multiplier equals the derivative of the composed fiber map
-        Q = compose_fiber(f, s.base_point, n)
-        assert abs(Q.deriv()(s.fiber_point) - s.vertical_multiplier) < 1e-6
+
+        # vertical multiplier equals a central difference of the fiber maps
+        # applied pointwise along the cycle
+        def period_map(w):
+            for zk in s.cycle[:, 0]:
+                w = complex(fiber_poly(f, zk)(w))
+            return w
+
+        h = 1e-6
+        fd = (period_map(s.fiber_point + h)
+              - period_map(s.fiber_point - h)) / (2 * h)
+        assert abs(fd - s.vertical_multiplier) < 1e-6
+
+
+@pytest.mark.parametrize("maker, count", [
+    (lambda: make_Fa(-1), 11),
+    (lambda: make_Fa(0.1), 7),
+    (lambda: make_Fa(0), 7),
+    (make_fig3, 5),
+    (lambda: make_airplane_skew(3), 1),
+])
+def test_saddles_at_period_four(maker, count):
+    f = maker()
+    saddles = find_saddles(f, max_base_period=4)
+    assert len(saddles) == count
+    for s in saddles:
+        z, w = s.cycle[:, 0], s.cycle[:, 1]
+        # the cycle starts at its least fiber point over the base point
+        assert (z[0], w[0]) == (s.base_point, s.fiber_point)
+        over = w[::s.base_period]
+        assert (w[0].real, w[0].imag) == min((x.real, x.imag) for x in over)
+        # every fiber cycle closes to 1e-12 along its base orbit
+        img = np.array([fiber_poly(f, zk)(wk) for zk, wk in s.cycle])
+        nxt = np.roll(w, -1)
+        assert np.all(np.abs(img - nxt) <= 1e-12 * np.maximum(1.0, abs(nxt)))
+        assert abs(s.vertical_multiplier) < 1.0 - DEFAULT_MARGIN
+    # canonical order: base period, then (for each base point) cycle length,
+    # then fiber point
+    keys = [(s.base_period, len(s.cycle), s.fiber_point.real,
+             s.fiber_point.imag) for s in saddles]
+    for a, b, sa, sb in zip(keys, keys[1:], saddles, saddles[1:]):
+        assert a[0] <= b[0]
+        if sa.base_point == sb.base_point:
+            assert a[1:] < b[1:]
+
+
+def test_fibers_hyperbolic_sees_misiurewicz_fiber():
+    # the fiber of Fa(i) over the fixed point z = 1 is w^2 + i: its critical
+    # orbit lands on a repelling 2-cycle, so it is not hyperbolic, at any
+    # sequence length; the fiber of Fa(-1) there, w^2 - 1, is
+    g = fiber_poly(make_Fa(1j), 1.0)
+    for k in (1, 2, 3):
+        ok, margin = _fibers_hyperbolic([g] * k, DEFAULT_MARGIN)
+        assert not ok and margin < 0.0
+    assert _fibers_hyperbolic([fiber_poly(make_Fa(-1), 1.0)] * 2,
+                              DEFAULT_MARGIN) == (True, 1.0)
+
+
+@pytest.mark.parametrize("maps", [
+    [Poly1([0, 0, 1]), Poly1([-0.2, 0, 1])],
+    [Poly1([-1, 0, 1]), Poly1([-0.1j, 0, 1])],
+    [Poly1([0.25j, 0, 1]), Poly1([-0.3, 0, 1]), Poly1([0.1, 0, 1])],
+    [Poly1([0.3, 0, 1]), Poly1([0.2, 0, 1])],
+    [Poly1([-1.9, 0, 1]), Poly1([-1.9, 0, 1])],
+])
+def test_fibers_hyperbolic_matches_composed_period_map(maps):
+    # the sequence test equals the one-variable test of the composed map:
+    # attracting cycles, escaping critical orbits, and (w^2 - 1.9) critical
+    # orbits that stay bounded and settle nowhere
+    Q = maps[0]
+    for g in maps[1:]:
+        Q = g.compose(Q)
+    ok, margin = _fibers_hyperbolic(maps, DEFAULT_MARGIN)
+    want_ok, want_margin = attract_or_escape_1d(Q, DEFAULT_MARGIN)
+    assert ok == want_ok
+    assert abs(margin - want_margin) < 1e-12
 
 
 def test_certify_product_of_hyperbolic_maps():

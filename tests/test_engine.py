@@ -7,6 +7,7 @@ from skewdyn.engine import (
     Rect,
     chordal_distance,
     derive_escape_radius,
+    fiber_cycles,
     repelling_cycles,
 )
 from skewdyn.poly import RootFindError
@@ -23,10 +24,13 @@ def test_radius_for_pure_square():
 
 @pytest.mark.parametrize("maker", [lambda: make_Fa(-1), make_fig3])
 def test_radius_defining_property(maker):
+    # 100 uniform samples of the square of half-side base_radius about 0
     f = maker()
     params = derive_escape_radius(f)
     rng = np.random.default_rng(0)
-    zs = params.base_window.sample(100, seed=1)
+    square = np.random.default_rng(1)
+    b = params.base_radius
+    zs = square.uniform(-b, b, 100) + 1j * square.uniform(-b, b, 100)
     ws = params.radius * np.exp(2j * np.pi * rng.random(1000))
     for z in zs:
         vals = np.abs(fiber_poly(f, z)(ws))
@@ -75,6 +79,92 @@ def test_repelling_cycles_empty_when_roots_fail(monkeypatch):
     assert repelling_cycles(Poly1([-1, 0, 1]), 2) == []
 
 
+def _closes(maps, pts, tol=1e-12):
+    k = len(maps)
+    img = np.array([maps[t % k](w) for t, w in enumerate(pts)])
+    nxt = np.roll(pts, -1)
+    return np.all(np.abs(img - nxt) <= tol * np.maximum(1.0, np.abs(nxt)))
+
+
+@pytest.mark.parametrize("maps", [
+    [Poly1([0, 0, 1]), Poly1([-0.2, 0, 1])],
+    [Poly1([-1, 0, 1]), Poly1([-0.1j, 0, 1])],
+    [Poly1([0.25j, 0, 1]), Poly1([-0.3, 0, 1]), Poly1([0.1, 0, 1])],
+    [Poly1([-0.5, 0, 0, 1]), Poly1([0.2j, -0.3, 0, 1])],
+])
+def test_fiber_cycles_are_fixed_points_of_the_composed_map(maps):
+    # each cycle point over phase 0 is a root of Q(w) - w, Q composed here,
+    # and the multiplier is Q' there
+    Q = maps[0]
+    for g in maps[1:]:
+        Q = g.compose(Q)
+    cycles, undetermined = fiber_cycles(maps)
+    assert cycles and undetermined == 0
+    k = len(maps)
+    for pts, mult in cycles:
+        assert len(pts) % k == 0 and _closes(maps, pts)
+        m = len(pts) // k
+        Qm = Q
+        for _ in range(m - 1):
+            Qm = Q.compose(Qm)
+        assert abs(Qm(pts[0]) - pts[0]) < 1e-10
+        assert abs(Qm.deriv()(pts[0]) - mult) < 1e-9
+        assert abs(mult) < 1.0
+
+
+def test_fiber_cycles_order_and_long_periods():
+    # w^2 - 1 twelve times over: its 2-cycle {0, -1} splits into two cycles
+    # of the period map, found in (length, real, imaginary) order from -1
+    g = Poly1([-1, 0, 1])
+    cycles, undetermined = fiber_cycles([g] * 12)
+    assert undetermined == 0
+    assert [(len(p), p[0], m) for p, m in cycles] == [(12, -1, 0), (12, 0, 0)]
+    # eight different maps: one attracting cycle, closed to 1e-12, with
+    # the multiplier of a central difference along it
+    maps = [Poly1([0.1 * np.exp(2j * np.pi * t / 8), 0, 1]) for t in range(8)]
+    (pts, mult), = fiber_cycles(maps)[0]
+
+    def period_map(w):
+        for q in maps:
+            w = q(w)
+        return w
+
+    assert _closes(maps, pts)
+    fd = (period_map(pts[0] + 1e-6) - period_map(pts[0] - 1e-6)) / 2e-6
+    assert abs(fd - mult) < 1e-6
+
+
+def test_fiber_cycles_polish_slowly_attracting_cycles():
+    # w^3 + 1.01 w: two attracting fixed points +-0.1i, one for each
+    # critical point, of multiplier 0.98; the tails come within about 1e-6
+    # of them, the Newton polish within an ulp
+    g = Poly1([0, 1.01, 0, 1])
+    cycles, undetermined = fiber_cycles([g])
+    assert undetermined == 0 and len(cycles) == 2
+    got = sorted((pts[0] for pts, _ in cycles), key=lambda w: w.imag)
+    assert np.max(np.abs(np.array(got) - [-0.1j, 0.1j])) < 1e-15
+    for pts, mult in cycles:
+        assert abs(mult - 0.98) < 1e-12 and _closes([g], pts)
+
+
+def test_fiber_cycles_count_orbits_that_settle_nowhere():
+    # w^2 - 1.9: bounded chaotic critical orbits; w^2 + 0.3: they escape;
+    # w^2 + i: an exactly periodic repelling 2-cycle, which is reported
+    assert fiber_cycles([Poly1([-1.9, 0, 1])] * 3) == ([], 3)
+    assert fiber_cycles([Poly1([0.3, 0, 1])] * 2) == ([], 0)
+    (pts, mult), = fiber_cycles([Poly1([1j, 0, 1])])[0]
+    assert sorted(pts.tolist(), key=lambda w: w.real) == [-1 + 1j, -1j]
+    assert abs(abs(mult) - 4 * 2 ** 0.5) < 1e-12
+
+
+def test_fiber_cycles_count_critical_points_of_failed_solves(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootFindError("no roots")
+
+    monkeypatch.setattr(engine, "roots", fail)
+    assert fiber_cycles([Poly1([0, 0, 0, 1])] * 2) == ([], 4)
+
+
 def test_chordal_special_values():
     assert chordal_distance(0.0, None) == 2.0
     assert chordal_distance(None, None) == 0.0
@@ -97,8 +187,6 @@ def test_rect_helpers():
     r = Rect.square(1.0 + 1.0j, 0.5)
     assert r.re_min == 0.5 and r.im_max == 1.5
     assert abs(r.max_abs() - abs(1.5 + 1.5j)) < 1e-15
-    s = r.sample(100, seed=0)
-    assert np.all((s.real >= 0.5) & (s.real <= 1.5))
 
 
 def test_escape_params_with_max_iter():
