@@ -62,26 +62,8 @@ class ContinuationTrace:
     reason: str | None = None
 
 
-def _newton_base(f: SkewProduct, z0: complex, n: int, tol: float,
-                 max_iter: int = 60):
-    z = complex(z0)
-    dp = f.p.deriv()
-    for _ in range(max_iter):
-        orbit = f.p.orbit(z, n + 1)
-        val = orbit[-1] - z
-        mu = complex(np.prod(dp(np.array(orbit[:-1]))))
-        deriv = mu - 1.0
-        if deriv == 0:
-            return None
-        step = val / deriv
-        z = z - step
-        if abs(val) < tol and abs(step) < tol:
-            return z, mu
-    return None
-
-
 def _solve_at(f, z_pred, w_pred, n_base, n_fiber, tol):
-    rb = _newton_base(f, z_pred, n_base, tol)
+    rb = _newton_fiber([f.p] * n_base, z_pred, tol)
     if rb is None:
         return None
     z, mu_b = rb

@@ -17,8 +17,6 @@ from scipy.spatial import cKDTree
 
 from .engine import (
     EscapeParams,
-    _attracting_cycle_from_tail,
-    _bounded_critical_tails,
     chordal_distance,
     derive_escape_radius,
     fiber_cycles,
@@ -81,29 +79,19 @@ class CertificationReport:
 
 
 def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN):
-    """Hyperbolicity test for a one-variable polynomial.
+    """Hyperbolicity test for a one-variable polynomial of degree >= 2: the
+    one-map case of `_fibers_hyperbolic`.
 
-    Every critical orbit must either escape or settle within 1e-6 of a
-    detected attracting cycle whose multiplier modulus is below 1 - margin.
-    Returns (ok, worst_margin) where worst_margin is the smallest
-    attraction/escape margin observed over the critical points.
+    Every critical orbit must either escape or settle on a cycle found by
+    walking the critical orbits of g (`engine.fiber_cycles`) whose
+    multiplier modulus is below 1 - margin.  Returns (ok, worst_margin):
+    the least 1 - |multiplier| over those cycles, 1 when every critical
+    orbit escapes, and (False, 0.0) when some bounded critical orbit
+    settles on no cycle or the critical points cannot be solved for.
     """
     if g.degree < 2:
         raise PreconditionError("degree must be >= 2 for the 1D test")
-    worst = np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tail in _bounded_critical_tails(g):
-            found = _attracting_cycle_from_tail(g, tail)
-            if found is None:
-                return False, 0.0
-            _, mult = found
-            m = 1.0 - abs(mult)
-            if m < margin:
-                return False, m
-            worst = min(worst, m)
-    if worst is np.inf or worst == np.inf:
-        worst = 1.0  # all critical orbits escaped
-    return True, float(worst)
+    return _fibers_hyperbolic([g], margin)
 
 
 def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:

@@ -8,10 +8,8 @@ trapping disks that certify the attracting ones, and the chordal
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -159,32 +157,6 @@ def _tail_period(tail):
     return None
 
 
-def _attracting_cycle_from_tail(g: Poly1, tail: np.ndarray):
-    """Detect an attracting cycle from an orbit tail by self-distance
-    minimization (`_tail_period`); returns (cycle, multiplier) or None."""
-    m = _tail_period(tail)
-    if m is None:
-        return None
-    cyc = np.asarray(tail, dtype=complex)[-m:]
-    return cyc, complex(np.prod(g.deriv()(cyc)))
-
-
-def _bounded_critical_tails(g: Poly1):
-    """Lazily, the last CYCLE_TAIL_LEN iterates of each critical orbit of g
-    that stays within the escape radius for DEFAULT_MAX_ITER steps; escaping
-    orbits yield nothing.  Callers set the numpy error state."""
-    radius = _one_var_radius(g.coeffs)
-    for c in roots(g.deriv()):
-        tail = []
-        for n, x in enumerate(islice(g.walk(c), DEFAULT_MAX_ITER)):
-            if not math.isfinite(x.real) or abs(x) > radius:
-                break
-            if n >= DEFAULT_MAX_ITER - CYCLE_TAIL_LEN:
-                tail.append(x)
-        else:
-            yield np.array(tail)
-
-
 def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
     """Newton on w -> (q_{n-1} o ... o q_0)(w) - w over the given fiber maps,
     evaluated along the orbit; returns (w, multiplier) or None."""
@@ -208,11 +180,15 @@ def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
 
 
 def _sequence_cycle(maps: list, m: int, w0: complex):
-    """The cycle of length m k through (about) the phase-0 point w0 of the
-    sequence maps[0..k-1], as (points, multiplier): w0 polished by Newton
-    on the m k maps (kept as is if Newton fails), its orbit started at its
-    least phase-0 point in (real, imag) order, and the chain-rule product of
-    the maps' derivatives along it."""
+    """The cycle through (about) the phase-0 point w0 of the sequence
+    maps[0..k-1] whose tail repeats with period m, as (points, multiplier):
+    w0 polished by Newton on the m k maps (kept as is if Newton fails); the
+    cycle length m' k, m' the least divisor of m whose phase-0 point m' k
+    steps on returns to within CYCLE_TOL of the polished point (a tail that
+    has not settled after CYCLE_TAIL_LEN periods, as near a multiplier
+    close to a root of unity, can repeat with a multiple of the true
+    period); its orbit started at its least phase-0 point in (real, imag)
+    order, and the chain-rule product of the maps' derivatives along it."""
     k = len(maps)
     seq = maps * m
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,6 +196,9 @@ def _sequence_cycle(maps: list, m: int, w0: complex):
         pts = [complex(w0) if polished is None else polished[0]]
         for g in seq[:-1]:
             pts.append(complex(g(pts[-1])))
+        m = next(d for d in range(1, m + 1) if m % d == 0 and (
+            d == m or abs(pts[d * k] - pts[0]) < CYCLE_TOL))
+        seq, pts = seq[:m * k], pts[:m * k]
         first = min(range(0, len(pts), k),
                     key=lambda i: (pts[i].real, pts[i].imag))
         pts = pts[first:] + pts[:first]

@@ -135,6 +135,38 @@ def test_certify_strict_failure_exit_code(tmp_path):
     assert rep["verdict"].startswith("Failed")
 
 
+# w^2 - 0.742016 has the attracting fixed point -0.496, multiplier -0.992
+NEAR_PARABOLIC = ["--family", "product", "--p", "0,0,1", "--q=-0.742016,0,1"]
+
+
+def test_certify_near_parabolic_fiber_fails_clause_iii(tmp_path):
+    # clause (iii) margin 1 - 0.992: the fixed point must not be reported
+    # as a 2-cycle of multiplier 0.992^2
+    out = tmp_path / "c"
+    assert main(["certify", *NEAR_PARABOLIC, "--n-base", "200",
+                 "--n-j2", "2000", "--out", str(out)]) == 0
+    rep = load(out, "certify.json")
+    assert rep["verdict"] == "Failed(iii)"
+    assert abs(rep["clauses"]["iii"]["margin"] - 0.008) < 1e-9
+
+
+def test_saddles_over_near_parabolic_fiber(tmp_path):
+    # over a base n-cycle the fiber fixed point is an n-cycle of multiplier
+    # (-0.992)^n, a saddle for n = 2, 3 only
+    out = tmp_path / "s1"
+    assert main(["saddles", *NEAR_PARABOLIC, "--max-period", "1",
+                 "--out", str(out)]) == 0
+    assert load(out, "saddles.json")["count"] == 0
+    out = tmp_path / "s3"
+    assert main(["saddles", *NEAR_PARABOLIC, "--out", str(out)]) == 0
+    orbits = load(out, "saddles.json")["orbits"]
+    assert [(o["base_period"], len(o["cycle"])) for o in orbits] == [
+        (2, 2), (3, 3), (3, 3)]
+    for o in orbits:
+        assert abs(o["vertical_multiplier_abs"]
+                   - 0.992 ** o["base_period"]) < 1e-9
+
+
 def test_precondition_exit_code(tmp_path):
     # continuation only supports the twisted quadratic family
     rc = main(["continue", "--family", "fig3",

@@ -87,6 +87,23 @@ def test_saddle_inequalities_along_trace():
         assert abs(s.mu_vert) < 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_continuation_beyond_base_period_one(n):
+    # the base point is solved by the same Newton loop as the fiber point,
+    # here on n copies of p
+    f = make_Fa(-1)
+    start = next(s for s in find_saddles(f, max_base_period=n)
+                 if s.base_period == n)
+    trace = continue_orbit(_path(-1.0, -1.05, 6), start)
+    assert trace.outcome == "Completed"
+    dp = f.p.deriv()
+    for s in trace.steps:
+        orbit = f.p.orbit(s.z, n + 1)
+        assert abs(orbit[n] - s.z) < 1e-11
+        assert abs(s.mu_base - np.prod(dp(np.array(orbit[:n])))) < 1e-12
+        assert abs(s.mu_vert) < 1.0
+
+
 def test_path_needs_two_samples():
     with pytest.raises(PreconditionError):
         ParamPath(build=make_Fa, samples=np.array([-1.0]))

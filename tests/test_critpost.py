@@ -1,7 +1,8 @@
+import cmath
 import json
+import math
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
@@ -11,7 +12,6 @@ from conftest import validate_schema
 from skewdyn.cli import main
 from skewdyn.critpost import (
     DEFAULT_MARGIN,
-    _attracting_cycle_from_tail,
     _cluster,
     _fibers_hyperbolic,
     acc_cloud,
@@ -24,11 +24,12 @@ from skewdyn.critpost import (
     postcritical_cloud,
     verify_trapping,
 )
-from skewdyn.engine import _one_var_radius, chordal_distance
+from skewdyn import engine
+from skewdyn.engine import chordal_distance, fiber_cycles
 from skewdyn.errors import PreconditionError
 from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
     make_product
-from skewdyn.poly import Poly1, fiber_poly, roots
+from skewdyn.poly import Poly1, RootFindError, fiber_poly
 from skewdyn.sets import PointCloud, sample_J2_inverse, sample_base_julia
 
 
@@ -59,49 +60,58 @@ def test_attract_or_escape_1d_rejects_degree_one():
         attract_or_escape_1d(Poly1([1.0, 0.5]))
 
 
-def _reference_attract_or_escape(g, max_iter=2000, tail_len=160):
-    """attract_or_escape_1d with every critical orbit stepped by
-    npoly.polyval and tested with np.isfinite."""
-    radius = _one_var_radius(g.coeffs)
-    worst = np.inf
-    for c in roots(g.deriv()):
-        x, tail = complex(c), []
-        for n in range(max_iter):
-            x = complex(npoly.polyval(x, g.coeffs))
-            if not np.isfinite(x.real) or abs(x) > radius:
-                break
-            if n >= max_iter - tail_len:
-                tail.append(x)
-        else:
-            found = _attracting_cycle_from_tail(g, np.array(tail))
-            if found is None:
-                return False, 0.0
-            m = 1.0 - abs(found[1])
-            if m < DEFAULT_MARGIN:
-                return False, m
-            worst = min(worst, m)
-    return True, 1.0 if worst == np.inf else float(worst)
+def _check_quadratic_margins(lam, k):
+    # w^2 + c with an attracting fixed point of multiplier lam, and w^2 + c
+    # with an attracting 2-cycle of multiplier lam; over k copies of the map
+    # the fixed point is a cycle of length k with multiplier lam^k, the
+    # 2-cycle one of length lcm(2, k) with multiplier lam^(lcm(2, k) / 2)
+    for c, per in ((lam / 2 - lam ** 2 / 4, 1), (lam / 4 - 1, 2)):
+        g = Poly1([c, 0, 1])
+        want = 1.0 - abs(lam) ** (math.lcm(per, k) // per)
+        got = [_fibers_hyperbolic([g] * k, DEFAULT_MARGIN)]
+        if k == 1:
+            got.append(attract_or_escape_1d(g))
+        for ok, margin in got:
+            assert ok == (want >= DEFAULT_MARGIN), (lam, per, k)
+            assert abs(margin - want) < 1e-9, (lam, per, k)
 
 
-def test_attract_or_escape_1d_matches_polyval_walk():
-    # perturbed quadratics (around attracting, parabolic, escaping and
-    # boundary parameters) and cubics with both critical orbits in play
-    rng = np.random.default_rng(5)
-    panel = []
-    for c in (0, -1, -0.12 + 0.75j, 0.25, -0.75, 1j, 0.3, -1.7549):
-        for _ in range(4):
-            eps = 0.05 * (rng.standard_normal() + 1j * rng.standard_normal())
-            panel.append(Poly1([c + eps, 0, 1]))
-    for _ in range(24):
-        a, b = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        panel.append(Poly1([b, a, 0, 1]))
-    verdicts = set()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g in panel:
-            got = attract_or_escape_1d(g)
-            assert repr(got) == repr(_reference_attract_or_escape(g)), g
-            verdicts.add(got[0])
-    assert verdicts == {True, False}
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 0.98), st.floats(0.0, 2.0 * math.pi),
+       st.integers(1, 4))
+def test_margin_is_one_minus_the_cycle_multiplier(r, theta, k):
+    _check_quadratic_margins(cmath.rect(r, theta), k)
+
+
+@pytest.mark.parametrize("lam", [-0.992, 0.98 * cmath.exp(2j * math.pi / 3),
+                                 0.98j])
+def test_margin_near_roots_of_unity(lam):
+    # multipliers near a q-th root of unity: the critical tail still spirals
+    # after 160 steps and repeats with period q before it settles
+    for k in (1, 2, 3):
+        _check_quadratic_margins(lam, k)
+
+
+def test_attract_or_escape_1d_cubic_with_two_attracting_cycles():
+    # g(w) = w - w (w - 1)(w - 0.6) / 2 has critical points -1/3 and 1.4;
+    # they settle on the fixed points 0 (multiplier 0.7, margin 0.3) and 1
+    # (multiplier 0.8, margin 0.2).  A failing map reports the least margin
+    # over its cycles, not that of the first critical point that fails
+    g = Poly1([0, 0.7, 0.8, -0.5])
+    (zero, mu0), (one, mu1) = fiber_cycles([g])[0]
+    assert abs(zero[0]) < 1e-12 and abs(one[0] - 1) < 1e-12
+    assert abs(mu0 - 0.7) < 1e-12 and abs(mu1 - 0.8) < 1e-12
+    for margin, ok in ((DEFAULT_MARGIN, True), (0.25, False), (0.5, False)):
+        got_ok, got = attract_or_escape_1d(g, margin)
+        assert got_ok == ok and abs(got - 0.2) < 1e-12
+
+
+def test_attract_or_escape_1d_fails_when_critical_points_fail(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootFindError("no roots")
+
+    monkeypatch.setattr(engine, "roots", fail)
+    assert attract_or_escape_1d(Poly1([-1, 0, 1])) == (False, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
