@@ -485,10 +485,11 @@ def find_saddles(f: SkewProduct, max_base_period: int = MAX_BASE_PERIOD):
 
 
 def _fibers_hyperbolic(maps: list, margin: float):
-    """Clause (iii) over one base cycle, whose fiber maps are maps: every
-    critical orbit of the sequence must escape or settle on a cycle
-    (`engine.fiber_cycles`) whose multiplier modulus is below 1 - margin.
-    Returns (ok, worst margin): 0 when some bounded critical orbit settles
+    """Hyperbolicity of the periodic map sequence maps (clause (iii) over
+    one base cycle, whose fiber maps are maps; with one map, clauses (i)
+    and (iv)): every critical orbit of the sequence must escape or settle
+    on a cycle (`engine.fiber_cycles`) whose multiplier modulus is below
+    1 - margin.  Returns (ok, worst margin): 0 when some bounded critical orbit settles
     on no cycle, else the least 1 - |multiplier| over the cycles, 1 when
     every critical orbit escapes."""
     cycles, undetermined = fiber_cycles(maps)

@@ -182,13 +182,12 @@ def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
 def _sequence_cycle(maps: list, m: int, w0: complex):
     """The cycle through (about) the phase-0 point w0 of the sequence
     maps[0..k-1] whose tail repeats with period m, as (points, multiplier):
-    w0 polished by Newton on the m k maps (kept as is if Newton fails); the
-    cycle length m' k, m' the least divisor of m whose phase-0 point m' k
-    steps on returns to within CYCLE_TOL of the polished point (a tail that
-    has not settled after CYCLE_TAIL_LEN periods, as near a multiplier
-    close to a root of unity, can repeat with a multiple of the true
-    period); its orbit started at its least phase-0 point in (real, imag)
-    order, and the chain-rule product of the maps' derivatives along it."""
+    w0 polished by Newton on the m k maps (kept as is if Newton fails), cut
+    to m' k points for the least divisor m' of m after which the polished
+    point returns within CYCLE_TOL (a tail that spirals in, its multiplier
+    near a root of unity, can repeat with a multiple of the period), its
+    orbit started at its least phase-0 point in (real, imag) order, and
+    the chain-rule product of the maps' derivatives along it."""
     k = len(maps)
     seq = maps * m
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,14 +220,15 @@ def fiber_cycles(maps: list):
     phase-0 point comes within CYCLE_TOL of a phase-0 point of a cycle
     already found; or when its last CYCLE_TAIL_LEN phase-0 points, checked
     every CYCLE_TAIL_LEN periods and at the end, repeat with a period m
-    (`_tail_period`).  That cycle is polished by Newton on its m k maps
-    (`_sequence_cycle`) and kept unless it meets a cycle already found.
+    (`_tail_period`).  That cycle is polished by Newton on its m k maps and
+    cut to its least period (`_sequence_cycle`), and kept unless it meets a
+    cycle already found.
 
     Returns (cycles, undetermined).  cycles lists (points, multiplier) pairs
-    sorted by (len(points), points[0].real, points[0].imag): the L = m k
-    points of the cycle, point t in the fiber where maps[t % k] applies
-    next, from its least phase-0 point in (real, imag) order, and the
-    product of the maps' derivatives along it.  A cycle may repel (an
+    sorted by (len(points), points[0].real, points[0].imag): the L points
+    of the cycle (L a multiple of k), point t in the fiber where
+    maps[t % k] applies next, from its least phase-0 point in (real, imag)
+    order, and the product of the maps' derivatives along it.  A cycle may repel (an
     exactly periodic float orbit), so callers judge the multiplier.
     undetermined counts the critical orbits that neither escape nor settle,
     and the critical points of a map whose root solve failed.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -60,36 +60,29 @@ def test_attract_or_escape_1d_rejects_degree_one():
         attract_or_escape_1d(Poly1([1.0, 0.5]))
 
 
-def _check_quadratic_margins(lam, k):
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 0.98), st.floats(0.0, 2.0 * math.pi),
+       st.integers(1, 4))
+# multipliers near a q-th root of unity: the critical tail still spirals
+# after 160 steps and repeats with period q before it settles
+@example(0.992, math.pi, 1)
+@example(0.98, 2.0 * math.pi / 3.0, 1)
+@example(0.98, math.pi / 2.0, 2)
+def test_margin_is_one_minus_the_cycle_multiplier(r, theta, k):
     # w^2 + c with an attracting fixed point of multiplier lam, and w^2 + c
     # with an attracting 2-cycle of multiplier lam; over k copies of the map
     # the fixed point is a cycle of length k with multiplier lam^k, the
     # 2-cycle one of length lcm(2, k) with multiplier lam^(lcm(2, k) / 2)
+    lam = cmath.rect(r, theta)
     for c, per in ((lam / 2 - lam ** 2 / 4, 1), (lam / 4 - 1, 2)):
         g = Poly1([c, 0, 1])
-        want = 1.0 - abs(lam) ** (math.lcm(per, k) // per)
+        want = 1.0 - r ** (math.lcm(per, k) // per)
         got = [_fibers_hyperbolic([g] * k, DEFAULT_MARGIN)]
         if k == 1:
             got.append(attract_or_escape_1d(g))
         for ok, margin in got:
             assert ok == (want >= DEFAULT_MARGIN), (lam, per, k)
             assert abs(margin - want) < 1e-9, (lam, per, k)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0.0, 0.98), st.floats(0.0, 2.0 * math.pi),
-       st.integers(1, 4))
-def test_margin_is_one_minus_the_cycle_multiplier(r, theta, k):
-    _check_quadratic_margins(cmath.rect(r, theta), k)
-
-
-@pytest.mark.parametrize("lam", [-0.992, 0.98 * cmath.exp(2j * math.pi / 3),
-                                 0.98j])
-def test_margin_near_roots_of_unity(lam):
-    # multipliers near a q-th root of unity: the critical tail still spirals
-    # after 160 steps and repeats with period q before it settles
-    for k in (1, 2, 3):
-        _check_quadratic_margins(lam, k)
 
 
 def test_attract_or_escape_1d_cubic_with_two_attracting_cycles():
