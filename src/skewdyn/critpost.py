@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .engine import (
@@ -24,8 +25,8 @@ from .engine import (
 )
 from .errors import NumericalError, PreconditionError
 from .poly import Poly1, SkewProduct, fiber_poly, roots
-from .sets import (CloudIndex, PointCloud, _as_real, min_chordal_distance,
-                   sphere_embed)
+from .sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
+                   min_chordal_distance, sphere_embed)
 
 __all__ = [
     "CriticalSample",
@@ -96,24 +97,23 @@ def attract_or_escape_1d(g: Poly1, margin: float = DEFAULT_MARGIN):
 
 def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     """Single-linkage cluster labels: connected components of the
-    eps-neighbor graph in C^2 (Euclidean on R^4)."""
-    n = len(points_2d)
-    tree = cKDTree(_as_real(points_2d))
-    parent = list(range(n))
+    eps-neighbor graph in C^2 (Euclidean on R^4), numbered 0, 1, ... in
+    order of their least member index.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Repeated rows lie at distance 0 <= eps, so only the byte-distinct rows
+    (in order of first occurrence) enter the graph; every row takes the
+    label of its distinct row.
+    """
+    # imported here: csgraph adds about 20 ms to the CLI's start-up
+    from scipy.sparse.csgraph import connected_components
 
-    for i, j in tree.query_pairs(eps):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    labels = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(labels, return_inverse=True)
-    return labels
+    rows = _as_real(points_2d)
+    keep, inverse = _distinct_rows(rows)
+    i, j = cKDTree(rows[keep]).query_pairs(eps, output_type="ndarray").T
+    graph = coo_matrix((np.ones(len(i), dtype=bool), (i, j)),
+                       shape=(len(keep), len(keep)))
+    # an undirected search labels components in order of their least node
+    return connected_components(graph, directed=False)[1][inverse]
 
 
 def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
@@ -127,34 +127,30 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     """
     spacing = index.spacing if len(index.inverse) > 1 else 0.0
     tol = max(5.0 * spacing, 1e-3)
-    n = len(starts)
-    row = np.full(n, -1, dtype=int)
-    cycles: list[np.ndarray] = []
-    cache: dict[complex, int] = {}
-    for i in range(n):
-        z0 = complex(starts[i])
-        if z0 in cache:
-            row[i] = cache[z0]
-            continue
-        orbit = p.orbit(z0, MAX_BASE_PERIOD + 1)
-        r = -1
+    keep, inverse = _distinct_rows(_as_real(starts))
+    u = np.asarray(starts, dtype=complex)[keep]
+    # array steps find the candidates; the scalar walk decides and builds
+    # each cycle, in order of first occurrence among the starts
+    near = np.zeros(len(u), dtype=bool)
+    zk = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_BASE_PERIOD):
+            zk = p(zk)
+            near |= np.abs(zk - u) < 1e-6
+    rows = np.full(len(u), -1, dtype=int)
+    cycles: list[list] = []
+    for i in np.flatnonzero(near):
+        orbit = p.orbit(u[i], MAX_BASE_PERIOD + 1)
         for k in range(1, MAX_BASE_PERIOD + 1):
-            if abs(orbit[k] - z0) < 1e-9:
-                cycles.append(np.array(orbit[:k], dtype=complex))
-                r = len(cycles) - 1
+            if abs(orbit[k] - orbit[0]) < 1e-9:
+                rows[i] = len(cycles)
+                cycles.append(orbit[:k])
                 break
-        cache[z0] = r
-        row[i] = r
-    if cycles:
-        maxlen = max(len(c) for c in cycles)
-        pad = np.zeros((len(cycles), maxlen), dtype=complex)
-        lens = np.zeros(len(cycles), dtype=int)
-        for i, c in enumerate(cycles):
-            pad[i, : len(c)] = c
-            lens[i] = len(c)
-    else:
-        pad = np.zeros((0, 1), dtype=complex)
-        lens = np.zeros(0, dtype=int)
+    row = rows[inverse]
+    lens = np.array([len(c) for c in cycles], dtype=int)
+    pad = np.zeros((len(cycles), max(lens, default=1)), dtype=complex)
+    for r, c in enumerate(cycles):
+        pad[r, :len(c)] = c
     return {"index": index, "tol": tol, "row": row, "pad": pad, "lens": lens}
 
 
@@ -170,48 +166,48 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     its last trusted step, by orbit and then by step, with owner and step
     the orbit index and step of each row.  An orbit's last `width` trusted
     iterates are kept in a ring buffer as it goes.
+
+    The live orbits are held in compact arrays, the exactly periodic rows
+    first, with their orbit indices; they are compacted only on a step
+    where some orbit stops.  Periodic rows take their next base point from
+    the cycle table and skip f.p; every other value is computed as in an
+    uncompacted walk, so the tails are bit-equal to it.
     """
-    z = np.asarray(zs, dtype=complex).copy()
-    w = np.asarray(ws, dtype=complex).copy()
-    n = len(z)
+    n = len(zs)
     esc = np.full(n, -1, dtype=int)
     end = np.full(n, n_iter, dtype=int)
     ring = np.zeros((n, width, 2), dtype=complex)
-    alive = np.ones(n, dtype=bool)
     radius, base_radius = params.radius, params.base_radius
     index, tol = snap["index"], snap["tol"]
     row, pad, lens = snap["row"], snap["pad"], snap["lens"]
+    ids = np.argsort(row < 0, kind="stable")
+    z = np.asarray(zs, dtype=complex)[ids]
+    w = np.asarray(ws, dtype=complex)[ids]
+    rp = row[row >= 0]  # cycle rows of the live periodic orbits, z[:m]
+    m = len(rp)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_iter + 1):
-            if not alive.any():
+            if not len(ids):
                 break
-            idx = np.where(alive)[0]
-            za, wa = z[idx], w[idx]
-            wn = f.q(za, wa)
-            zn = f.p(za)
-            ra = row[idx]
-            per = ra >= 0
-            if per.any():
-                zn[per] = pad[ra[per], k % lens[ra[per]]]
-            wesc = (~np.isfinite(wn.real) | ~np.isfinite(wn.imag)
-                    | (np.abs(wn) > radius))
+            wn = f.q(z, w)
+            zn = np.concatenate([pad[rp, k % lens[rp]], f.p(z[m:])])
+            wesc = ~(np.abs(wn) <= radius)  # beyond the radius, inf or NaN
             stop = wesc.copy()
-            gen = ~per & ~wesc
-            if gen.any():
-                zg = zn[gen]
-                finite = (np.isfinite(zg.real) & np.isfinite(zg.imag)
-                          & (np.abs(zg) <= base_radius))
-                dd = np.full(gen.sum(), np.inf)
-                if finite.any():
-                    dd[finite] = index.query(_as_real(zg[finite]))[0]
-                stop[gen] = dd > tol
-            esc[idx[wesc]] = k
-            end[idx[stop]] = k - 1
-            alive[idx[stop]] = False
-            z[idx], w[idx] = zn, wn
-            live = ~stop
-            ring[idx[live], (k - 1) % width, 0] = zn[live]
-            ring[idx[live], (k - 1) % width, 1] = wn[live]
+            if m < len(zn):
+                zg = zn[m:]
+                ask = ~wesc[m:] & (np.abs(zg) <= base_radius)
+                if ask.any():
+                    ask[ask] = index.query(_as_real(zg[ask]))[0] <= tol
+                stop[m:] |= ~ask
+            if stop.any():
+                esc[ids[wesc]] = k
+                end[ids[stop]] = k - 1
+                live = ~stop
+                ids, zn, wn, rp = ids[live], zn[live], wn[live], rp[live[:m]]
+                m = len(rp)
+            z, w = zn, wn
+            ring[ids, (k - 1) % width, 0] = z
+            ring[ids, (k - 1) % width, 1] = w
     count = np.minimum(np.ceil(TAIL_FRAC * end).astype(int), width)
     owner = np.repeat(np.arange(n), count)
     first = np.cumsum(count) - count
@@ -226,7 +222,9 @@ def critical_locus(f: SkewProduct, base: PointCloud,
 
     For each base sample z, the roots of dq_z/dw are classified by orbit
     escape; component ids come from single-linkage clustering in C^2 with
-    threshold 3x the nearest-neighbor base spacing.  Each orbit is stepped
+    threshold 3x the median nearest-neighbor base spacing (`_cluster`), and
+    are numbered 0, 1, ... in order of each component's first sample in the
+    returned list (by base point, then by root).  Each orbit is stepped
     once, for params.max_iter steps, by `_run_spans`: it is trusted only
     while the base coordinate stays near the base sample (exactly periodic
     base points never drift); an orbit whose fiber coordinate has not
@@ -341,8 +339,9 @@ def acc_cloud(f: SkewProduct, crit, params: EscapeParams | None = None,
     ACC_ITER steps — for escapers that span ends just before fiber escape,
     so slow escapers shadowing the unstable set of the saddle part are
     retained.  The members of all contributing components are stepped in
-    one `_run_spans` walk; the points are listed by component (in id
-    order), then by step, then by member.  Fiber coordinates above w_bound
+    one `_run_spans` walk; the points are listed by component, in id order
+    (the order of each component's first member in crit), then by step,
+    then by member, in crit order.  Fiber coordinates above w_bound
     (transient fly-out positions) are pruned.
     """
     if not crit:

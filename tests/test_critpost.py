@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,21 +109,42 @@ def test_attract_or_escape_1d_fails_when_critical_points_fail(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=40))
-def test_cluster_matches_connected_components(rows):
-    # integer points in R^4 with eps = 1.5: no distance lies near eps
-    pts = np.array([complex(a, b) for a, b, _, _ in rows]
-                   + [complex(c, d) for _, _, c, d in rows], dtype=complex)
-    pts = pts.reshape(2, -1).T
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=40),
+       st.lists(st.integers(0, 39), max_size=40))
+@example([], [])
+@example([(0, 0, 0, 0)], [])
+@example([(1, 2, 3, 0)], [0, 0, 0])
+def test_cluster_matches_connected_components(rows, repeats):
+    # integer points in R^4 with eps = 1.5: no distance lies near eps;
+    # repeats appends copies of drawn rows
+    rows = rows + [rows[i % len(rows)] for i in repeats if rows]
+    pts = np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows],
+                   dtype=complex).reshape(-1, 2)
     labels = _cluster(pts, 1.5)
     n = len(pts)
     assert labels.shape == (n,)
     real = np.column_stack([pts.real, pts.imag])
     dist = np.linalg.norm(real[:, None, :] - real[None, :, :], axis=2)
-    k, ref = connected_components(csr_matrix(dist <= 1.5), directed=False)
-    # the same partition up to relabelling, labels numbered 0..k-1
-    assert len(set(zip(labels.tolist(), ref.tolist()))) == k
-    assert sorted(set(labels.tolist())) == list(range(k))
+    _, ref = connected_components(csr_matrix(dist <= 1.5), directed=False)
+    # components numbered 0, 1, ... in order of their least member index
+    least = np.array([np.flatnonzero(ref == r)[0] for r in ref], dtype=int)
+    assert np.array_equal(labels, np.unique(least, return_inverse=True)[1])
+
+
+def test_cluster_of_repeated_rows_stays_small():
+    # 8 distinct rows, each 250 times, at eps = 0 (a base sample whose
+    # median spacing is 0): the pairs of equal rows are never listed
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    pts = rows[np.tile(np.arange(8), 250)]
+    tracemalloc.start()
+    try:
+        labels = _cluster(pts, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(labels, np.tile(np.arange(8), 250))
+    assert peak < 2_000_000
 
 
 @pytest.fixture(scope="module")

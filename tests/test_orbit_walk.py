@@ -7,7 +7,8 @@ single batch must equal the old per-component loop.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewdyn.chain import repelling_periodic_points
 from skewdyn.critpost import (
@@ -150,6 +151,14 @@ _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
                                        st.complex_numbers(max_magnitude=3.0))),
                    min_size=1, max_size=25),
 )
+# a single orbit, so every array of the walk has one element
+@example(name="z^2 x w^2-1", n_iter=40, width=5, picks=[(0, 1)])
+# only exactly periodic rows survive step 1 (0.5 drifts): the fixed points
+# 1 and 0 and the 2-cycle of cube roots of 1, over the basilica's 0 <-> -1
+@example(name="z^2 x w^2-1", n_iter=40, width=8,
+         picks=[(60, 0), (65, 0), (61, 0), (63, 0), (62, 1)])
+# one periodic row and one drifting row: a lone periodic row survives
+@example(name="z^2 x w^2-1", n_iter=40, width=8, picks=[(65, 0), (60, 0)])
 def test_run_spans_matches_two_pass_walk(name, n_iter, width, picks):
     f = _MAPS[name]
     pts, params = _base(name)
@@ -173,6 +182,54 @@ def test_run_spans_matches_two_pass_walk(name, n_iter, width, picks):
     assert tail.shape == (len(owner), 2) and tail.dtype == complex
     for i, t in enumerate(ref):
         assert np.array_equal(_bits(tail[owner == i]), _bits(t))
+
+
+def _ref_base_snap_cycles(p, starts):
+    """The per-start loop that `_base_snap` replaced: each start's exact
+    float cycle of period <= 3, or None."""
+    out, cache = [], {}
+    for z0 in map(complex, starts):
+        if z0 not in cache:
+            orbit = p.orbit(z0, 4)
+            cache[z0] = next((np.array(orbit[:k], dtype=complex)
+                              for k in range(1, 4)
+                              if abs(orbit[k] - z0) < 1e-9), None)
+        out.append(cache[z0])
+    return out
+
+
+_Z7 = np.exp(2j * np.pi / 7)  # a 3-cycle of z^2: 1/7 -> 2/7 -> 4/7 turns
+
+
+@pytest.mark.parametrize("p, periodic, others", [
+    # z^2: the fixed points 1 and 0, the 2-cycle of cube roots of 1 and a
+    # 3-cycle; then starts 1e-8 off a cycle, a preperiodic and an
+    # attracted start
+    (Poly1([0, 0, 1]), [1.0, 0.0, _W3, _W3.conjugate(), _Z7, _Z7 ** 2],
+     [1.0 + 1e-8, _W3 + 1e-8j, -1.0, 0.5]),
+    # z^2 - 1: the 2-cycle 0 <-> -1 and the fixed points (1 +- sqrt 5) / 2
+    (Poly1([-1, 0, 1]), [0.0, -1.0, (1 + 5 ** 0.5) / 2, (1 - 5 ** 0.5) / 2],
+     [1e-8, -1.0 + 1e-8j, 1.0, 2.0]),
+])
+def test_base_snap_matches_per_start_loop(p, periodic, others):
+    # the special starts, a base sample, and 120 repeats drawn from both
+    rng = np.random.default_rng(3)
+    sample = sample_base_julia(p, 40, seed=2).points
+    pool = np.concatenate([np.array(periodic + others, dtype=complex),
+                           sample])
+    starts = np.concatenate([pool, pool[rng.integers(0, len(pool), 120)]])
+    snap = _base_snap(p, CloudIndex(_as_real(sample)), starts)
+    ref = _ref_base_snap_cycles(p, starts)
+    k = len(periodic)
+    assert all(c is not None for c in ref[:k])
+    assert all(c is None for c in ref[k:k + len(others)])
+    row, pad, lens = snap["row"], snap["pad"], snap["lens"]
+    for i, cyc in enumerate(ref):
+        if cyc is None:
+            assert row[i] == -1, starts[i]
+        else:
+            got = pad[row[i], :lens[row[i]]]
+            assert np.array_equal(_bits(got), _bits(cyc)), starts[i]
 
 
 def _ref_acc_cloud(f, crit, params, w_bound):
