@@ -193,12 +193,11 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
             zn = np.concatenate([pad[rp, k % lens[rp]], f.p(z[m:])])
             wesc = ~(np.abs(wn) <= radius)  # beyond the radius, inf or NaN
             stop = wesc.copy()
-            if m < len(zn):
-                zg = zn[m:]
-                ask = ~wesc[m:] & (np.abs(zg) <= base_radius)
-                if ask.any():
-                    ask[ask] = index.query(_as_real(zg[ask]))[0] <= tol
-                stop[m:] |= ~ask
+            zg = zn[m:]  # drift test: the generic rows still bounded
+            ask = ~wesc[m:] & (np.abs(zg) <= base_radius)
+            if ask.any():
+                ask[ask] = index.query(_as_real(zg[ask]))[0] <= tol
+            stop[m:] |= ~ask
             if stop.any():
                 esc[ids[wesc]] = k
                 end[ids[stop]] = k - 1
