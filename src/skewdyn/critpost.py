@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .engine import (
@@ -105,6 +104,7 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     label of its distinct row.
     """
     # imported here: csgraph adds about 20 ms to the CLI's start-up
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     rows = _as_real(points_2d)
