@@ -3,7 +3,8 @@
 `_ref_run_spans` finds where each orbit stops and `_ref_collect_windows`
 replays every orbit from step 1 to collect its tail; `_run_spans` must give
 the same escape steps and bit-equal tails in one pass, and `acc_cloud`'s
-single batch must equal the old per-component loop.
+single batch must equal the old per-component loop.  `_base_snap` must give
+every start the cycle, bit for bit, that the per-start loop gave.
 """
 
 import numpy as np
