@@ -75,26 +75,30 @@ class EscapeParams:
         return EscapeParams(self.radius, self.base_radius, m)
 
 
+def _doubling_radius(lead, lower: float, d: int) -> float:
+    """R with |g(w)| >= 2|w| for |w| >= R, for any degree-d g with leading
+    modulus lead and lower coefficient moduli summing to at most lower."""
+    return max(2.0, (4.0 / lead) ** (1.0 / (d - 1)), (2.0 / lead) * (1.0 + lower))
+
+
 def _one_var_radius(coeffs) -> float:
     c = np.asarray(coeffs, dtype=complex)
-    d = len(c) - 1
-    lead = abs(c[-1])
-    lower = float(np.sum(np.abs(c[:-1])))
-    return max(2.0, (4.0 / lead) ** (1.0 / (d - 1)), (2.0 / lead) * (1.0 + lower))
+    return _doubling_radius(abs(c[-1]), float(np.sum(np.abs(c[:-1]))),
+                            len(c) - 1)
 
 
 def derive_escape_radius(f: SkewProduct, base_points=None) -> EscapeParams:
     """Radius R such that |q_z(w)| >= 2|w| for |w| >= R over the base region.
 
     With lead the w^d coefficient of q and `lower` a bound on the sum of
-    the moduli of the lower coefficients b_j(z), j < d, R is the largest of
-    2, (4/lead)^(1/(d-1)) and (2/lead)(1 + lower), so leading-term
-    dominance gives the doubling at every z where `lower` holds, with no
-    sampling check.  Without base_points, `lower` bounds the b_j over the
-    square of half-side base_radius about 0, which holds the base Julia
-    set.  With base_points it is evaluated at those points only, which can
-    be far tighter for bases whose Julia set fills little of its bounding
-    box, and the radius is then proven only at those points.
+    the moduli of the lower coefficients b_j(z), j < d, R is
+    `_doubling_radius(lead, lower, d)`, so leading-term dominance gives the
+    doubling at every z where `lower` holds, with no sampling check.
+    Without base_points, `lower` bounds the b_j over the square of
+    half-side base_radius about 0, which holds the base Julia set.  With
+    base_points it is evaluated at those points only, which can be far
+    tighter for bases whose Julia set fills little of its bounding box, and
+    the radius is then proven only at those points.
     """
     ok, diag = check_regular(f)
     if not ok:
@@ -115,12 +119,8 @@ def derive_escape_radius(f: SkewProduct, base_points=None) -> EscapeParams:
         powers = zmax ** np.arange(c.shape[0])
         B = np.abs(c).T @ powers  # B[j] bounds |b_j(z)| on the square
         lower = float(np.sum(B[:d]))
-    radius = max(
-        2.0,
-        (4.0 / lead) ** (1.0 / (d - 1)),
-        (2.0 / lead) * (1.0 + lower),
-    )
-    return EscapeParams(radius=radius, base_radius=base_radius)
+    return EscapeParams(radius=_doubling_radius(lead, lower, d),
+                        base_radius=base_radius)
 
 
 def repelling_cycles(p: Poly1, n: int) -> list:

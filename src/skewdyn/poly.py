@@ -8,6 +8,7 @@ extends to the projective plane).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -249,9 +250,14 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
     Simultaneous-iteration (Aberth-Ehrlich) solver with a companion-matrix
     eigenvalue fallback; each returned root r satisfies
     |poly(r)| <= tol * coefficient scale (after a Newton polish).
-    Raises RootFindError when neither method meets the residual bound.
+    Raises RootFindError when a coefficient is not finite, or when neither
+    method meets the residual bound.
     """
     c = _trim(poly.coeffs)
+    # not finite when a coefficient is not (max keeps a NaN first argument)
+    scale = max(float(np.max(np.abs(c))), 1.0)
+    if not math.isfinite(scale):
+        raise RootFindError("non-finite polynomial coefficients")
     n = len(c) - 1
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -270,7 +276,6 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
             x = _aberth(core, tol)
             if x is None:
                 x = eig = _companion_eigvals(core)
-        scale = max(float(np.max(np.abs(c))), 1.0)
 
         def misses(x, res):
             # capped below inf, the bound is missed by NaN and inf residuals

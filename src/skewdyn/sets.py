@@ -13,9 +13,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.spatial import cKDTree
 
 from .engine import (EscapeParams, GRID_MAX_ITER, Rect, _trap_chains,
@@ -83,23 +84,48 @@ class FiberSlice:
         return X + 1j * Y
 
 
-def _preimages(poly: Poly1, values: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """One backward step: for each value v, the picks[i]-th root of poly = v."""
-    c = poly.coeffs
-    if len(c) == 3:
-        # quadratic formula, vectorized
+def _preimages(c: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One backward step: the d roots x of g(x) = v for each value v, as
+    (d, n), row k holding branch k (at degree 2 the + and - square roots of
+    the quadratic formula, above it the `roots` order).  c holds the d + 1
+    coefficients of g, or is a (d + 1, n) table, column i for values[i]."""
+    d = len(c) - 1
+    if d == 2:
         a, b, c0 = c[2], c[1], c[0]
         disc = np.sqrt(b * b - 4.0 * a * (c0 - values))
-        r1 = (-b + disc) / (2.0 * a)
-        r2 = (-b - disc) / (2.0 * a)
-        return np.where(picks % 2 == 0, r1, r2)
-    out = np.empty(len(values), dtype=complex)
-    for i, v in enumerate(values):
-        shifted = c.copy()
+        return np.array([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
+    out = np.empty((d, len(values)), dtype=complex)
+    cols = c.T if c.ndim == 2 else repeat(c)
+    for i, (col, v) in enumerate(zip(cols, values)):
+        shifted = col.copy()
         shifted[0] -= v
-        rts = roots(Poly1(shifted))
-        out[i] = rts[picks[i] % len(rts)]
+        out[:, i] = roots(Poly1(shifted))
     return out
+
+
+def _pick(branches: np.ndarray, rng) -> np.ndarray:
+    """One random row of each column of a (d, n) branch array."""
+    d, n = branches.shape
+    return branches[rng.integers(0, d, n), np.arange(n)]
+
+
+def _tree_levels(d: int, n: int) -> int:
+    """The least L with d^L >= n: the levels of a complete degree-d
+    preimage tree that holds n points."""
+    return next(L for L in count() if d ** L >= n)
+
+
+def _pullback(maps, w: np.ndarray, n_random: int, n_points: int,
+              rng) -> np.ndarray:
+    """Pull the points w back through the coefficient vectors `maps`, in
+    order: one random branch per point on the first n_random maps, every
+    branch on the rest (the complete tree, branch-major); then n_points of
+    the points (all, if fewer), drawn at random and kept in tree order."""
+    for i, c in enumerate(maps):
+        branches = _preimages(c, w)
+        w = _pick(branches, rng) if i < n_random else branches.ravel()
+    idx = rng.permutation(len(w))[:n_points]
+    return w[np.sort(idx)]
 
 
 def _repelling_fixed_point(p: Poly1) -> complex:
@@ -110,21 +136,6 @@ def _repelling_fixed_point(p: Poly1) -> complex:
     if len(rep) == 0:
         raise NumericalError("no repelling fixed point found")
     return complex(rep[np.argmax(np.abs(dp(rep)))])
-
-
-def _all_preimages(poly: Poly1, values: np.ndarray) -> np.ndarray:
-    """All d preimages of each value (flattened)."""
-    c = poly.coeffs
-    if len(c) == 3:
-        a, b, c0 = c[2], c[1], c[0]
-        disc = np.sqrt(b * b - 4.0 * a * (c0 - values))
-        return np.concatenate([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
-    out = []
-    for v in values:
-        shifted = c.copy()
-        shifted[0] -= v
-        out.append(roots(Poly1(shifted)))
-    return np.concatenate(out)
 
 
 def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
@@ -142,13 +153,9 @@ def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
         raise PreconditionError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     z = np.array([_repelling_fixed_point(p)], dtype=complex)
-    for _ in range(burn_in):
-        picks = rng.integers(0, p.degree, 1)
-        z = _preimages(p, z, picks)
-    while len(z) < n_points:
-        z = _all_preimages(p, z)
-    idx = rng.permutation(len(z))[:n_points]
-    return PointCloud(z[np.sort(idx)], tag="Jp", seed=seed)
+    maps = repeat(p.coeffs, burn_in + _tree_levels(p.degree, n_points))
+    return PointCloud(_pullback(maps, z, burn_in, n_points, rng), tag="Jp",
+                      seed=seed)
 
 
 def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
@@ -158,22 +165,20 @@ def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
     Uses K_z = q_z^{-1}(K_{p(z)}): starts from a point in the fiber over
     p^depth(z) and pulls back through the chain of fiber maps, taking
     random branches on the deep (burn-in) levels and the complete branch
-    tree on the last levels for even coverage.
+    tree on the last levels for even coverage.  Raises NumericalError when
+    a fiber map along the orbit is not finite (the base orbit escapes).
     """
     rng = np.random.default_rng(seed)
-    chain = f.p.orbit(z, depth)
-    tree_levels = int(np.ceil(np.log(n_points) / np.log(f.degree)))
-    tree_levels = min(tree_levels, depth)
-    w = np.array([2.0 + 0j])
-    for i, zk in enumerate(reversed(chain)):
-        qz = fiber_poly(f, zk)
-        if i >= depth - tree_levels:
-            w = _all_preimages(qz, w)
-        else:
-            picks = rng.integers(0, f.degree, len(w))
-            w = _preimages(qz, w, picks)
-    idx = rng.permutation(len(w))[:n_points]
-    return PointCloud(w[np.sort(idx)], tag=f"Jz({z})", seed=seed)
+    chain = np.array(f.p.orbit(z, depth), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = npoly.polyval(chain, f.q.coeffs)
+    if not np.isfinite(maps).all():
+        raise NumericalError(f"a fiber map along the base orbit of {z} is "
+                             "not finite (the orbit escapes)")
+    tree_levels = min(_tree_levels(f.degree, n_points), depth)
+    w = _pullback(maps.T[::-1], np.array([2.0 + 0j]), depth - tree_levels,
+                  n_points, rng)
+    return PointCloud(w, tag=f"Jz({z})", seed=seed)
 
 
 def fiber_slice(
@@ -320,20 +325,9 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
     z = np.full(n_points, _repelling_fixed_point(f.p), dtype=complex)
     w = np.full(n_points, 2.0, dtype=complex)
     for _ in range(burn_in):
-        picks = rng.integers(0, f.p.degree, n_points)
-        z = _preimages(f.p, z, picks)
-        wpicks = rng.integers(0, f.degree, n_points)
-        c = f.q.coeffs
-        if c.shape[1] == 3 and np.count_nonzero(c[:, 1]) == 0:
-            # degree-2 fiber with no linear term: direct square roots
-            b0 = np.polynomial.polynomial.polyval(z, c[:, 0])
-            b2 = c[0, 2]
-            root = np.sqrt((w - b0) / b2)
-            w = np.where(wpicks % 2 == 0, root, -root)
-        else:
-            for i in range(n_points):
-                w[i] = _preimages(fiber_poly(f, z[i]),
-                                  w[i:i + 1], wpicks[i:i + 1])[0]
+        z = _pick(_preimages(f.p.coeffs, z), rng)
+        # the fiber map over each new z, one column per point
+        w = _pick(_preimages(npoly.polyval(z, f.q.coeffs), w), rng)
     return PointCloud(np.column_stack([z, w]), tag="J2", seed=seed)
 
 

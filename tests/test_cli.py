@@ -183,6 +183,19 @@ def test_precondition_exit_code(tmp_path):
     assert not (tmp_path / "z").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hausdorff", "--family", "fig3", "--fiber-at", "100", "--fiber-b", "5"],
+    ["hausdorff", "--family", "product", "--p", "0,0,0,1",
+     "--q", "0.2,-0.5,0,1", "--fiber-at", "2", "--fiber-b", "1"],
+])
+def test_fiber_over_escaping_base_point_exit_code(tmp_path, argv, capsys):
+    # the base orbit of --fiber-at reaches inf, so its fiber maps do too
+    rc = main(argv + ["--n-samples", "300", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "numerical failure" in err and "Traceback" not in err
+
+
 def test_unknown_lemma_exit_code(tmp_path):
     rc = main(["verify-lemma", "no-such-check", "--out", str(tmp_path / "x")])
     assert rc == 2
