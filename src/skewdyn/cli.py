@@ -175,19 +175,26 @@ def _json_ready(obj):
 
 
 class Emitter:
-    """Collects artifacts in the output directory and writes the manifest."""
+    """Collects artifacts in the output directory and writes the manifest.
+
+    The directory is created by the first write, so a command that fails
+    before it writes anything leaves no directory behind.
+    """
 
     def __init__(self, outdir: str, command: str, config: dict):
         self.outdir = outdir
         self.command = command
         self.config = config
         self.artifacts = []
-        os.makedirs(outdir, exist_ok=True)
+
+    def _path(self, name: str) -> str:
+        os.makedirs(self.outdir, exist_ok=True)
+        return os.path.join(self.outdir, name)
 
     def write(self, name: str, data) -> str:
         if isinstance(data, str):
             data = data.encode()
-        path = os.path.join(self.outdir, name)
+        path = self._path(name)
         with open(path, "wb") as fh:
             fh.write(data)
         self.artifacts.append({
@@ -207,7 +214,7 @@ class Emitter:
             "config": _json_ready(self.config),
             "artifacts": self.artifacts,
         }
-        path = os.path.join(self.outdir, "manifest.json")
+        path = self._path("manifest.json")
         with open(path, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -23,7 +23,7 @@ from .engine import (
     repelling_cycles,
 )
 from .errors import NumericalError, PreconditionError
-from .poly import Poly1, SkewProduct, fiber_poly, roots
+from .poly import _FLOAT_MAX, Poly1, SkewProduct, fiber_poly, roots
 from .sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
                    min_chordal_distance, sphere_embed)
 
@@ -116,6 +116,42 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     return connected_components(graph, directed=False)[1][inverse]
 
 
+def _critical_points(f: SkewProduct, zs):
+    """The fiber critical points over the base points zs, as (i, c): c[k]
+    is a root of dq_z/dw at z = zs[i[k]], by base point and then in
+    `roots`' order.  A base point is skipped where `roots` raises: dq_z/dw
+    is constant or has a coefficient that is not finite, or a root misses
+    its residual bound.
+
+    dq_z/dw is evaluated over all base points in one `npoly.polyval`.  When
+    it is linear, b0(z) + b1(z) w, every root is -b0/b1 (+0j where b0 = 0,
+    the root `roots` peels off), taken at once and tested against `roots`'
+    residual bound; otherwise `roots` runs per base point.
+    """
+    with np.errstate(all="ignore"):
+        coef = npoly.polyval(np.asarray(zs, dtype=complex), f.q.dw().coeffs)
+    if len(coef) != 2:
+        i, c = [], []
+        for k, dcoef in enumerate(coef.T):
+            try:
+                crits = roots(Poly1(dcoef))
+            except (NumericalError, ValueError):
+                continue
+            i.extend([k] * len(crits))
+            c.extend(crits)
+        return np.array(i, dtype=int), np.array(c, dtype=complex)
+    b0, b1 = coef
+    with np.errstate(all="ignore"):  # as in `roots`
+        x = -b0 / b1
+        res = np.abs(b0 + (b1 + x * 0) * x)
+        scale = np.maximum(np.maximum(np.abs(b0), np.abs(b1)), 1.0)
+        bound = np.minimum(1e-10 * scale * np.maximum(1.0, np.abs(x)),
+                           _FLOAT_MAX)
+    ok = (b1 != 0) & np.isfinite(scale) & ((b0 == 0) | (res <= bound))
+    i = np.flatnonzero(ok)
+    return i, np.where(b0[i] == 0, 0j, x[i])
+
+
 def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     """Drift guard and exact-cycle table for forward base orbits.
 
@@ -170,8 +206,12 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     The live orbits are held in compact arrays, the exactly periodic rows
     first, with their orbit indices; they are compacted only on a step
     where some orbit stops.  Periodic rows take their next base point from
-    the cycle table and skip f.p; every other value is computed as in an
-    uncompacted walk, so the tails are bit-equal to it.
+    the cycle table and their fiber map from a table of the coefficients
+    b_j of q evaluated once at every cycle point: Horner in w on the
+    coefficients of the row's cycle phase is `Poly2.__call__`'s Horner on
+    bit-equal values.  The generic rows go through f.q, f.p and the drift
+    test, which are skipped once none is live.  Every value is computed as
+    in an uncompacted walk, so the tails are bit-equal to it.
     """
     n = len(zs)
     esc = np.full(n, -1, dtype=int)
@@ -186,24 +226,38 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     rp = row[row >= 0]  # cycle rows of the live periodic orbits, z[:m]
     m = len(rp)
     with np.errstate(over="ignore", invalid="ignore"):
+        # b[:, r, t]: the w-coefficients of q over cycle r at phase t,
+        # highest power first
+        b = npoly.polyval(pad, f.q.coeffs)[::-1]
+        lr = lens[rp]
         for k in range(1, n_iter + 1):
             if not len(ids):
                 break
-            wn = f.q(z, w)
-            zn = np.concatenate([pad[rp, k % lens[rp]], f.p(z[m:])])
+            phase = (k - 1) % lr
+            wn = np.zeros(m, dtype=complex)
+            for bj in b[:, rp, phase]:  # out of place, as in Poly2.__call__
+                wn = wn * w[:m] + bj
+            zn = pad[rp, k % lr]
             wesc = ~(np.abs(wn) <= radius)  # beyond the radius, inf or NaN
-            stop = wesc.copy()
-            zg = zn[m:]  # drift test: the generic rows still bounded
-            ask = ~wesc[m:] & (np.abs(zg) <= base_radius)
-            if ask.any():
-                ask[ask] = index.query(_as_real(zg[ask]))[0] <= tol
-            stop[m:] |= ~ask
+            stop = wesc
+            if len(ids) > m:
+                wg = f.q(z[m:], w[m:])
+                zg = f.p(z[m:])
+                gesc = ~(np.abs(wg) <= radius)
+                # drift test: the generic rows still bounded
+                ask = ~gesc & (np.abs(zg) <= base_radius)
+                if ask.any():
+                    ask[ask] = index.query(_as_real(zg[ask]))[0] <= tol
+                wn, zn = np.concatenate([wn, wg]), np.concatenate([zn, zg])
+                wesc = np.concatenate([wesc, gesc])
+                stop = np.concatenate([stop, gesc | ~ask])
             if stop.any():
                 esc[ids[wesc]] = k
                 end[ids[stop]] = k - 1
                 live = ~stop
                 ids, zn, wn, rp = ids[live], zn[live], wn[live], rp[live[:m]]
                 m = len(rp)
+                lr = lens[rp]
             z, w = zn, wn
             ring[ids, (k - 1) % width, 0] = z
             ring[ids, (k - 1) % width, 1] = w
@@ -219,33 +273,24 @@ def critical_locus(f: SkewProduct, base: PointCloud,
     """Fiber critical points over a base Julia sample, classified and
     clustered.
 
-    For each base sample z, the roots of dq_z/dw are classified by orbit
-    escape; component ids come from single-linkage clustering in C^2 with
-    threshold 3x the median nearest-neighbor base spacing (`_cluster`), and
-    are numbered 0, 1, ... in order of each component's first sample in the
-    returned list (by base point, then by root).  Each orbit is stepped
-    once, for params.max_iter steps, by `_run_spans`: it is trusted only
-    while the base coordinate stays near the base sample (exactly periodic
-    base points never drift); an orbit whose fiber coordinate has not
-    escaped by the end of its trusted span counts as bounded and its
-    omega-tail is the last quarter of that span, at most TAIL_LEN steps, in
-    step order.
+    For each base sample z, the roots of dq_z/dw (`_critical_points`: one
+    vector solve at degree 2; a base point where `roots` fails is skipped)
+    are classified by orbit escape; component ids come from single-linkage
+    clustering in C^2 with threshold 3x the median nearest-neighbor base
+    spacing (`_cluster`), and are numbered 0, 1, ... in order of each
+    component's first sample in the returned list (by base point, then by
+    root).  Each orbit is stepped once, for params.max_iter steps, by
+    `_run_spans`: it is trusted only while the base coordinate stays near
+    the base sample (exactly periodic base points never drift, and are
+    stepped on a coefficient table of their cycle); an orbit whose fiber
+    coordinate has not escaped by the end of its trusted span counts as
+    bounded and its omega-tail is the last quarter of that span, at most
+    TAIL_LEN steps, in step order.
     """
     if params is None:
         params = derive_escape_radius(f)
-    zs, cs = [], []
-    dq = f.q.dw()
-    for z in base.points:
-        dcoef = npoly.polyval(complex(z), dq.coeffs)
-        try:
-            crits = roots(Poly1(dcoef))
-        except (NumericalError, ValueError):
-            continue
-        for c in crits:
-            zs.append(complex(z))
-            cs.append(complex(c))
-    zs = np.array(zs, dtype=complex)
-    cs = np.array(cs, dtype=complex)
+    i, cs = _critical_points(f, base.points)
+    zs = base.points[i]
     index = CloudIndex(_as_real(base.points))
     labels = _cluster(np.column_stack([zs, cs]), 3.0 * index.spacing)
     snap = _base_snap(f.p, index, zs)
@@ -377,7 +422,14 @@ def acc_full_probe(
     cycled, or a callable choosing among candidate preimages), places the
     fiber critical point over each z_{-k}, and pushes it forward k steps.
     Returns the last PROBE_TAIL_FRAC fraction of the resulting points, all
-    lying in the fiber of z_target.
+    lying in the fiber of z_target; a point whose orbit leaves the escape
+    radius is dropped.
+
+    The critical points come from `_critical_points` over the whole chain,
+    and a chain point where `roots` fails raises what `roots` raised.  The
+    fiber maps over the chain are evaluated once, and each probe is pushed
+    by `Poly1.walk`'s Horner, bit-equal to evaluating the fiber map with
+    `npoly.polyval` at every step.
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
@@ -395,42 +447,38 @@ def acc_full_probe(
         center = regions[sym]
         return cands[np.argmin(np.abs(cands - center))]
 
-    dq = f.q.dw()
     back = []  # back[k-1] = z_{-k}
     z = zt
-    probes_c, ks = [], []
     for k in range(1, depth + 1):
         shifted = f.p.coeffs.copy()
         shifted[0] -= z
         cands = roots(Poly1(shifted))
         z = complex(choose(cands, k))
         back.append(z)
-        dcoef = npoly.polyval(z, dq.coeffs)
-        for c in roots(Poly1(dcoef)):
-            probes_c.append(complex(c))
-            ks.append(k)
-    # push each (z_{-k}, c) forward exactly k steps, replaying the stored
-    # backward chain for the base coordinate (forward base iteration would
-    # amplify float error past usefulness on a strongly expanding base)
-    pts = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c0, k in zip(probes_c, ks):
-            ww = complex(c0)
-            ok = True
-            for j in range(k, 0, -1):
-                ww = complex(fiber_poly(f, back[j - 1])(ww))
-                if not np.isfinite(ww.real) or not np.isfinite(ww.imag) \
-                        or abs(ww) > params.radius:
-                    ok = False
-                    break
-            if ok:
-                pts.append((k, zt, ww))
-    if not pts:
-        return PointCloud(np.zeros((0, 2), dtype=complex), tag="AccFullProbe")
-    pts.sort(key=lambda t: t[0])
-    cut = int(len(pts) * (1.0 - PROBE_TAIL_FRAC))
-    kept = np.array([(p[1], p[2]) for p in pts[cut:]], dtype=complex)
-    return PointCloud(kept, tag="AccFullProbe")
+    back = np.array(back)
+    owner, crits = _critical_points(f, back)
+    missed = np.setdiff1d(np.arange(depth), owner)
+    with np.errstate(all="ignore"):
+        if len(missed):  # raise what `roots` raises over that base point
+            roots(Poly1(npoly.polyval(back[missed[0]], f.q.dw().coeffs)))
+        # maps[k-1] is the fiber map over z_{-k}
+        maps = [Poly1(c) for c in npoly.polyval(back, f.q.coeffs).T]
+    # push each (z_{-k}, c) forward exactly k steps with `Poly1.walk`,
+    # replaying the stored backward chain for the base coordinate (forward
+    # base iteration would amplify float error past usefulness on a
+    # strongly expanding base)
+    ws = []  # in order of k, as owner is
+    for j, c0 in zip(owner, crits):
+        ww = complex(c0)
+        for g in maps[j::-1]:
+            ww = next(g.walk(ww))
+            if not abs(ww) <= params.radius:  # beyond the radius, inf or NaN
+                break
+        else:
+            ws.append(ww)
+    ws = np.array(ws, dtype=complex)[int(len(ws) * (1.0 - PROBE_TAIL_FRAC)):]
+    return PointCloud(np.column_stack([np.full(len(ws), zt), ws]),
+                      tag="AccFullProbe")
 
 
 def find_saddles(f: SkewProduct, max_base_period: int = MAX_BASE_PERIOD):

@@ -79,12 +79,42 @@ def make_Fa(a) -> SkewProduct:
     )
 
 
+def _orbit_newton(c: float, n: int, steps: int) -> float:
+    """Newton steps on c -> f_c^n(0) for f_c(w) = w^2 + c, tracking the
+    orbit value and its c-derivative."""
+    for _ in range(steps):
+        v, dv = c, 1.0
+        for _ in range(n - 1):
+            v, dv = v * v + c, 2.0 * v * dv + 1.0
+        if dv == 0:
+            break
+        c = c - v / dv
+    return c
+
+
+def _exact_period(c: float, n: int) -> bool:
+    """Whether the critical orbit of w^2 + c, n >= 2, makes no earlier
+    return to within 1e-6 of 0 than its n-th step."""
+    v = c
+    if not abs(v) > 1e-6:
+        return False
+    for _ in range(2, n):
+        v = v * v + c
+        if abs(v) < 1e-6:
+            return False
+    return True
+
+
 def solve_superattracting_param(n: int, tol: float = 1e-12) -> float:
     """Real parameter c closest to -2 whose critical point has exact
     period n under w^2 + c.
 
     Root-scan of the n-th orbit polynomial on the real axis with exact
-    period filtering and a Newton polish.
+    period filtering and a Newton polish.  Near -2 the period-n roots
+    crowd closer than the scan's grid spacing (2 + c_n is about
+    (2 + c_{n-1}) / 4), so a scan can miss the one closest to -2; Newton
+    from -2 + (2 + c_{m-1}) / 4, for m = 3, ..., n from c_2 = -1, adds it
+    when it has exact period n and no scanned root lies within 1e-12.
     """
     if not 2 <= n <= 12:
         raise PreconditionError("n must be in [2, 12]")
@@ -110,25 +140,14 @@ def solve_superattracting_param(n: int, tol: float = 1e-12) -> float:
                 lo = mid
             else:
                 hi = mid
-        c = 0.5 * (lo + hi)
-        # Newton polish: track the orbit value and its c-derivative
-        for _ in range(8):
-            v, dv = c, 1.0
-            for _ in range(n - 1):
-                v, dv = v * v + c, 2.0 * v * dv + 1.0
-            if dv == 0:
-                break
-            c = c - v / dv
-        # exact-period filter: no earlier return of the critical orbit
-        v = c
-        exact = abs(v) > 1e-6 if n > 1 else True
-        for k in range(2, n):
-            v = v * v + c
-            if abs(v) < 1e-6:
-                exact = False
-                break
-        if exact:
+        c = _orbit_newton(0.5 * (lo + hi), n, 8)
+        if _exact_period(c, n):
             candidates.append(c)
+    c = -1.0
+    for m in range(3, n + 1):
+        c = _orbit_newton(-2.0 + (2.0 + c) / 4.0, m, 40)
+    if _exact_period(c, n) and all(abs(c - x) > 1e-12 for x in candidates):
+        candidates.append(c)
     if not candidates:
         raise NumericalError(f"no superattracting parameter found for n={n}")
     return float(min(candidates))  # the real solution closest to -2

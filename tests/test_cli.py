@@ -49,7 +49,7 @@ def test_parse_complex_rejects_malformed_and_non_finite(text):
 ])
 def test_bad_numeric_flag_exit_code(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
-    assert not (tmp_path / "x" / "manifest.json").exists()
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -71,7 +71,7 @@ def test_bad_numeric_flag_exit_code(tmp_path, argv):
 def test_bad_integer_flag_exit_code(tmp_path, argv, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert "precondition failure" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "manifest.json").exists()
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,6 +194,7 @@ def test_fiber_over_escaping_base_point_exit_code(tmp_path, argv, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "numerical failure" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()  # no empty output directory
 
 
 def test_unknown_lemma_exit_code(tmp_path):

@@ -105,6 +105,28 @@ def test_superattracting_param_monotone():
         prev = c
 
 
+def test_superattracting_param_period_twelve():
+    # the real period-12 parameter closest to -2 (mpmath, 60 digits, exact
+    # period checked); the grid scan alone returned -1.9999779390932944,
+    # another period-12 root, because the roots nearest -2 crowd closer
+    # than its grid spacing
+    c = solve_superattracting_param(12)
+    assert abs(c - (-1.9999991175872608)) < 1e-12
+    assert -2.0 < c < solve_superattracting_param(11)
+
+
+def test_superattracting_param_periods_two_to_eleven_unchanged():
+    # bit for bit the grid scan's values, on which the airplane(n) maps and
+    # their artifacts rest
+    expected = [-1.0, -1.7548776662466927, -1.9407998065294847,
+                -1.9854242530542052, -1.9963761377111937,
+                -1.9990956823270185, -1.9997740486937274,
+                -1.999943521765674, -1.999985881140392,
+                -1.9999964703350086]
+    for n, c in enumerate(expected, start=2):
+        assert solve_superattracting_param(n) == c, n
+
+
 def test_superattracting_param_range():
     with pytest.raises(PreconditionError):
         solve_superattracting_param(1)

@@ -1,28 +1,41 @@
-"""The one-pass tracked-orbit walk against the two-pass walk it replaced.
+"""The critical-orbit walks against the code they replaced.
 
 `_ref_run_spans` finds where each orbit stops and `_ref_collect_windows`
-replays every orbit from step 1 to collect its tail; `_run_spans` must give
-the same escape steps and bit-equal tails in one pass, and `acc_cloud`'s
-single batch must equal the old per-component loop.  `_base_snap` must give
-every start the cycle, bit for bit, that the per-start loop gave.
+replays every orbit from step 1 to collect its tail, stepping every row
+with f.q; `_run_spans` must give the same escape steps and bit-equal tails
+in one pass, with its periodic rows stepped from a coefficient table, and
+`acc_cloud`'s single batch must equal the old per-component loop.
+`_base_snap` must give every start the cycle, bit for bit, that the
+per-start loop gave.  `_critical_points` must keep, bit for bit, what the
+per-point `roots()` loop kept, and `acc_full_probe` must equal its old
+per-step `fiber_poly` loop, exceptions included.
 """
 
+import dataclasses
+import math
+
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewdyn.chain import repelling_periodic_points
 from skewdyn.critpost import (
     ACC_ITER,
+    PROBE_TAIL_FRAC,
     TAIL_FRAC,
     _base_snap,
+    _critical_points,
     _run_spans,
     acc_cloud,
+    acc_full_probe,
     critical_locus,
 )
 from skewdyn.engine import derive_escape_radius
-from skewdyn.families import make_airplane_skew, make_Fa, make_product
-from skewdyn.poly import Poly1
+from skewdyn.errors import NumericalError
+from skewdyn.families import (build_s1s2, make_airplane_skew, make_Fa,
+                              make_product)
+from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly, roots
 from skewdyn.sets import CloudIndex, PointCloud, _as_real, sample_base_julia
 
 
@@ -138,7 +151,8 @@ def _base(name):
 # the base Julia set (drift at step 1), and fiber starts beyond any escape
 # radius used here (escape at step 1)
 _W3 = np.exp(2j * np.pi / 3)
-_SPECIAL_Z = [1.0, _W3, _W3.conjugate(), 0.0, -1.0, 0.5, 0.3 + 0.1j]
+_Z7 = np.exp(2j * np.pi / 7)  # a 3-cycle of z^2: 1/7 -> 2/7 -> 4/7 turns
+_SPECIAL_Z = [1.0, _W3, _W3.conjugate(), 0.0, -1.0, 0.5, 0.3 + 0.1j, _Z7]
 _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
 
 
@@ -160,6 +174,15 @@ _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
          picks=[(60, 0), (65, 0), (61, 0), (63, 0), (62, 1)])
 # one periodic row and one drifting row: a lone periodic row survives
 @example(name="z^2 x w^2-1", n_iter=40, width=8, picks=[(65, 0), (60, 0)])
+# only periodic rows of cycle lengths 1, 2 and 3 survive (0.5 drifts), over
+# fiber maps that depend on z: the table has a column per cycle phase
+@example(name="Fa(0.3+0.2i)", n_iter=40, width=8,
+         picks=[(67, 0), (61, 1), (65, 0), (60, 2), (62, 0), (67, 3)])
+# exactly one periodic row survives, over the 3-cycle: the other periodic
+# rows escape at step 1 and the generic row drifts (numpy rounds a product
+# of one element in place other than out of place)
+@example(name="Fa(0.3+0.2i)", n_iter=40, width=3,
+         picks=[(61, 3), (67, 0), (65, 0), (60, 3), (62, 3)])
 def test_run_spans_matches_two_pass_walk(name, n_iter, width, picks):
     f = _MAPS[name]
     pts, params = _base(name)
@@ -198,8 +221,6 @@ def _ref_base_snap_cycles(p, starts):
         out.append(cache[z0])
     return out
 
-
-_Z7 = np.exp(2j * np.pi / 7)  # a 3-cycle of z^2: 1/7 -> 2/7 -> 4/7 turns
 
 
 @pytest.mark.parametrize("p, periodic, others", [
@@ -272,3 +293,153 @@ def test_acc_cloud_batch_equals_per_component_loop():
         assert len(ref) > 0
         assert got.shape == ref.shape
         assert np.array_equal(_bits(got), _bits(ref))
+
+
+def _ref_critical_points(f, zs):
+    """The per-point loop that `_critical_points` replaced."""
+    dq = f.q.dw()
+    i, c = [], []
+    for k, z in enumerate(zs):
+        try:
+            with np.errstate(all="ignore"):  # roots divides outside its own
+                crits = roots(Poly1(npoly.polyval(complex(z), dq.coeffs)))
+        except (NumericalError, ValueError):
+            continue
+        i.extend([k] * len(crits))
+        c.extend(complex(x) for x in crits)
+    return i, np.array(c, dtype=complex)
+
+
+# base points where integer coefficient columns vanish, points off any
+# Julia set, points whose coefficients overflow, and non-finite points
+_CRIT_Z = st.one_of(
+    st.integers(-2, 2).map(complex),
+    st.complex_numbers(max_magnitude=3.0),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e200, -1e155j, 1e-200, complex(math.inf, 0.0),
+                     complex(0.0, math.nan)]),
+)
+_CRIT_COEF = st.one_of(st.integers(-2, 2).map(complex),
+                       st.complex_numbers(max_magnitude=4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    qc=st.integers(1, 3).flatmap(lambda nz: st.integers(2, 4).flatmap(
+        lambda nw: st.lists(_CRIT_COEF, min_size=nz * nw,
+                            max_size=nz * nw).map(
+            lambda c: np.array(c, dtype=complex).reshape(nz, nw)))),
+    zs=st.lists(_CRIT_Z, max_size=12),
+)
+# dq/dw = (2 - z) + 2 z w: b0 = 0 at z = 2, b1 = 0 at z = 0, a root that
+# overflows at z = 1e-320, and coefficients that are not finite
+@example(qc=np.array([[0, 2, 0], [0, -1, 1]], dtype=complex),
+         zs=[2.0, 0.0, 1.0, 1e-320, 1e200, math.nan, complex(0, math.inf),
+             -1j])
+# Fa(-1): dq/dw = 2w, so every root is b0 = 0's +0j
+@example(qc=make_Fa(-1).q.coeffs, zs=[1.0, -0.5j, 0.3 + 0.4j])
+# a degree-3 map: dq/dw is quadratic, with a double root at z = 0
+@example(qc=np.array([[0, 0, 0, 1], [0, -1, 1, 0]], dtype=complex),
+         zs=[0.0, 1.0, 0.5 + 0.5j, math.inf])
+def test_critical_points_match_per_point_roots(qc, zs):
+    f = SkewProduct(Poly1([0, 0, 1]), Poly2(qc))
+    zs = np.array(zs, dtype=complex)
+    i, c = _critical_points(f, zs)
+    ref_i, ref_c = _ref_critical_points(f, zs)
+    assert i.dtype.kind == "i" and c.dtype == complex
+    assert i.tolist() == ref_i
+    assert np.array_equal(_bits(c), _bits(ref_c))
+
+
+def _ref_acc_full_probe(f, z_target, branch_policy, depth, params):
+    """The per-step `fiber_poly` loop that `acc_full_probe` replaced
+    (a callable branch policy only)."""
+    dq = f.q.dw()
+    back, probes_c, ks = [], [], []
+    z = complex(z_target)
+    for k in range(1, depth + 1):
+        shifted = f.p.coeffs.copy()
+        shifted[0] -= z
+        z = complex(branch_policy(roots(Poly1(shifted)), k))
+        back.append(z)
+        with np.errstate(all="ignore"):
+            dcoef = npoly.polyval(z, dq.coeffs)
+        for c in roots(Poly1(dcoef)):
+            probes_c.append(complex(c))
+            ks.append(k)
+    pts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0, k in zip(probes_c, ks):
+            ww, ok = complex(c0), True
+            for j in range(k, 0, -1):
+                ww = complex(fiber_poly(f, back[j - 1])(ww))
+                if not np.isfinite(ww.real) or not np.isfinite(ww.imag) \
+                        or abs(ww) > params.radius:
+                    ok = False
+                    break
+            if ok:
+                pts.append((k, complex(z_target), ww))
+    pts.sort(key=lambda t: t[0])
+    cut = int(len(pts) * (1.0 - PROBE_TAIL_FRAC))
+    return np.array([(p[1], p[2]) for p in pts[cut:]],
+                    dtype=complex).reshape(-1, 2)
+
+
+def _region_policy(f, symbols):
+    regions = f.meta["regions"]
+
+    def choose(cands, k):
+        center = regions[symbols[(k - 1) % len(symbols)]]
+        return cands[np.argmin(np.abs(cands - center))]
+    return choose
+
+
+def _s1s2():
+    return build_s1s2(Poly1([0, 0, 1]), Poly1([-1, 0, 1]), 1, 1)[0]
+
+
+@pytest.mark.parametrize("make, target, symbols, depth", [
+    (lambda: make_Fa(-1), 1.0, "1", 40),
+    (lambda: make_Fa(-1), 1j, "12", 25),
+    (lambda: make_Fa(0.3 + 0.2j), 1.0, "21", 40),
+    (_s1s2, None, None, 40),
+    (_s1s2, None, "12", 15),
+])
+def test_acc_full_probe_matches_fiber_poly_loop(make, target, symbols, depth):
+    f = make()
+    target = f.meta["probe_target"] if target is None else target
+    policy = _region_policy(f, symbols or f.meta["probe_policy"])
+    params = derive_escape_radius(f)
+    got = acc_full_probe(f, target, policy, depth=depth, params=params)
+    ref = _ref_acc_full_probe(f, target, policy, depth, params)
+    assert len(ref) > 0
+    assert got.points.shape == ref.shape
+    assert np.array_equal(_bits(got.points), _bits(ref))
+
+
+def test_acc_full_probe_every_probe_escaped():
+    f = make_Fa(2)
+    params = dataclasses.replace(derive_escape_radius(f), radius=1e-3)
+    policy = _region_policy(f, "1")
+    got = acc_full_probe(f, 1.0, policy, depth=10, params=params)
+    assert _ref_acc_full_probe(f, 1.0, policy, 10, params).shape == (0, 2)
+    assert got.points.shape == (0, 2) and got.points.dtype == complex
+
+
+@pytest.mark.parametrize("qc, error", [
+    # q linear in w: dq/dw is constant over every base point
+    (np.array([[0, 1], [1, 0]], dtype=complex), ValueError),
+    # the w coefficient overflows over |z| = 2
+    (np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 1e308, 0]],
+              dtype=complex), NumericalError),
+])
+def test_acc_full_probe_raises_as_fiber_poly_loop(qc, error):
+    f = SkewProduct(Poly1([0, 0, 1]), Poly2(qc))
+    params = derive_escape_radius(make_Fa(-1))
+    policy = lambda cands, k: cands[-1]  # noqa: E731
+    with pytest.raises(error) as ref:
+        _ref_acc_full_probe(f, 4.0, policy, 5, params)
+    with pytest.raises(error) as got:
+        acc_full_probe(f, 4.0, policy, depth=5, params=params)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
