@@ -190,6 +190,17 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     return {"index": index, "tol": tol, "row": row, "pad": pad, "lens": lens}
 
 
+def _horner_w(b, w):
+    """q(z, w) from b, the w-coefficients of q at each row's z, highest
+    power first: Horner in w out of place from zeros, in `Poly2.__call__`'s
+    order, so the values are bit-equal to it (numpy rounds an in-place
+    product of one element other than out of place)."""
+    acc = np.zeros(len(w), dtype=complex)
+    for bj in b:
+        acc = acc * w + bj
+    return acc
+
+
 def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
                snap: dict, width: int):
     """Step each tracked orbit once: to fiber escape, base drift or n_iter.
@@ -234,9 +245,7 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
             if not len(ids):
                 break
             phase = (k - 1) % lr
-            wn = np.zeros(m, dtype=complex)
-            for bj in b[:, rp, phase]:  # out of place, as in Poly2.__call__
-                wn = wn * w[:m] + bj
+            wn = _horner_w(b[:, rp, phase], w[:m])
             zn = pad[rp, k % lr]
             wesc = ~(np.abs(wn) <= radius)  # beyond the radius, inf or NaN
             stop = wesc
@@ -323,42 +332,51 @@ def postcritical_cloud(f: SkewProduct, crit, n_iter: int = 200,
     orbits never drift off the expanding base and terminal iterates land on
     the densely sampled attracting part — keeping the cloud numerically
     forward-invariant at its own resolution.
+
+    The pseudo-orbit is a map on base-sample indices.  Step 1 starts from
+    the samples' own z; from there every row's z is a base sample, whose
+    successor (the base sample nearest its image under p) and fiber
+    coefficients are tabulated once, so each later step is Horner in w on
+    the table.  The table takes one KD-tree query per call, and the step-1
+    images one more, whatever n_iter is.
     """
     if not crit:
         raise PreconditionError("empty critical locus")
     if params is None:
         params = derive_escape_radius(f)
+    if n_iter < 1:
+        return PointCloud(np.zeros((0, 2), dtype=complex), tag="PostCritical")
+    radius, base_radius = params.radius, params.base_radius
     zs = np.array([s.z for s in crit])
     ws = np.array([s.c for s in crit])
     base_pts = np.unique(zs)
     index = CloudIndex(_as_real(base_pts))
-    z = zs.copy()
-    w = ws.copy()
-    alive = np.ones(len(z), dtype=bool)
-    out = []
+
+    def bounded(x, r):
+        return np.isfinite(x) & (np.abs(x) <= r)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_iter):
-            if not alive.any():
+        # np.unique merges 0.0 and -0.0, so a sample's z need not have the
+        # bytes of its base sample: step 1 runs on the samples' own z
+        zn, w = f.p(zs), f.q(zs, ws)
+        ok = bounded(zn, base_radius) & bounded(w, radius)
+        j, w = index.query(_as_real(zn[ok]))[1], w[ok]
+        # succ[i]: the base sample nearest p(base_pts[i]), where that lies
+        # within the base radius; b[:, i]: the w-coefficients of q over
+        # base_pts[i], highest power first
+        pz = f.p(base_pts)
+        okz = bounded(pz, base_radius)
+        succ = np.zeros(len(base_pts), dtype=int)
+        succ[okz] = index.query(_as_real(pz[okz]))[1]
+        b = npoly.polyval(base_pts, f.q.coeffs)[::-1]
+        out = [np.column_stack([base_pts[j], w])]
+        for _ in range(n_iter - 1):
+            if not len(j):
                 break
-            idx = np.where(alive)[0]
-            za, wa = z[idx], w[idx]
-            wn = f.q(za, wa)
-            zn = f.p(za)
-            ok = (np.isfinite(zn.real) & np.isfinite(zn.imag)
-                  & np.isfinite(wn.real) & np.isfinite(wn.imag)
-                  & (np.abs(wn) <= params.radius)
-                  & (np.abs(zn) <= params.base_radius))
-            zsnap = zn.copy()
-            if ok.any():
-                zsnap[ok] = base_pts[index.query(_as_real(zn[ok]))[1]]
-            alive[idx[~ok]] = False
-            z[idx], w[idx] = zsnap, wn
-            keep = idx[ok]
-            if len(keep):
-                out.append(np.column_stack([z[keep], w[keep]]))
-    if not out:
-        return PointCloud(np.zeros((0, 2), dtype=complex),
-                          tag="PostCritical")
+            w = _horner_w(b[:, j], w)
+            ok = okz[j] & bounded(w, radius)
+            j, w = succ[j[ok]], w[ok]
+            out.append(np.column_stack([base_pts[j], w]))
     return PointCloud(np.concatenate(out), tag="PostCritical")
 
 

@@ -105,7 +105,7 @@ def _exact_period(c: float, n: int) -> bool:
     return True
 
 
-def solve_superattracting_param(n: int, tol: float = 1e-12) -> float:
+def solve_superattracting_param(n: int) -> float:
     """Real parameter c closest to -2 whose critical point has exact
     period n under w^2 + c.
 

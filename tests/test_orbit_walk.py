@@ -8,7 +8,9 @@ in one pass, with its periodic rows stepped from a coefficient table, and
 `_base_snap` must give every start the cycle, bit for bit, that the
 per-start loop gave.  `_critical_points` must keep, bit for bit, what the
 per-point `roots()` loop kept, and `acc_full_probe` must equal its old
-per-step `fiber_poly` loop, exceptions included.
+per-step `fiber_poly` loop, exceptions included.  `postcritical_cloud`'s
+walk on base-sample indices must give, bit for bit, the rows of the
+per-step snap loop it replaced, with at most two KD-tree queries.
 """
 
 import dataclasses
@@ -24,17 +26,19 @@ from skewdyn.critpost import (
     ACC_ITER,
     PROBE_TAIL_FRAC,
     TAIL_FRAC,
+    CriticalSample,
     _base_snap,
     _critical_points,
     _run_spans,
     acc_cloud,
     acc_full_probe,
     critical_locus,
+    postcritical_cloud,
 )
 from skewdyn.engine import derive_escape_radius
 from skewdyn.errors import NumericalError
 from skewdyn.families import (build_s1s2, make_airplane_skew, make_Fa,
-                              make_product)
+                              make_fig3, make_product)
 from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly, roots
 from skewdyn.sets import CloudIndex, PointCloud, _as_real, sample_base_julia
 
@@ -443,3 +447,127 @@ def test_acc_full_probe_raises_as_fiber_poly_loop(qc, error):
         acc_full_probe(f, 4.0, policy, depth=5, params=params)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+def _ref_postcritical_cloud(f, crit, n_iter, params):
+    """The per-step snap loop that `postcritical_cloud` replaced: every
+    step maps the live rows by f and snaps each base image to its nearest
+    base sample with one KD-tree query."""
+    zs = np.array([s.z for s in crit])
+    ws = np.array([s.c for s in crit])
+    base_pts = np.unique(zs)
+    index = CloudIndex(_as_real(base_pts))
+    z = zs.copy()
+    w = ws.copy()
+    alive = np.ones(len(z), dtype=bool)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_iter):
+            if not alive.any():
+                break
+            idx = np.where(alive)[0]
+            za, wa = z[idx], w[idx]
+            wn = f.q(za, wa)
+            zn = f.p(za)
+            ok = (np.isfinite(zn.real) & np.isfinite(zn.imag)
+                  & np.isfinite(wn.real) & np.isfinite(wn.imag)
+                  & (np.abs(wn) <= params.radius)
+                  & (np.abs(zn) <= params.base_radius))
+            zsnap = zn.copy()
+            if ok.any():
+                zsnap[ok] = base_pts[index.query(_as_real(zn[ok]))[1]]
+            alive[idx[~ok]] = False
+            z[idx], w[idx] = zsnap, wn
+            keep = idx[ok]
+            if len(keep):
+                out.append(np.column_stack([z[keep], w[keep]]))
+    if not out:
+        return np.zeros((0, 2), dtype=complex)
+    return np.concatenate(out)
+
+
+_PC_MAPS = {
+    "product": lambda a: make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1])),
+    "airplane(3)": lambda a: make_airplane_skew(3),
+    "fig3": lambda a: make_fig3(),
+    "s1s2": lambda a: _s1s2(),
+    "Fa": make_Fa,
+}
+_PC_CASES = {}
+
+
+def _pc_case(name, a):
+    """(f, base sample, params, critical locus) of a map, cached."""
+    key = (name, a if name == "Fa" else None)
+    if key not in _PC_CASES:
+        f = _PC_MAPS[name](a)
+        base = sample_base_julia(f.p, 60, seed=1)
+        params = derive_escape_radius(f, base_points=base.points)
+        _PC_CASES[key] = (f, base.points, params,
+                          critical_locus(f, base, params))
+    return _PC_CASES[key]
+
+
+# signed zeros (np.unique keeps one of them as the base sample), points
+# off the base Julia set (z^2 snaps 1.9 to 2.5, whose image lies beyond the
+# base radius) and one whose image overflows; fiber starts that stay
+# bounded and one that escapes at step 1
+_PC_Z = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+         1.0, 0.5 + 0.1j, 1e200, 1.9, 2.5]
+_PC_W = [0.0, -1.0, 0.5j, 1e6]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PC_MAPS)),
+    a=st.complex_numbers(max_magnitude=2.5),
+    n_iter=st.sampled_from([0, 1, 2, 37, 200]),
+    picks=st.lists(st.tuples(st.integers(-60, len(_PC_Z) - 1),
+                             st.one_of(st.integers(0, len(_PC_W) - 1),
+                                       st.complex_numbers(max_magnitude=3.0))),
+                   max_size=25),
+)
+# the critical locus over the base sample (an empty pick list)
+@example(name="product", a=0j, n_iter=200, picks=[])
+@example(name="s1s2", a=0j, n_iter=200, picks=[])
+@example(name="Fa", a=-1 + 0j, n_iter=0, picks=[])
+# only base points 0.0 and -0.0, which np.unique merges into one sample
+@example(name="Fa", a=0.3 + 0.2j, n_iter=37,
+         picks=[(0, 0), (1, 0), (2, 1), (3, 2), (0, 2)])
+# every row dies at step 1, in the fiber or in the base
+@example(name="product", a=0j, n_iter=200,
+         picks=[(-1, 3), (-7, 3), (6, 0), (4, 3)])
+# a row dies in the base after step 1: 1.9 -> 2.5 -> 6.25
+@example(name="product", a=0j, n_iter=37, picks=[(7, 0), (8, 1), (-3, 0)])
+# exactly one row stays alive, so every array of the walk has one element
+@example(name="product", a=0j, n_iter=200, picks=[(-5, 0), (-9, 3), (6, 1)])
+@example(name="Fa", a=1j, n_iter=200, picks=[(4, 1)])
+def test_postcritical_cloud_matches_per_step_snap_loop(name, a, n_iter,
+                                                       picks):
+    f, pts, params, crit = _pc_case(name, a)
+    if picks:
+        crit = [CriticalSample(
+            z=complex(pts[i] if i < 0 else _PC_Z[i]),
+            c=complex(_PC_W[w] if isinstance(w, int) else w),
+            component_id=0, status="bounded",
+            omega_tail=np.zeros((0, 2), dtype=complex)) for i, w in picks]
+    got = postcritical_cloud(f, crit, n_iter=n_iter, params=params).points
+    ref = _ref_postcritical_cloud(f, crit, n_iter, params)
+    assert got.shape == ref.shape and got.dtype == complex
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("n_iter", [1, 2, 37, 200])
+def test_postcritical_cloud_queries_at_most_twice(monkeypatch, n_iter):
+    f, _, params, crit = _pc_case("Fa", -1 + 0j)
+    calls = []
+    query = CloudIndex.query
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return query(self, *args, **kwargs)
+
+    monkeypatch.setattr(CloudIndex, "query", counted)
+    pc = postcritical_cloud(f, crit, n_iter=n_iter, params=params)
+    assert len(pc) == n_iter * len(crit)  # every critical orbit is bounded
+    assert len(calls) <= 2
