@@ -10,7 +10,6 @@ between point clouds; and CSV and image output.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, repeat
@@ -387,10 +386,27 @@ class CloudIndex:
 def directed_hausdorff(a: PointCloud, b: PointCloud,
                        workers: int = 1) -> float:
     """sup over a of the distance to the nearest point of b (Euclidean),
-    queried on `workers` threads."""
+    queried on `workers` threads.
+
+    Exact on a pruned query set (after Taha and Hanbury, IEEE TPAMI 2015):
+    every 16th distinct row of a forms a subsample S, whose largest
+    distance L to b bounds the result from below.  A row x whose nearest
+    subsample row is s has d(x, b) <= d(s, b) + |x - s|, so only the rows
+    where that bound reaches L (less a relative slack of 1e-9, far above
+    rounding) are queried.  The row attaining the maximum is among them,
+    and a row's distance does not depend on the other rows queried, so the
+    result is bit-equal to querying every row.
+    """
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("clouds must be nonempty")
-    d, _ = CloudIndex(_as_real(b.points)).query(_as_real(a.points), workers)
+    rows = _as_real(a.points)
+    rows = rows[_distinct_rows(rows)[0]]
+    index = CloudIndex(_as_real(b.points))
+    sub = rows[::16]
+    d_sub, _ = index.query(sub, workers)
+    r, near = cKDTree(sub).query(rows, workers=workers)
+    bound = d_sub[near] + r
+    d, _ = index.query(rows[bound >= d_sub.max() * (1.0 - 1e-9)], workers)
     return float(np.max(d))
 
 
@@ -427,17 +443,16 @@ def min_chordal_distance(a: PointCloud, b: PointCloud) -> float:
 
 def cloud_to_csv(cloud: PointCloud) -> str:
     """CSV of the cloud, each field the repr of a Python float (numpy 2
-    scalars would repr as np.float64(...))."""
-    buf = io.StringIO()
-    if cloud.dim == 1:
-        buf.write("re_z,im_z\n")
-        for p in cloud.points.tolist():
-            buf.write(f"{p.real!r},{p.imag!r}\n")
-    else:
-        buf.write("re_z,im_z,re_w,im_w\n")
-        for z, w in cloud.points.tolist():
-            buf.write(f"{z.real!r},{z.imag!r},{w.real!r},{w.imag!r}\n")
-    return buf.getvalue()
+    scalars would repr as np.float64(...)).
+
+    Each block of 4,096 rows is one C-level `%` format; blocks keep the
+    Python floats of only one block alive at a time."""
+    rows = _as_real(cloud.points)
+    header = "re_z,im_z\n" if cloud.dim == 1 else "re_z,im_z,re_w,im_w\n"
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    blocks = (rows[i:i + 4096] for i in range(0, len(rows), 4096))
+    return header + "".join((line * len(blk)) % tuple(blk.ravel().tolist())
+                            for blk in blocks)
 
 
 def slice_to_pgm(slice_: FiberSlice) -> bytes:

@@ -338,6 +338,21 @@ def test_hausdorff_rotation(tmp_path):
     check_manifest(out)
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "Fa", "--a=-1", "--theta", "0.5,2.0"],
+    ["--family", "fig3", "--fiber-at", "5", "--fiber-b=-4"],
+])
+def test_hausdorff_is_independent_of_threads(tmp_path, args):
+    args = ["hausdorff", *args, "--n-samples", "3000"]
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
+    names = [a["path"] for a in check_manifest(out1)["artifacts"]]
+    assert "hausdorff.json" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = Fa\na = 2\nn-base = 120\n# comment\n")

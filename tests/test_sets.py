@@ -218,6 +218,78 @@ def test_cloud_csv_format_and_determinism():
         assert back.tobytes() == expect.tobytes()
 
 
+def _random_cloud(rng, n, dim, grid):
+    """n random points in C^dim, on a quarter grid (repeated rows and
+    distance ties) or continuous."""
+    x = rng.standard_normal((n, 2 * dim))
+    if grid:
+        x = np.round(4 * x) / 4
+    pts = x.view(complex)
+    return pts.ravel() if dim == 1 else pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
+       st.sampled_from([1, 2, 15, 16, 17, 40, 400]), st.integers(1, 400),
+       st.booleans(), st.sampled_from([0.0, 3.0, 1e3, 1e6]),
+       st.integers(0, 3))
+def test_directed_hausdorff_equals_full_query(seed, dim, n_a, n_b, grid,
+                                              offset, mode):
+    # mode 0: independent clouds; 1: a == b; 2: a is b with repeated
+    # rows; 3: every row of a repeated
+    rng = np.random.default_rng(seed)
+    b = _random_cloud(rng, n_b, dim, grid)
+    if mode == 1:
+        a = b.copy()
+    elif mode == 2:
+        a = np.concatenate([b, b[rng.integers(0, n_b, n_a)]])
+    else:
+        a = _random_cloud(rng, n_a, dim, grid) + offset
+        if mode == 3:
+            a = np.repeat(a, 3, axis=0)
+    event(f"mode {mode}, {len(a)} query rows")
+    rows_a = a[:, None] if dim == 1 else a
+    rows_b = b[:, None] if dim == 1 else b
+    want = float(cKDTree(rows_b.view(float)).query(rows_a.view(float))[0]
+                 .max())
+    got = directed_hausdorff(PointCloud(a), PointCloud(b))
+    assert got.hex() == want.hex()
+    assert directed_hausdorff(PointCloud(a), PointCloud(b),
+                              workers=2).hex() == want.hex()
+
+
+def _csv_reference(points: np.ndarray) -> str:
+    """cloud_to_csv written row by row with repr."""
+    if points.ndim == 1:
+        lines = ["re_z,im_z"] + [f"{p.real!r},{p.imag!r}"
+                                 for p in points.tolist()]
+    else:
+        lines = ["re_z,im_z,re_w,im_w"] + [
+            f"{z.real!r},{z.imag!r},{w.real!r},{w.imag!r}"
+            for z, w in points.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+_CSV_SPECIAL = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16,
+                         9999999999999998.0, 1e-05, 0.0001, 0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 7, 4095, 4096, 4097, 9000])
+def test_cloud_csv_bit_equal_to_repr_rows(dim, n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(2 * dim * n) * 10.0 ** rng.integers(-8, 18,
+                                                               2 * dim * n)
+    # the special values land in every field position and on block edges
+    special = rng.integers(0, 2, x.size).astype(bool)
+    x[special] = np.resize(_CSV_SPECIAL, special.sum())
+    pts = x.view(complex)
+    pts = pts if dim == 1 else pts.reshape(n, 2)
+    got = cloud_to_csv(PointCloud(pts))
+    assert got == _csv_reference(pts)
+    assert got.count("\n") == n + 1
+
+
 def test_sampler_determinism():
     p = Poly1([-1, 0, 1])
     a = sample_base_julia(p, 500, seed=9).points
