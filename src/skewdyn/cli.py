@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -270,6 +269,8 @@ def cmd_render(ns) -> int:
         sl = fiber_slice(f, zt, window=window, resolution=(res, res),
                          params=params)
         return i, zt, slice_to_ppm(sl), sl.window
+
+    from concurrent.futures import ThreadPoolExecutor
 
     fibers_meta = []
     with ThreadPoolExecutor(max_workers=threads) as pool:

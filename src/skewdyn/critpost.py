@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.spatial import cKDTree
 
 from .engine import (
     EscapeParams,
@@ -25,7 +24,7 @@ from .engine import (
 from .errors import NumericalError, PreconditionError
 from .poly import _FLOAT_MAX, Poly1, SkewProduct, fiber_poly, roots
 from .sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
-                   min_chordal_distance, sphere_embed)
+                   _kdtree, min_chordal_distance, sphere_embed)
 
 __all__ = [
     "CriticalSample",
@@ -103,13 +102,14 @@ def _cluster(points_2d: np.ndarray, eps: float) -> np.ndarray:
     (in order of first occurrence) enter the graph; every row takes the
     label of its distinct row.
     """
-    # imported here: csgraph adds about 20 ms to the CLI's start-up
+    # imported here, as `sets._kdtree` imports scipy.spatial: scipy loads
+    # on first use, so a subcommand that needs neither starts without it
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     rows = _as_real(points_2d)
     keep, inverse = _distinct_rows(rows)
-    i, j = cKDTree(rows[keep]).query_pairs(eps, output_type="ndarray").T
+    i, j = _kdtree(rows[keep]).query_pairs(eps, output_type="ndarray").T
     graph = coo_matrix((np.ones(len(i), dtype=bool), (i, j)),
                        shape=(len(keep), len(keep)))
     # an undirected search labels components in order of their least node

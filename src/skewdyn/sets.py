@@ -16,7 +16,6 @@ from itertools import count, repeat
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.spatial import cKDTree
 
 from .engine import (EscapeParams, GRID_MAX_ITER, Rect, _trap_chains,
                      derive_escape_radius)
@@ -336,21 +335,45 @@ def _as_real(points: np.ndarray) -> np.ndarray:
     return (pts[:, None] if pts.ndim == 1 else pts).view(float)
 
 
+def _row_hash(u: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a uint64 (n, k) array; the shift
+    breaks sign symmetry."""
+    mix = np.uint64(1000003) ** np.arange(u.shape[1], dtype=np.uint64)
+    return sum((c ^ c >> np.uint64(31)) * m for c, m in zip(u.T, mix))
+
+
 def _distinct_rows(rows: np.ndarray):
     """Index of the first occurrence of each byte-distinct row, in row
-    order, and for every row the position of its distinct row among them."""
+    order, and for every row the position of its distinct row among them.
+
+    Rows are grouped by their 64-bit hash, and a grouping is kept only when
+    every row equals its group's first row bit for bit; where two different
+    rows share a hash, they are grouped by their bytes."""
     rows = np.ascontiguousarray(rows, dtype=float)
-    # distinct row-byte hashes mean no repeats; the shift breaks sign symmetry
     u = rows.view(np.uint64)
-    mix = np.uint64(1000003) ** np.arange(rows.shape[1], dtype=np.uint64)
-    h = np.sort(sum((c ^ c >> np.uint64(31)) * m for c, m in zip(u.T, mix)))
-    if np.all(h[1:] != h[:-1]):
+    h = _row_hash(u)
+    s = np.sort(h)
+    if np.all(s[1:] != s[:-1]):        # distinct hashes mean no repeats
         return np.arange(len(rows)), np.arange(len(rows))
-    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, first, inverse = np.unique(key.ravel(), return_index=True,
-                                  return_inverse=True)
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    if not all(np.array_equal(c, c[rep]) for c in u.T):
+        key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        _, first, inverse = np.unique(key.ravel(), return_index=True,
+                                      return_inverse=True)
     order = np.argsort(first)
     return first[order], np.argsort(order)[inverse]
+
+
+def _kdtree(rows: np.ndarray):
+    """A scipy `cKDTree` over the rows, the one place a tree is built.
+
+    scipy.spatial is imported on the first call, not with this module: the
+    import takes about 0.3 s, and most subcommands never build a tree, so
+    the CLI's start-up does not pay for it."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(rows)
 
 
 class CloudIndex:
@@ -363,7 +386,7 @@ class CloudIndex:
 
     def __init__(self, rows: np.ndarray):
         self.keep, self.inverse = _distinct_rows(rows)
-        self.tree = cKDTree(rows[self.keep])
+        self.tree = _kdtree(rows[self.keep])
 
     def query(self, q: np.ndarray, workers: int = 1):
         """Distance to the nearest row and that row's index, per query row;
@@ -404,7 +427,7 @@ def directed_hausdorff(a: PointCloud, b: PointCloud,
     index = CloudIndex(_as_real(b.points))
     sub = rows[::16]
     d_sub, _ = index.query(sub, workers)
-    r, near = cKDTree(sub).query(rows, workers=workers)
+    r, near = _kdtree(sub).query(rows, workers=workers)
     bound = d_sub[near] + r
     d, _ = index.query(rows[bound >= d_sub.max() * (1.0 - 1e-9)], workers)
     return float(np.max(d))

@@ -101,8 +101,10 @@ def test_criterion_02_certification_matrix():
 
 def _theta_clouds():
     # 1e6 samples per cloud: at 1e4 the sampling gaps alone exceed the
-    # 0.02 Hausdorff tolerance; CSVs are compared by content hash to keep
-    # the determinism rerun cheap on memory
+    # 0.02 Hausdorff tolerance.  The determinism rerun compares the SHA-256
+    # of each cloud's bytes: equal bytes mean equal CSVs (each field is the
+    # repr of the float, a function of its bits), and the bytes also tell
+    # NaN payloads apart; test_sets.py covers the CSV format
     import hashlib
 
     if "theta" not in _CACHE:
@@ -113,8 +115,8 @@ def _theta_clouds():
         for th in (0.5, 1.0, 2.0):
             jz = sample_fiber_julia(f, np.exp(1j * th), n, depth=50, seed=1)
             ref = PointCloud(np.exp(1j * th / 2) * bas.points)
-            h_a = hashlib.sha256(cloud_to_csv(jz).encode()).hexdigest()
-            h_r = hashlib.sha256(cloud_to_csv(ref).encode()).hexdigest()
+            h_a = hashlib.sha256(jz.points.tobytes()).hexdigest()
+            h_r = hashlib.sha256(ref.points.tobytes()).hexdigest()
             rows[th] = (h_a, h_r, hausdorff_distance(jz, ref))
         _CACHE["theta"] = rows
     return _CACHE["theta"]
@@ -323,5 +325,5 @@ def test_criterion_10_determinism():
             same &= rerun_chain[key]["csv"].get(name) == csv
             n_csv += 1
     assert _report(10, "byte-identical reruns", same,
-                   f"{2 * len(first_theta)} fiber CSVs + {n_csv} chain CSVs "
-                   "compared")
+                   f"{2 * len(first_theta)} fiber clouds compared by bytes + "
+                   f"{n_csv} chain CSVs compared")

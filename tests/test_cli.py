@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +401,60 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("chain.json", "apt.csv", "acc.csv", "j2.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# A fresh interpreter imports skewdyn.cli from src, then builds the parser
+# (no arguments) or runs main(argv), and prints the exit code and the
+# scipy modules it has loaded as JSON on its last line.
+_FRESH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import skewdyn.cli
+argv = sys.argv[2:]
+rc = 0
+if argv:
+    rc = skewdyn.cli.main(argv)
+else:
+    skewdyn.cli.build_parser()
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.partition(".")[0] == "scipy")]))
+"""
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_run(argv=()):
+    done = subprocess.run([sys.executable, "-c", _FRESH, _SRC, *argv],
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_start_up_loads_no_scipy():
+    # scipy.spatial alone takes about 0.3 s to import: it loads on the
+    # first KD-tree build (sets._kdtree), not at start-up
+    assert _fresh_run() == [0, []]
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--family", "fig3", "--resolution", "32", "--fiber-at", "5",
+     "--threads", "2"],
+    ["saddles", "--family", "Fa", "--a=-1", "--max-period", "2"],
+    ["continue", "--family", "Fa", "--from=-1", "--to=-0.95", "--steps", "3",
+     "--base-period", "1"],
+    ["separate", "--family", "Fa", "--a=-1", "--q=-1,0,1",
+     "--steps-around", "16"],
+    ["verify-lemma", "box-self-map", "--n", "3"],
+])
+def test_subcommands_without_kd_trees_leave_scipy_spatial_unloaded(
+        tmp_path, argv):
+    rc, scipy_modules = _fresh_run(argv + ["--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "scipy.spatial" not in scipy_modules
+
+
+def test_certify_loads_scipy_spatial(tmp_path):
+    rc, scipy_modules = _fresh_run(
+        ["certify", "--family", "product", "--p", "0,0,1", "--q=-1,0,1",
+         "--n-base", "50", "--n-j2", "100", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "scipy.spatial" in scipy_modules

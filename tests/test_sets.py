@@ -26,7 +26,8 @@ from skewdyn.sets import (
     slice_to_ppm,
     sphere_embed,
 )
-from skewdyn.sets import _escape_grid, _fiber_traps, _grid_traps
+from skewdyn.sets import (_as_real, _distinct_rows, _escape_grid, _fiber_traps,
+                          _grid_traps, _row_hash)
 
 
 def test_base_julia_circle():
@@ -196,6 +197,86 @@ def test_cloud_index_matches_full_tree(data):
     if len(np.unique(rows, axis=0)) == len(rows):
         assert np.array_equal(i, fi)
     assert np.array_equal(CloudIndex(rows[:1]).nn_distances(), [np.inf])
+
+
+def _void_key_distinct_rows(rows):
+    """`_distinct_rows` by `np.unique` on each row's bytes: the reference."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(key.ravel(), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+# 0.0, -0.0, 1.0, -1.0, 0.5, inf, -inf and NaNs with different payloads
+_SPECIAL_BITS = np.array([
+    0x0000000000000000, 0x8000000000000000, 0x3FF0000000000000,
+    0xBFF0000000000000, 0x3FE0000000000000, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+    0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+
+
+def _hash_twins(u):
+    """Rows that differ from the uint64 rows u (at least 2 columns) but
+    have the same `_row_hash`: column 0's term falls by the column-1
+    multiplier as column 1's term rises by one."""
+    def unshift(y):                   # the inverse of x ^ (x >> 31)
+        return y ^ (y >> np.uint64(31)) ^ (y >> np.uint64(62))
+
+    f = u[:, :2] ^ (u[:, :2] >> np.uint64(31))
+    twins = u.copy()
+    twins[:, 0] = unshift(f[:, 0] - np.uint64(1000003))
+    twins[:, 1] = unshift(f[:, 1] + np.uint64(1))
+    return twins
+
+
+def _check_distinct_rows(u):
+    rows = u.view(float)
+    keep, inverse = _distinct_rows(rows)
+    want_keep, want_inverse = _void_key_distinct_rows(rows)
+    assert np.array_equal(keep, want_keep)
+    assert np.array_equal(inverse, want_inverse)
+    assert np.array_equal(rows[keep][inverse].view(np.uint64), u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 60),
+       st.integers(0, 3))
+def test_distinct_rows_equal_void_key_unique(seed, k, n, mode):
+    # mode 0: rows drawn from a few special values (many repeats); 1: all
+    # rows equal; 2: all rows distinct; 3: mode 0 plus hash twins
+    rng = np.random.default_rng(seed)
+    if mode == 2:
+        u = rng.integers(0, 2 ** 64, (n, k), dtype=np.uint64)
+        u[:, 0] = np.arange(n, dtype=np.uint64)
+    else:
+        pool = _SPECIAL_BITS[:rng.integers(1, len(_SPECIAL_BITS) + 1)]
+        u = pool[rng.integers(0, len(pool), (1 if mode == 1 else n, k))]
+        u = np.repeat(u, n, axis=0) if mode == 1 else u
+    if mode == 3 and k >= 2:
+        twins = _hash_twins(u[:rng.integers(1, n + 1)])
+        assert np.array_equal(_row_hash(twins), _row_hash(u[:len(twins)]))
+        u = rng.permutation(np.concatenate([u, twins]))
+    event(f"mode {mode}")
+    _check_distinct_rows(u)
+    if k in (2, 4):                   # the rows of 1-D and 2-D clouds
+        pts = u.view(complex)
+        _check_distinct_rows(_as_real(pts.ravel() if k == 2 else pts)
+                             .view(np.uint64))
+
+
+def test_distinct_rows_hash_collision_only():
+    # two different rows with one hash, each repeated: the hash grouping
+    # puts all four rows in one group, which the byte check rejects
+    u = np.array([[0x3FF0000000000000, 0x8000000000000000]], dtype=np.uint64)
+    twin = _hash_twins(u)
+    assert _row_hash(twin)[0] == _row_hash(u)[0]
+    u = np.concatenate([u, twin, twin, u])
+    keep, inverse = _distinct_rows(u.view(float))
+    assert keep.tolist() == [0, 1]
+    assert inverse.tolist() == [0, 1, 1, 0]
+    _check_distinct_rows(u)
 
 
 def test_cloud_csv_format_and_determinism():
