@@ -266,19 +266,6 @@ def test_distinct_rows_equal_void_key_unique(seed, k, n, mode):
                              .view(np.uint64))
 
 
-def test_distinct_rows_hash_collision_only():
-    # two different rows with one hash, each repeated: the hash grouping
-    # puts all four rows in one group, which the byte check rejects
-    u = np.array([[0x3FF0000000000000, 0x8000000000000000]], dtype=np.uint64)
-    twin = _hash_twins(u)
-    assert _row_hash(twin)[0] == _row_hash(u)[0]
-    u = np.concatenate([u, twin, twin, u])
-    keep, inverse = _distinct_rows(u.view(float))
-    assert keep.tolist() == [0, 1]
-    assert inverse.tolist() == [0, 1, 1, 0]
-    _check_distinct_rows(u)
-
-
 def test_cloud_csv_format_and_determinism():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal(10) + 1j * rng.standard_normal(10)
