@@ -238,6 +238,12 @@ def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
 # machine (k = 16: 0.22 s and 0.50 s), and a few ms where the orbits settle
 TRAP_MAX_PERIOD = 10
 
+# cells of an escape-time grid iterated together: 2^16 complex values take
+# 1 MiB, so a grid's working set besides its result stays a few MiB at any
+# resolution, and grids computed on several threads at once do not add up
+# to a peak that depends on how their steps interleave
+GRID_BLOCK = 1 << 16
+
 
 def _fiber_traps(f: SkewProduct, base_orbit: list, radius: float):
     """`_grid_traps` of the fiber maps along base_orbit, from its first
@@ -286,28 +292,47 @@ def _escape_grid(maps, window: Rect, nx: int, ny: int,
     after each step n >= s, a cell within a disk of phases[(n - s) % k]
     (|w - c| <= shrunk radius) is trapped and leaves the live cells with
     escape step 0.
+
+    The cells run through all their steps GRID_BLOCK at a time, in cell
+    order, so the working set besides the result is a few block-sized
+    arrays whatever the resolution; `maps` is still read once, and only as
+    far as the slowest block needs.
     """
     xs = window.re_min + (np.arange(nx) + 0.5) * (window.re_max - window.re_min) / nx
     ys = window.im_min + (np.arange(ny) + 0.5) * (window.im_max - window.im_min) / ny
-    X, Y = np.meshgrid(xs, ys)
-    w = (X + 1j * Y).ravel()
-    esc = np.zeros(w.shape, dtype=int)
-    idx = np.arange(w.size)
+    esc = np.zeros(nx * ny, dtype=int)
     start, phases = traps or (0, None)
+    steps = _replay(maps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, g in enumerate(maps, 1):
-            w = g(w)
-            live = np.abs(w) <= radius
-            if not live.all():
-                esc[idx[~live]] = n
-            if phases and n >= start:
-                for c, r in zip(*phases[(n - start) % len(phases)]):
-                    live &= np.abs(w - c) > r
-            if not live.all():
-                w, idx = w[live], idx[live]
-                if not idx.size:
-                    break
+        for lo in range(0, esc.size, GRID_BLOCK):
+            idx = np.arange(lo, min(lo + GRID_BLOCK, esc.size))
+            w = xs[idx % nx] + 1j * ys[idx // nx]
+            for n, g in enumerate(steps(), 1):
+                w = g(w)
+                live = np.abs(w) <= radius
+                if not live.all():
+                    esc[idx[~live]] = n
+                if phases and n >= start:
+                    for c, r in zip(*phases[(n - start) % len(phases)]):
+                        live &= np.abs(w - c) > r
+                if not live.all():
+                    w, idx = w[live], idx[live]
+                    if not idx.size:
+                        break
     return esc.reshape(ny, nx)
+
+
+def _replay(items):
+    """A function that returns a new iterator over `items` on each call;
+    `items` is read once, and only as far as the furthest iterator."""
+    it, seen = iter(items), []
+
+    def again():
+        yield from seen
+        for item in it:
+            seen.append(item)
+            yield item
+    return again
 
 
 def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,

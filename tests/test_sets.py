@@ -1,4 +1,5 @@
 import cmath
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.spatial import cKDTree
 from skewdyn.engine import Rect, _close_disk_chain, _trap_chains, \
     derive_escape_radius
 from skewdyn.errors import PreconditionError
+import skewdyn.sets
 from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
     make_product
 from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly
@@ -529,6 +531,29 @@ def test_trapped_grid_bit_equal_to_full_grid(sequence, steps, half, radius,
     got = _escape_grid(iter(maps), window, nx, ny, radius, traps)
     want = _full_grid_escape(iter(maps), window, nx, ny, radius)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_periodic_maps, st.integers(1, 80), st.sampled_from([2.0, 3.0, 10.0]),
+       st.integers(1, 20), st.integers(1, 20), st.integers(1, 40))
+def test_escape_grid_in_blocks_bit_equal(sequence, steps, radius, nx, ny,
+                                         block):
+    # blocks of any size, the last one down to a single cell, give the grid
+    # of one block and read as many maps from the iterator
+    period, prefix = sequence
+    maps = (prefix + period * steps)[:steps]
+    traps = _grid_traps(period, len(prefix), radius)
+    window = Rect.square(0.0, 1.5)
+    used = [[], []]
+    with mock.patch.object(skewdyn.sets, "GRID_BLOCK", block):
+        got = _escape_grid((used[0].append(g) or g for g in maps), window,
+                           nx, ny, radius, traps)
+    one = _escape_grid((used[1].append(g) or g for g in maps), window,
+                       nx, ny, radius, traps)
+    want = _full_grid_escape(iter(maps), window, nx, ny, radius)
+    assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(used[0]) == len(used[1])
 
 
 _TRAP_CASES = [
