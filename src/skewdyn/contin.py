@@ -9,7 +9,6 @@ skew structure.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .critpost import SaddleOrbit
 from .engine import _newton_fiber
 from .errors import PreconditionError
 from .poly import SkewProduct, fiber_poly
-from .sets import sample_fiber_julia
+from .sets import _csv_rows, sample_fiber_julia
 
 __all__ = [
     "ParamPath",
@@ -201,13 +200,8 @@ def _monodromy_degree(f, n_steps, n_cloud, max_loops, seed):
 
 
 def trace_to_csv(trace: ContinuationTrace) -> str:
-    buf = io.StringIO()
-    buf.write("lambda_re,lambda_im,z_re,z_im,w_re,w_im,"
-              "mu_base_abs,mu_vert_abs,residual\n")
-    for s in trace.steps:
-        buf.write(
-            f"{s.lam.real!r},{s.lam.imag!r},{s.z.real!r},{s.z.imag!r},"
-            f"{s.w.real!r},{s.w.imag!r},{abs(s.mu_base)!r},"
-            f"{abs(s.mu_vert)!r},{s.residual!r}\n"
-        )
-    return buf.getvalue()
+    rows = np.array([[s.lam.real, s.lam.imag, s.z.real, s.z.imag, s.w.real,
+                      s.w.imag, abs(s.mu_base), abs(s.mu_vert), s.residual]
+                     for s in trace.steps], dtype=float)
+    return _csv_rows("lambda_re,lambda_im,z_re,z_im,w_re,w_im,"
+                     "mu_base_abs,mu_vert_abs,residual\n", rows)

@@ -193,6 +193,7 @@ class RootFindError(NumericalError):
 
 
 def _aberth(coeffs, tol, max_iter=300, seed=0):
+    # called under roots' np.errstate: its divisions may overflow
     c = np.asarray(coeffs, dtype=complex)
     n = len(c) - 1
     cm = c / c[-1]
@@ -204,22 +205,21 @@ def _aberth(coeffs, tol, max_iter=300, seed=0):
     x = bound * np.exp(1j * ang) * (1 + 0.01 * rng.standard_normal(n))
     dc = npoly.polyder(cm)
     scale = max(np.max(np.abs(c)), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
-            pv = npoly.polyval(x, cm)
-            if np.all(np.abs(pv) * np.abs(c[-1]) <= tol * scale):
-                return x
-            dv = npoly.polyval(x, dc)
-            dv = np.where(dv == 0, 1e-300, dv)
-            newt = pv / dv
-            diff = x[:, None] - x[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.nansum(1.0 / diff, axis=1)
-            denom = 1.0 - newt * s
-            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-            x = x - newt / denom
-            if not np.all(np.isfinite(x)):
-                return None
+    for _ in range(max_iter):
+        pv = npoly.polyval(x, cm)
+        if np.all(np.abs(pv) * np.abs(c[-1]) <= tol * scale):
+            return x
+        dv = npoly.polyval(x, dc)
+        dv = np.where(dv == 0, 1e-300, dv)
+        newt = pv / dv
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = np.nansum(1.0 / diff, axis=1)
+        denom = 1.0 - newt * s
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        x = x - newt / denom
+        if not np.all(np.isfinite(x)):
+            return None
     return None
 
 
@@ -270,12 +270,6 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
     out = [0.0 + 0.0j] * lead_zeros
     if m >= 1:
         eig = None  # companion eigenvalues, solved at most once
-        if m == 1:
-            x = np.array([-core[0] / core[1]])
-        else:
-            x = _aberth(core, tol)
-            if x is None:
-                x = eig = _companion_eigvals(core)
 
         def misses(x, res):
             # capped below inf, the bound is missed by NaN and inf residuals
@@ -283,8 +277,15 @@ def roots(poly: Poly1, tol: float = 1e-10) -> np.ndarray:
             bound = min(tol * scale * top ** m, _FLOAT_MAX)
             return not (res <= bound).all()
 
+        # the first solves divide by the leading coefficient, which
+        # overflows when it is subnormal; the residual bound judges them
         with np.errstate(all="ignore"):
-            if m > 1:
+            if m == 1:
+                x = np.array([-core[0] / core[1]])
+            else:
+                x = _aberth(core, tol)
+                if x is None:
+                    x = eig = _companion_eigvals(core)
                 x = _newton_polish(core, x)
             res = np.abs(npoly.polyval(x, core))
             if misses(x, res):

@@ -489,18 +489,43 @@ def min_chordal_distance(a: PointCloud, b: PointCloud) -> float:
     return float(np.min(d))
 
 
-def cloud_to_csv(cloud: PointCloud) -> str:
-    """CSV of the cloud, each field the repr of a Python float (numpy 2
-    scalars would repr as np.float64(...)).
+def _csv_rows(header: str, rows: np.ndarray) -> str:
+    """The header, then one CSV line per row of a C-contiguous real (n, k)
+    array, each field the repr of a Python float.
 
-    Each block of 4,096 rows is one C-level `%` format; blocks keep the
-    Python floats of only one block alive at a time."""
-    rows = _as_real(cloud.points)
+    orjson (Ryū) prints the same shortest round-trip digits as repr
+    (Gay's dtoa), and lays them out the same way for 0 and for
+    1e-4 <= |x| < 1e16. Outside that range repr switches to exponent form
+    (1e-05, 1e+16) where orjson writes 0.00001 and 1e16, and orjson writes
+    NaN and inf as null. A row with such a field is written field by field
+    with repr; each maximal run of other rows is one orjson call. orjson is
+    imported on the first call, so the CLI's start-up does not pay for it.
+    """
+    import orjson
+
+    if not len(rows):
+        return header
+    a = np.abs(rows)
+    odd = ~((a == 0) | ((a >= 1e-4) & (a < 1e16))).all(axis=1)
+    cuts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist(), len(rows)]
+    parts = [header]
+    for s, e in zip(cuts, cuts[1:]):
+        if odd[s]:
+            parts.extend(",".join(map(repr, r)) + "\n"
+                         for r in rows[s:e].tolist())
+        else:
+            # [[x,y],[x,y]] -> x,y\nx,y, holding at most two copies of the
+            # text at a time
+            parts += [orjson.dumps(rows[s:e],
+                                   option=orjson.OPT_SERIALIZE_NUMPY)
+                      .replace(b"],[", b"\n")[2:-2].decode(), "\n"]
+    return "".join(parts)
+
+
+def cloud_to_csv(cloud: PointCloud) -> str:
+    """CSV of the cloud, each field the repr of a Python float."""
     header = "re_z,im_z\n" if cloud.dim == 1 else "re_z,im_z,re_w,im_w\n"
-    line = ",".join(["%r"] * rows.shape[1]) + "\n"
-    blocks = (rows[i:i + 4096] for i in range(0, len(rows), 4096))
-    return header + "".join((line * len(blk)) % tuple(blk.ravel().tolist())
-                            for blk in blocks)
+    return _csv_rows(header, _as_real(cloud.points))
 
 
 def slice_to_pgm(slice_: FiberSlice) -> bytes:

@@ -405,7 +405,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 # A fresh interpreter imports skewdyn.cli from src, then builds the parser
 # (no arguments) or runs main(argv), and prints the exit code and the
-# scipy modules it has loaded as JSON on its last line.
+# scipy and orjson modules it has loaded as JSON on its last line.
 _FRESH = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -416,8 +416,9 @@ if argv:
     rc = skewdyn.cli.main(argv)
 else:
     skewdyn.cli.build_parser()
-print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m.partition(".")[0] == "scipy")]))
+mods = sorted(m for m in sys.modules
+              if m.partition(".")[0] in ("scipy", "orjson"))
+print(json.dumps([rc, mods]))
 """
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -431,7 +432,8 @@ def _fresh_run(argv=()):
 
 def test_cli_start_up_loads_no_scipy():
     # scipy.spatial alone takes about 0.3 s to import: it loads on the
-    # first KD-tree build (sets._kdtree), not at start-up
+    # first KD-tree build (sets._kdtree), not at start-up; orjson loads on
+    # the first CSV (sets._csv_rows)
     assert _fresh_run() == [0, []]
 
 
@@ -447,14 +449,16 @@ def test_cli_start_up_loads_no_scipy():
 ])
 def test_subcommands_without_kd_trees_leave_scipy_spatial_unloaded(
         tmp_path, argv):
-    rc, scipy_modules = _fresh_run(argv + ["--out", str(tmp_path / "o")])
+    rc, modules = _fresh_run(argv + ["--out", str(tmp_path / "o")])
     assert rc == 0
-    assert "scipy.spatial" not in scipy_modules
+    assert "scipy.spatial" not in modules
+    # of these, only continue writes a CSV
+    assert ("orjson" in modules) == (argv[0] == "continue")
 
 
 def test_certify_loads_scipy_spatial(tmp_path):
-    rc, scipy_modules = _fresh_run(
+    rc, modules = _fresh_run(
         ["certify", "--family", "product", "--p", "0,0,1", "--q=-1,0,1",
          "--n-base", "50", "--n-j2", "100", "--out", str(tmp_path / "o")])
     assert rc == 0
-    assert "scipy.spatial" in scipy_modules
+    assert "scipy.spatial" in modules

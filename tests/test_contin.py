@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from skewdyn.contin import (
+    ContinuationTrace,
     ParamPath,
+    TraceStep,
     continue_orbit,
     separation_evidence,
     trace_to_csv,
@@ -109,6 +113,27 @@ def test_path_needs_two_samples():
         ParamPath(build=make_Fa, samples=np.array([-1.0]))
 
 
+def _trace_rows_by_repr(trace):
+    return [f"{s.lam.real!r},{s.lam.imag!r},{s.z.real!r},{s.z.imag!r},"
+            f"{s.w.real!r},{s.w.imag!r},{abs(s.mu_base)!r},"
+            f"{abs(s.mu_vert)!r},{s.residual!r}" for s in trace.steps]
+
+
+def test_trace_csv_fields_are_repr_in_exponent_form_too():
+    # residuals below 1e-4, huge and non-finite fields take repr's exponent
+    # forms and nan/inf, between rows that are positional throughout
+    steps = [TraceStep(-1 + 0j, 1 + 0j, -0.5j, 2 + 0j, 0.25 + 0j, 0.0),
+             TraceStep(-0.99 + 0j, 1e16 + 1e-05j,
+                       complex(math.nan, -math.inf), 3 + 4j, 0.5j, 2.5e-17),
+             TraceStep(-0.98 + 0j, 0.9 - 0.1j, 0.1 + 0.2j, 2 + 0j, 0.5 + 0j,
+                       1e-3),
+             TraceStep(-0.97 + 0j, 0.9 - 0.1j, 0.1 + 0.2j, 2 + 0j, 0.5 + 0j,
+                       4e-16)]
+    trace = ContinuationTrace(steps, "Completed")
+    assert trace_to_csv(trace).splitlines()[1:] == _trace_rows_by_repr(trace)
+    assert trace_to_csv(ContinuationTrace([], "Completed")).count("\n") == 1
+
+
 def test_trace_csv_format():
     start = _fa_saddle()
     trace = continue_orbit(_path(-1.0, -0.98, 5), start)
@@ -119,6 +144,7 @@ def test_trace_csv_format():
     assert len(lines) == 1 + len(trace.steps)
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == -1.0 and len(first) == 9
+    assert lines[1:] == _trace_rows_by_repr(trace)
     # deterministic serialization
     assert csv == trace_to_csv(trace)
 

@@ -345,6 +345,15 @@ _CRIT_COEF = st.one_of(st.integers(-2, 2).map(complex),
 # a degree-3 map: dq/dw is quadratic, with a double root at z = 0
 @example(qc=np.array([[0, 0, 0, 1], [0, -1, 1, 0]], dtype=complex),
          zs=[0.0, 1.0, 0.5 + 0.5j, math.inf])
+# a subnormal z makes dq/dw's leading coefficient subnormal: the first
+# solve divides by it and overflows, in the Aberth start (quadratic dq/dw)
+# and in the linear solve
+@example(qc=np.array([0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0],
+                     dtype=complex).reshape(3, 4),
+         zs=[2.225073858507e-311 + 0j])
+@example(qc=np.array([0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+                     dtype=complex).reshape(3, 4),
+         zs=[2.225073858507e-311 + 0j])
 def test_critical_points_match_per_point_roots(qc, zs):
     f = SkewProduct(Poly1([0, 0, 1]), Poly2(qc))
     zs = np.array(zs, dtype=complex)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from skewdyn.engine import Rect, _close_disk_chain, _trap_chains, \
@@ -28,8 +28,8 @@ from skewdyn.sets import (
     slice_to_ppm,
     sphere_embed,
 )
-from skewdyn.sets import (_as_real, _distinct_rows, _escape_grid, _fiber_traps,
-                          _grid_traps, _row_hash)
+from skewdyn.sets import (_as_real, _csv_rows, _distinct_rows, _escape_grid,
+                          _fiber_traps, _grid_traps, _row_hash)
 
 
 def test_base_julia_circle():
@@ -358,6 +358,74 @@ def test_cloud_csv_bit_equal_to_repr_rows(dim, n):
     got = cloud_to_csv(PointCloud(pts))
     assert got == _csv_reference(pts)
     assert got.count("\n") == n + 1
+
+
+def _positional(u: np.ndarray) -> np.ndarray:
+    """Floats with the sign and mantissa bits of u, and binary exponents in
+    [-13, 52]: 2^-13 > 1e-4 and 2^53 < 1e16, so repr prints every one of
+    them positionally."""
+    e = (u >> np.uint64(52)) % np.uint64(66) + np.uint64(1023 - 13)
+    keep = np.uint64(0x800F_FFFF_FFFF_FFFF)
+    return ((u & keep) | e << np.uint64(52)).view(float)
+
+
+@st.composite
+def _bit_clouds(draw):
+    """1-D and 2-D clouds from raw uint64 bit patterns; a drawn share of the
+    rows keep every field positional, so runs of both kinds of row occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.one_of(st.integers(0, 40), st.integers(0, 5000)))
+    raw_share = draw(st.sampled_from([0.0, 0.002, 0.1, 0.5, 1.0]))
+    u = rng.integers(0, 2 ** 64, (n, 2 * dim), dtype=np.uint64)
+    raw = rng.random(n) < raw_share
+    x = np.where(raw[:, None], u.view(float), _positional(u))
+    event(f"raw share {raw_share}")
+    pts = x.view(complex)
+    return pts.ravel() if dim == 1 else pts
+
+
+# the doubles at the edges of repr's positional range, zeros, a NaN with its
+# sign bit and a payload, and infinities
+_CSV_EDGES = np.array([np.nextafter(1e-4, 0), -np.nextafter(1e-4, 0), 1e-4,
+                       -1e-4, np.nextafter(1e16, 0), 1e16, -1e16, 5e-324,
+                       -0.0, 0.0, np.uint64(0xFFF8_0000_0000_1234).view(float),
+                       np.inf, -np.inf])
+
+
+def _complex(*cols) -> np.ndarray:
+    """Points whose real and imaginary parts are the given columns, with
+    their bits (no arithmetic that could touch a NaN or an infinity)."""
+    pts = np.column_stack(cols).view(complex)
+    return pts.ravel() if len(cols) == 2 else pts
+
+
+def _one_odd_row(n: int, at: int) -> np.ndarray:
+    """A 2-D cloud of n positional rows, but row `at` holds 1e-05."""
+    pts = np.full((n, 2), 1.5 - 0.25j)
+    pts[at, 1] = 1e-05
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bit_clouds())
+@example(_complex(_CSV_EDGES, np.full(len(_CSV_EDGES), 0.5)))
+@example(_complex(_CSV_EDGES, np.full(len(_CSV_EDGES), 7.0),
+                  -_CSV_EDGES[::-1], _CSV_EDGES))
+@example(_one_odd_row(5, 0))                    # a run's start
+@example(_one_odd_row(5, 2))                    # its middle
+@example(_one_odd_row(5, 4))                    # its end
+@example(np.full(6, 1e-05 + 1e16j))             # every row odd
+def test_csv_rows_equal_repr_rows(pts):
+    assert cloud_to_csv(PointCloud(pts)) == _csv_reference(pts)
+
+
+def test_csv_rows_equal_repr_on_a_million_positional_values():
+    rng = np.random.default_rng(21)
+    rows = _positional(rng.integers(0, 2 ** 64, (250_000, 4),
+                                    dtype=np.uint64))
+    want = ("%r,%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist())
+    assert _csv_rows("", rows) == want
 
 
 def test_sampler_determinism():
