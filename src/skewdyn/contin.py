@@ -72,10 +72,10 @@ def _solve_at(f, z_pred, w_pred, n_base, n_fiber, tol):
     if rf is None:
         return None
     w, mu_v = rf
-    res = abs(complex(f.p(orbit[n_base - 1])) - z)
+    res = abs(f.p.step(orbit[n_base - 1]) - z)
     x = w
     for q in fibers:
-        x = complex(q(x))
+        x = q.step(x)
     res = max(res, abs(x - w))
     return z, w, mu_b, mu_v, res
 

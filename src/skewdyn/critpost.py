@@ -22,7 +22,7 @@ from .engine import (
     repelling_cycles,
 )
 from .errors import NumericalError, PreconditionError
-from .poly import _FLOAT_MAX, Poly1, SkewProduct, fiber_poly, roots
+from .poly import _FLOAT_MAX, Poly1, SkewProduct, _horner, fiber_poly, roots
 from .sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
                    _kdtree, min_chordal_distance, sphere_embed)
 
@@ -190,17 +190,6 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     return {"index": index, "tol": tol, "row": row, "pad": pad, "lens": lens}
 
 
-def _horner_w(b, w):
-    """q(z, w) from b, the w-coefficients of q at each row's z, highest
-    power first: Horner in w out of place from zeros, in `Poly2.__call__`'s
-    order, so the values are bit-equal to it (numpy rounds an in-place
-    product of one element other than out of place)."""
-    acc = np.zeros(len(w), dtype=complex)
-    for bj in b:
-        acc = acc * w + bj
-    return acc
-
-
 def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
                snap: dict, width: int):
     """Step each tracked orbit once: to fiber escape, base drift or n_iter.
@@ -218,9 +207,9 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     first, with their orbit indices; they are compacted only on a step
     where some orbit stops.  Periodic rows take their next base point from
     the cycle table and their fiber map from a table of the coefficients
-    b_j of q evaluated once at every cycle point: Horner in w on the
-    coefficients of the row's cycle phase is `Poly2.__call__`'s Horner on
-    bit-equal values.  The generic rows go through f.q, f.p and the drift
+    b_j of q evaluated once at every cycle point: `_horner` on the
+    coefficients of the row's cycle phase is `Poly2.__call__` on bit-equal
+    values.  The generic rows go through f.q, f.p and the drift
     test, which are skipped once none is live.  Every value is computed as
     in an uncompacted walk, so the tails are bit-equal to it.
     """
@@ -245,7 +234,7 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
             if not len(ids):
                 break
             phase = (k - 1) % lr
-            wn = _horner_w(b[:, rp, phase], w[:m])
+            wn = _horner(b[:, rp, phase], w[:m])
             zn = pad[rp, k % lr]
             wesc = ~(np.abs(wn) <= radius)  # beyond the radius, inf or NaN
             stop = wesc
@@ -373,7 +362,7 @@ def postcritical_cloud(f: SkewProduct, crit, n_iter: int = 200,
         for _ in range(n_iter - 1):
             if not len(j):
                 break
-            w = _horner_w(b[:, j], w)
+            w = _horner(b[:, j], w)
             ok = okz[j] & bounded(w, radius)
             j, w = succ[j[ok]], w[ok]
             out.append(np.column_stack([base_pts[j], w]))
@@ -446,7 +435,7 @@ def acc_full_probe(
     The critical points come from `_critical_points` over the whole chain,
     and a chain point where `roots` fails raises what `roots` raised.  The
     fiber maps over the chain are evaluated once, and each probe is pushed
-    by `Poly1.walk`'s Horner, bit-equal to evaluating the fiber map with
+    by `Poly1.step`, bit-equal to evaluating the fiber map with
     `npoly.polyval` at every step.
     """
     if depth < 1:
@@ -481,7 +470,7 @@ def acc_full_probe(
             roots(Poly1(npoly.polyval(back[missed[0]], f.q.dw().coeffs)))
         # maps[k-1] is the fiber map over z_{-k}
         maps = [Poly1(c) for c in npoly.polyval(back, f.q.coeffs).T]
-    # push each (z_{-k}, c) forward exactly k steps with `Poly1.walk`,
+    # push each (z_{-k}, c) forward exactly k steps with `Poly1.step`,
     # replaying the stored backward chain for the base coordinate (forward
     # base iteration would amplify float error past usefulness on a
     # strongly expanding base)
@@ -489,7 +478,7 @@ def acc_full_probe(
     for j, c0 in zip(owner, crits):
         ww = complex(c0)
         for g in maps[j::-1]:
-            ww = next(g.walk(ww))
+            ww = g.step(ww)
             if not abs(ww) <= params.radius:  # beyond the radius, inf or NaN
                 break
         else:

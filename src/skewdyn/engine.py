@@ -160,14 +160,13 @@ def _tail_period(tail):
 def _newton_fiber(fibers: list, w0: complex, tol: float, max_iter: int = 60):
     """Newton on w -> (q_{n-1} o ... o q_0)(w) - w over the given fiber maps,
     evaluated along the orbit; returns (w, multiplier) or None."""
-    dfibers = [q.deriv() for q in fibers]
     w = complex(w0)
     for _ in range(max_iter):
         x = w
         mu = 1.0 + 0.0j
-        for q, dq in zip(fibers, dfibers):
-            mu *= complex(dq(x))
-            x = complex(q(x))
+        for q in fibers:
+            mu *= q.deriv().step(x)
+            x = q.step(x)
         val = x - w
         deriv = mu - 1.0
         if deriv == 0:
@@ -194,7 +193,7 @@ def _sequence_cycle(maps: list, m: int, w0: complex):
         polished = _newton_fiber(seq, w0, NEWTON_TOL * max(1.0, abs(w0)))
         pts = [complex(w0) if polished is None else polished[0]]
         for g in seq[:-1]:
-            pts.append(complex(g(pts[-1])))
+            pts.append(g.step(pts[-1]))
         m = next(d for d in range(1, m + 1) if m % d == 0 and (
             d == m or abs(pts[d * k] - pts[0]) < CYCLE_TOL))
         seq, pts = seq[:m * k], pts[:m * k]
@@ -203,7 +202,7 @@ def _sequence_cycle(maps: list, m: int, w0: complex):
         pts = pts[first:] + pts[:first]
         mult = 1.0 + 0.0j
         for g, w in zip(seq, pts):
-            mult *= complex(g.deriv()(w))
+            mult *= g.deriv().step(w)
     return np.array(pts), mult
 
 
@@ -235,8 +234,6 @@ def fiber_cycles(maps: list):
     """
     k = len(maps)
     radius = max(_one_var_radius(g.coeffs) for g in maps)
-    horner = [(complex(g.coeffs[-1]), [complex(a) for a in g.coeffs[-2::-1]])
-              for g in maps]
     cycles, known, undetermined = [], [], 0
     for j, g in enumerate(maps):
         try:
@@ -248,12 +245,7 @@ def fiber_cycles(maps: list):
             x, phase, n = complex(c), j, 0
             tail = deque(maxlen=CYCLE_TAIL_LEN)
             while n < DEFAULT_MAX_ITER:
-                # Horner in `npoly.polyval`'s order, as `Poly1.walk`
-                top, rest = horner[phase]
-                acc = top + x * 0
-                for a in rest:
-                    acc = a + acc * x
-                x = acc
+                x = maps[phase].step(x)
                 phase = phase + 1 if phase + 1 < k else 0
                 if not abs(x) <= radius:  # escaped, or inf or NaN
                     break

@@ -133,10 +133,8 @@ def solve_superattracting_param(n: int) -> float:
             xm = mid
             for _ in range(n - 1):
                 xm = xm * xm + mid
-            xl = lo
-            for _ in range(n - 1):
-                xl = xl * xl + lo
-            if np.sign(xm) == np.sign(xl):
+            # lo only moves onto points of its own sign, sign[i]
+            if np.sign(xm) == sign[i]:
                 lo = mid
             else:
                 hi = mid

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -35,9 +36,27 @@ def _trim(c):
     if c.ndim == 0:
         c = c.reshape(1)
     nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: nz[-1] + 1].copy()
+    c = c[: nz[-1] + 1].copy() if len(nz) else np.zeros(1, dtype=complex)
+    c.flags.writeable = False  # `Poly1.step` and `deriv` cache from it
+    return c
+
+
+def _horner(b, w):
+    """Horner in w on the coefficient rows b, highest power first (each a
+    scalar or an array broadcasting with w), in `npoly.polyval`'s order
+    (`top + w*0`, then `a + acc*w`), so the values are bit-equal to it.
+    In place unless the result has one element: numpy rounds an in-place
+    product of one element with its scalar loop, every other with SIMD."""
+    rows = iter(b)
+    acc = next(rows) + w * 0
+    if np.size(acc) > 1:
+        for a in rows:
+            acc *= w
+            acc += a
+    else:
+        for a in rows:
+            acc = a + acc * w
+    return acc
 
 
 @dataclass(frozen=True)
@@ -54,23 +73,33 @@ class Poly1:
         return len(self.coeffs) - 1
 
     def __call__(self, w):
-        if not (isinstance(w, np.ndarray) and w.size > 1):
-            return npoly.polyval(w, self.coeffs)
-        # Horner in place on one buffer, in `npoly.polyval`'s order (`top +
-        # x*0`, then `a + acc*x`), so the values are bit-equal. A 1-element
-        # array stays on polyval: numpy rounds an in-place product of one
-        # element with its scalar loop, every other product with its SIMD one.
-        c = self.coeffs
-        acc = c[-1] + w * 0
-        for a in c[-2::-1]:
-            acc *= w
-            acc += a
+        if isinstance(w, np.ndarray):
+            return _horner(self.coeffs[::-1], w)
+        return npoly.polyval(w, self.coeffs)
+
+    @cached_property
+    def _scalar(self):
+        top, *rest = [complex(a) for a in self.coeffs[::-1]]
+        return top, rest
+
+    def step(self, x: complex) -> complex:
+        """p(x) for a Python complex x: Horner on Python complex
+        coefficients in `npoly.polyval`'s order (`top + x*0`, then `a +
+        acc*x`), bit-equal to `complex(self(x))` at a fraction of its
+        cost, and free of numpy's floating-point warnings."""
+        top, rest = self._scalar
+        acc = top + x * 0
+        for a in rest:
+            acc = a + acc * x
         return acc
 
-    def deriv(self) -> "Poly1":
-        if self.degree == 0:
-            return Poly1([0.0])
+    @cached_property
+    def _deriv(self) -> "Poly1":
         return Poly1(npoly.polyder(self.coeffs))
+
+    def deriv(self) -> "Poly1":
+        """The derivative, built on the first call and shared after it."""
+        return self._deriv
 
     def compose(self, inner: "Poly1") -> "Poly1":
         # Horner over polynomial arguments: result = sum a_j * inner^j
@@ -88,19 +117,10 @@ class Poly1:
 
     def walk(self, z):
         """The endless forward orbit p(z), p^2(z), ... of the scalar z, each
-        a Python complex.
-
-        Horner on Python complex coefficients in `npoly.polyval`'s order
-        (`top + x*0`, then `a + acc*x`), so every iterate is bit-equal to
-        `complex(self(x))` at a fraction of its per-step cost.
-        """
-        top, *rest = [complex(a) for a in self.coeffs[::-1]]
+        a Python complex stepped by `step`."""
         x = complex(z)
         while True:
-            acc = top + x * 0
-            for a in rest:
-                acc = a + acc * x
-            x = acc
+            x = self.step(x)
             yield x
 
     def orbit(self, z, n: int) -> list:
@@ -131,9 +151,7 @@ class Poly2:
         # Horner in w of the z-evaluated coefficient functions.
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        acc = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-        for j in range(self.coeffs.shape[1] - 1, -1, -1):
-            acc = acc * w + npoly.polyval(z, self.coeffs[:, j])
+        acc = _horner((npoly.polyval(z, c) for c in self.coeffs.T[::-1]), w)
         return acc if acc.shape else complex(acc)
 
     def dw(self) -> "Poly2":

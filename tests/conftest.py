@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 SCHEMA_DIR = (pathlib.Path(__file__).resolve().parent.parent
@@ -16,6 +18,19 @@ def validate_schema(obj, name: str):
     import jsonschema
 
     jsonschema.validate(obj, load_schema(name))
+
+
+def poly2_reference(q, z, w):
+    """q(z, w) as `Poly2.__call__` computed it before `poly._horner`: Horner
+    in w out of place from zeros, on the per-column `npoly.polyval` of the
+    coefficients at z.  A reference for the shared kernel, not built on
+    it."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    acc = np.zeros(np.broadcast(z, w).shape, dtype=complex)
+    for j in range(q.coeffs.shape[1] - 1, -1, -1):
+        acc = acc * w + npoly.polyval(z, q.coeffs[:, j])
+    return acc if acc.shape else complex(acc)
 
 
 @pytest.fixture(scope="session")

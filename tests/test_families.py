@@ -4,6 +4,8 @@ import pytest
 from skewdyn.errors import PreconditionError
 from skewdyn.families import (
     S1S2Constants,
+    _exact_period,
+    _orbit_newton,
     build_s1s2,
     make_Fa,
     make_airplane_skew,
@@ -125,6 +127,46 @@ def test_superattracting_param_periods_two_to_eleven_unchanged():
                 -1.9999964703350086]
     for n, c in enumerate(expected, start=2):
         assert solve_superattracting_param(n) == c, n
+
+
+def _superattracting_param_reference(n):
+    """`solve_superattracting_param` as it was when its bisection
+    recomputed the orbit of lo at every step."""
+    grid = np.linspace(-2.000013, 0.500017, 200001)
+    x = grid.copy()
+    for _ in range(n - 1):
+        x = x * x + grid
+    sign = np.sign(x)
+    candidates = []
+    for i in np.where(sign[:-1] * sign[1:] < 0)[0]:
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            xm = mid
+            for _ in range(n - 1):
+                xm = xm * xm + mid
+            xl = lo
+            for _ in range(n - 1):
+                xl = xl * xl + lo
+            if np.sign(xm) == np.sign(xl):
+                lo = mid
+            else:
+                hi = mid
+        c = _orbit_newton(0.5 * (lo + hi), n, 8)
+        if _exact_period(c, n):
+            candidates.append(c)
+    c = -1.0
+    for m in range(3, n + 1):
+        c = _orbit_newton(-2.0 + (2.0 + c) / 4.0, m, 40)
+    if _exact_period(c, n) and all(abs(c - x) > 1e-12 for x in candidates):
+        candidates.append(c)
+    return float(min(candidates))
+
+
+def test_superattracting_param_bit_equal_to_orbit_of_lo_bisection():
+    for n in range(2, 13):
+        got = solve_superattracting_param(n)
+        assert got.hex() == _superattracting_param_reference(n).hex(), n
 
 
 def test_superattracting_param_range():

@@ -2,9 +2,11 @@
 
 `_ref_run_spans` finds where each orbit stops and `_ref_collect_windows`
 replays every orbit from step 1 to collect its tail, stepping every row
-with f.q; `_run_spans` must give the same escape steps and bit-equal tails
-in one pass, with its periodic rows stepped from a coefficient table, and
-`acc_cloud`'s single batch must equal the old per-component loop.
+with `poly2_reference`, the evaluation of q that `Poly2.__call__` ran
+before `poly._horner`; `_run_spans` must give the same escape steps and
+bit-equal tails in one pass, with its periodic rows stepped from a
+coefficient table, and `acc_cloud`'s single batch must equal the old
+per-component loop.
 `_base_snap` must give every start the cycle, bit for bit, that the
 per-start loop gave.  `_critical_points` must keep, bit for bit, what the
 per-point `roots()` loop kept, and `acc_full_probe` must equal its old
@@ -19,6 +21,7 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from conftest import poly2_reference
 from hypothesis import example, given, settings, strategies as st
 
 from skewdyn.chain import repelling_periodic_points
@@ -45,7 +48,7 @@ from skewdyn.sets import CloudIndex, PointCloud, _as_real, sample_base_julia
 
 def _ref_step_tracked(f, z, w, k, idx, snap):
     za, wa = z[idx], w[idx]
-    wn = f.q(za, wa)
+    wn = poly2_reference(f.q, za, wa)
     zn = f.p(za)
     ra = snap["row"][idx]
     per = ra >= 0
@@ -476,7 +479,7 @@ def _ref_postcritical_cloud(f, crit, n_iter, params):
                 break
             idx = np.where(alive)[0]
             za, wa = z[idx], w[idx]
-            wn = f.q(za, wa)
+            wn = poly2_reference(f.q, za, wa)
             zn = f.p(za)
             ok = (np.isfinite(zn.real) & np.isfinite(zn.imag)
                   & np.isfinite(wn.real) & np.isfinite(wn.imag)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from conftest import poly2_reference
 from hypothesis import given, settings, strategies as st
 
 from skewdyn import poly
@@ -227,6 +228,137 @@ def test_poly1_call_bit_equal_to_polyval_on_short_arrays():
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.array_equal(Poly1(c)(x).view(np.uint64),
                               npoly.polyval(x, c).view(np.uint64))
+
+
+def _horner_w_reference(b, w):
+    """The Horner in w on a coefficient table that `critpost` stepped its
+    cycle rows and cloud rows with before `poly._horner`: out of place from
+    zeros."""
+    acc = np.zeros(len(w), dtype=complex)
+    for bj in b:
+        acc = acc * w + bj
+    return acc
+
+
+def _bits(x, any_nan=False):
+    a = np.array(x, dtype=complex, ndmin=1)
+    if any_nan:  # every NaN as the one canonical NaN
+        parts = a.view(float)
+        parts[np.isnan(parts)] = np.nan
+    return a.view(np.uint64)
+
+
+def _assert_same_bits(got, want, any_nan=False):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(_bits(got, any_nan), _bits(want, any_nan))
+
+
+_LAYOUTS = ["scalar", "0-d", "one", "long", "broadcast", "scalar w"]
+
+
+def _layout(layout, zs, ws, k):
+    """(z, w) in one of the argument layouts the kernels meet: Python
+    scalars, 0-d arrays, one element, a contiguous array, an (n, 1) column
+    of z against (n, k) of w, or a Python scalar w over an array z."""
+    if layout == "scalar":
+        return zs[0], ws[0]
+    if layout == "0-d":
+        return np.array(zs[0]), np.array(ws[0])
+    if layout == "one":
+        return np.array(zs[:1]), np.array(ws[:1])
+    if layout == "long":
+        return np.array(zs), np.array(ws)
+    if layout == "broadcast":
+        n = len(zs) // k
+        return (np.array(zs[:n]).reshape(n, 1),
+                np.array(ws[:n * k]).reshape(n, k))
+    return np.array(zs), ws[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data(),
+       st.lists(st.tuples(any_complex, any_complex), min_size=12,
+                max_size=24),
+       st.integers(1, 6), st.sampled_from(_LAYOUTS))
+def test_horner_kernel_bit_equal_to_old_loops(rows, cols, data, zw, k,
+                                              layout):
+    # q with 1 to 4 columns (one column: q depends on z alone) and p in the
+    # same coefficients; values include inf, NaN and signed zeros.  The old
+    # loops start from zeros*w + top, the kernel from top + w*0 as polyval
+    # does: when both terms are NaN, x86 keeps the first one's sign, so a
+    # NaN input is compared to them as NaN, all else bit for bit
+    qc = np.array(data.draw(st.lists(st.lists(coefficient, min_size=cols,
+                                               max_size=cols),
+                                      min_size=rows, max_size=rows)),
+                  dtype=complex)
+    q, p = Poly2(qc), Poly1(qc[:, -1])
+    z, w = _layout(layout, *map(list, zip(*zw)), k)
+    nan_in = bool(np.isnan(np.array(zw, dtype=complex).view(float)).any())
+    with np.errstate(all="ignore"):
+        want = poly2_reference(q, z, w)
+        _assert_same_bits(q(z, w), want, nan_in)
+        b = [npoly.polyval(np.asarray(z, dtype=complex), c) for c in qc.T]
+        got = poly._horner(b[::-1], np.asarray(w, dtype=complex))
+        got = complex(got) if np.ndim(got) == 0 else got
+        _assert_same_bits(got, want, nan_in)
+        if np.ndim(w) == 1 and np.ndim(z) == 1:
+            _assert_same_bits(poly._horner(np.array(b[::-1]), w),
+                              _horner_w_reference(np.array(b[::-1]), w),
+                              nan_in)
+        if isinstance(w, np.ndarray):
+            _assert_same_bits(p(w), npoly.polyval(w, p.coeffs))
+        _assert_same_bits(poly._horner(p.coeffs[::-1], w),
+                          npoly.polyval(w, p.coeffs))
+
+
+def test_poly2_at_one_point_bit_equal_to_old_loop():
+    # at a one-element z, one polyval table over all columns rounds other
+    # than the per-column polyval in about 37% of one-column maps, and an
+    # in-place product of one element other than out of place in about 40%
+    # of 3 x 3 maps
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        q = Poly2((rng.standard_normal(shape)
+                   + 1j * rng.standard_normal(shape)) * 10)
+        z, w = complex(*rng.standard_normal(2) * 3), complex(
+            *rng.standard_normal(2))
+        for zz, ww in ((z, w), (np.array(z), np.array(w)),
+                       (np.array([z]), np.array([w]))):
+            _assert_same_bits(q(zz, ww), poly2_reference(q, zz, ww))
+
+
+huge = st.complex_numbers(min_magnitude=1e150, allow_nan=False,
+                          allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coefficient, min_size=0, max_size=5),
+       st.one_of(coefficient.filter(bool), pure_imaginary),
+       st.one_of(any_complex, huge))
+def test_step_bit_equal_to_polyval(lower, top, x):
+    p = Poly1(lower + [top])
+    with np.errstate(all="ignore"):
+        want = complex(npoly.polyval(x, p.coeffs))
+    _assert_same_bits(p.step(x), want)
+
+
+def test_deriv_built_once():
+    p = Poly1([1.0, -2.0, 0.5j, 3.0])
+    d = p.deriv()
+    assert p.deriv() is d
+    assert np.array_equal(d.coeffs, npoly.polyder(p.coeffs))
+    assert Poly1([2.0]).deriv().coeffs.tolist() == [0j]
+
+
+def test_poly1_coeffs_read_only():
+    c = np.array([1.0, 0.0, 1.0], dtype=complex)
+    p = Poly1(c)
+    with pytest.raises(ValueError):
+        p.coeffs[0] = 2.0
+    c[0] = 2.0  # the caller's array is copied, not frozen
+    assert p.coeffs[0] == 1.0
 
 
 def _fallback_reference(core, tol):
