@@ -212,11 +212,22 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     values.  The generic rows go through f.q, f.p and the drift
     test, which are skipped once none is live.  Every value is computed as
     in an uncompacted walk, so the tails are bit-equal to it.
+
+    A periodic row's state is its cycle phase and w.  Every `width` steps,
+    a periodic row whose w_k has the bytes of w_{k-P} for some P < width
+    that its cycle length divides (the least such P) repeats with period P
+    from step k - P on: it never escapes, and its last `width` ring slots
+    up to n_iter are filled from the stored period (gathered first, then
+    scattered) and the row leaves the walk.  Each row is stepped on its own
+    values, so retiring a row changes no other.
     """
     n = len(zs)
     esc = np.full(n, -1, dtype=int)
     end = np.full(n, n_iter, dtype=int)
     ring = np.zeros((n, width, 2), dtype=complex)
+    w_bytes = ring.view(np.uint64)[:, :, 2:]  # a view: the ring's w, as bytes
+    lag = np.arange(width - 1, -1, -1)  # at a step k = 0 mod width: k - step
+    last = n_iter - width + 1 + np.arange(width)  # the steps a tail can hold
     radius, base_radius = params.radius, params.base_radius
     index, tol = snap["index"], snap["tol"]
     row, pad, lens = snap["row"], snap["pad"], snap["lens"]
@@ -259,6 +270,24 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
             z, w = zn, wn
             ring[ids, (k - 1) % width, 0] = z
             ring[ids, (k - 1) % width, 1] = w
+            if m and not k % width and k < n_iter:
+                # step k sits in the last slot; per: the least lag at which
+                # w repeats exactly, a multiple of the row's cycle length
+                # (width if none)
+                bits = w_bytes[ids[:m]]
+                ok = (bits == bits[:, -1, None]).all(axis=2)
+                ok &= (lag > 0) & (lag % lr[:, None] == 0)
+                per = np.where(ok, lag, width).min(axis=1)
+                done = per < width
+                if done.any():
+                    at, per = ids[:m][done, None], per[done, None]
+                    src = np.where(last > k, k - (k - last) % per, last)
+                    ring[at, (last - 1) % width] = ring[at, (src - 1) % width]
+                    live = np.ones(len(ids), dtype=bool)
+                    live[:m] = ~done
+                    ids, z, w, rp = ids[live], z[live], w[live], rp[~done]
+                    m = len(rp)
+                    lr = lens[rp]
     count = np.minimum(np.ceil(TAIL_FRAC * end).astype(int), width)
     owner = np.repeat(np.arange(n), count)
     first = np.cumsum(count) - count

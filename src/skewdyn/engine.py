@@ -8,7 +8,7 @@ trapping disks that certify the attracting ones, and the chordal
 
 from __future__ import annotations
 
-from collections import deque
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,12 +148,17 @@ def repelling_cycles(p: Poly1, n: int) -> list:
 
 def _tail_period(tail):
     """The least period m <= CYCLE_MAX_PERIOD (at most half the tail) with
-    which the tail repeats to CYCLE_TOL, or None."""
+    which the tail repeats to CYCLE_TOL, or None.
+
+    A period m needs |t[m] - t[0]| < CYCLE_TOL, so one array operation
+    picks the candidates, with a slack of 1e-9 so that rounding cannot drop
+    one, and the full test runs on those alone."""
     t = np.asarray(tail, dtype=complex)
     max_period = min(CYCLE_MAX_PERIOD, max(1, len(t) // 2))
-    for m in range(1, max_period + 1):
+    near = np.abs(t[1:max_period + 1] - t[0]) < CYCLE_TOL * (1.0 + 1e-9)
+    for m in np.flatnonzero(near) + 1:
         if np.max(np.abs(t[m:] - t[:-m])) < CYCLE_TOL:
-            return m
+            return int(m)
     return None
 
 
@@ -223,6 +228,12 @@ def fiber_cycles(maps: list):
     cut to its least period (`_sequence_cycle`), and kept unless it meets a
     cycle already found.
 
+    A walk stops stepping at its first exact float repeat: once a phase-0
+    point has the bytes of an earlier one (so 0.0 and -0.0 differ), every
+    later point replays the P points between them, and the tail checks
+    still due are run on the replayed tails (`_critical_walk`).  The
+    outcome is the one of the full walk, bit for bit.
+
     Returns (cycles, undetermined).  cycles lists (points, multiplier) pairs
     sorted by (len(points), points[0].real, points[0].imag): the L points
     of the cycle (L a multiple of k), point t in the fiber where
@@ -242,32 +253,66 @@ def fiber_cycles(maps: list):
             undetermined += g.degree - 1
             continue
         for c in crits:
-            x, phase, n = complex(c), j, 0
-            tail = deque(maxlen=CYCLE_TAIL_LEN)
-            while n < DEFAULT_MAX_ITER:
-                x = maps[phase].step(x)
-                phase = phase + 1 if phase + 1 < k else 0
-                if not abs(x) <= radius:  # escaped, or inf or NaN
-                    break
-                if phase:
-                    continue
-                n += 1
-                tail.append(x)
-                if any(abs(x - y) < CYCLE_TOL for y in known):
-                    break
-                if n % CYCLE_TAIL_LEN and n < DEFAULT_MAX_ITER:
-                    continue
-                m = _tail_period(tail)
-                if m is not None:
-                    pts, mult = _sequence_cycle(maps, m, x)
-                    if not any(abs(pts[0] - y) < CYCLE_TOL for y in known):
-                        cycles.append((pts, mult))
-                        known.extend(pts[::k].tolist())
-                    break
-            else:
+            m, x = _critical_walk(maps, j, complex(c), radius, known)
+            if m is None:
                 undetermined += 1
+            elif m:
+                pts, mult = _sequence_cycle(maps, m, x)
+                if not any(abs(pts[0] - y) < CYCLE_TOL for y in known):
+                    cycles.append((pts, mult))
+                    known.extend(pts[::k].tolist())
     cycles.sort(key=lambda c: (len(c[0]), c[0][0].real, c[0][0].imag))
     return cycles, undetermined
+
+
+def _critical_walk(maps: list, j: int, x: complex, radius: float,
+                   known: list):
+    """Walk x from phase j of the sequence, as `fiber_cycles` describes.
+
+    Returns (m, x): the tail period m and the phase-0 point x at which the
+    tail settled; m = 0 when the walk escaped or met a known point; m =
+    None when it did neither within DEFAULT_MAX_ITER periods.
+
+    The phase-0 points x_1, x_2, ... are kept, with a dict from their bytes
+    to their index.  When x_n has the bytes of x_s, s < n, the maps repeat
+    from phase 0, so x_{n+i} = x_{s + (i mod P)} with P = n - s.  Each of
+    those points was tested against the radius and `known` when first seen,
+    so the walk would neither escape nor meet `known` again; what is left
+    is the tail checks at the periods still due, each on its replayed tail.
+    """
+    k = len(maps)
+    phase, n = j, 0
+    xs, seen = [], {}  # xs[i - 1] is x_i; seen maps the bytes of x_i to i
+    while n < DEFAULT_MAX_ITER:
+        x = maps[phase].step(x)
+        phase = phase + 1 if phase + 1 < k else 0
+        if not abs(x) <= radius:  # escaped, or inf or NaN
+            return 0, x
+        if phase:
+            continue
+        n += 1
+        xs.append(x)
+        if any(abs(x - y) < CYCLE_TOL for y in known):
+            return 0, x
+        if not n % CYCLE_TAIL_LEN or n == DEFAULT_MAX_ITER:
+            m = _tail_period(xs[-CYCLE_TAIL_LEN:])
+            if m is not None:
+                return m, x
+        s = seen.setdefault(struct.pack("2d", x.real, x.imag), n)
+        if s < n:
+            break
+    else:
+        return None, x
+    cycle = xs[s - 1:-1]  # x_{s+i} = cycle[i % (n - s)] for i >= 0
+    for t in range(n + 1, DEFAULT_MAX_ITER + 1):
+        if t % CYCLE_TAIL_LEN and t < DEFAULT_MAX_ITER:
+            continue
+        tail = [xs[i - 1] if i < s else cycle[(i - s) % (n - s)]
+                for i in range(t - CYCLE_TAIL_LEN + 1, t + 1)]
+        m = _tail_period(tail)
+        if m is not None:
+            return m, tail[-1]
+    return None, x
 
 
 def _trap_chains(maps: list, radius: float) -> list:

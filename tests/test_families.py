@@ -258,6 +258,25 @@ def test_s1s2_constants_invariants(s1s2_basic):
     assert f.p.coeffs[-1] == consts.a
 
 
+def test_s1s2_constants_and_map_steps(monkeypatch):
+    # the constants of w^2 and w^2 - 1, and the map steps of the build:
+    # its 202 hyperbolicity probes walk their critical orbits only to the
+    # first exact float repeat (65,730 steps when each walk ran on to its
+    # settled tail check)
+    calls = [0]
+    step = Poly1.step
+
+    def counted(self, x):
+        calls[0] += 1
+        return step(self, x)
+
+    monkeypatch.setattr(Poly1, "step", counted)
+    _, consts = build_s1s2(Poly1([0, 0, 1]), Poly1([-1, 0, 1]), 1, 1)
+    assert (consts.M, consts.r, consts.R, consts.a) == (64.0, 1 / 16,
+                                                        8191.9375, 32)
+    assert calls[0] <= 10_000
+
+
 def test_s1s2_fiber_near_target_polynomial(s1s2_basic):
     f, consts, s1, s2 = s1s2_basic
     # fixed base point inside the first root disk

@@ -13,10 +13,15 @@ per-point `roots()` loop kept, and `acc_full_probe` must equal its old
 per-step `fiber_poly` loop, exceptions included.  `postcritical_cloud`'s
 walk on base-sample indices must give, bit for bit, the rows of the
 per-step snap loop it replaced, with at most two KD-tree queries.
+`fiber_cycles`, which stops each walk at its first exact float repeat, and
+`_run_spans`, which retires exactly repeating periodic rows, must give
+what their full walks gave, bit for bit (`_ref_fiber_cycles`,
+`_ref_run_spans`), and `_tail_period` what its per-period loop gave.
 """
 
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -38,7 +43,18 @@ from skewdyn.critpost import (
     critical_locus,
     postcritical_cloud,
 )
-from skewdyn.engine import derive_escape_radius
+from skewdyn.engine import (
+    CYCLE_MAX_PERIOD,
+    CYCLE_TAIL_LEN,
+    CYCLE_TOL,
+    DEFAULT_MAX_ITER,
+    _critical_walk,
+    _one_var_radius,
+    _sequence_cycle,
+    _tail_period,
+    derive_escape_radius,
+    fiber_cycles,
+)
 from skewdyn.errors import NumericalError
 from skewdyn.families import (build_s1s2, make_airplane_skew, make_Fa,
                               make_fig3, make_product)
@@ -142,6 +158,11 @@ _MAPS = {
     "z^2 x w^2-1": make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1])),
     "z^2-1 x w^2-0.5": make_product(Poly1([-1, 0, 1]), Poly1([-0.5, 0, 1])),
     "z^2-1 x w^2+i": make_product(Poly1([-1, 0, 1]), Poly1([1j, 0, 1])),
+    # over the base 2-cycle 0 <-> -1 the fiber maps are w^2 and w^2 - 1:
+    # w = 0 over z = 0 runs 0, 0, -1, 1, 0, 0, ..., period 4, and repeats
+    # after one step, a lag its cycle length 2 does not divide
+    "z^2-1 x w^2+z": SkewProduct(Poly1([-1, 0, 1]),
+                                 Poly2([[0, 0, 1], [1, 0, 0]])),
 }
 _BASES = {}
 
@@ -166,8 +187,8 @@ _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(_MAPS)),
-    n_iter=st.integers(0, 40),
-    width=st.sampled_from([1, 2, 3, 5, 8, 64]),
+    n_iter=st.integers(0, 300),
+    width=st.integers(1, 8),
     picks=st.lists(st.tuples(st.integers(0, 59 + len(_SPECIAL_Z)),
                              st.one_of(st.integers(0, len(_SPECIAL_W) - 1),
                                        st.complex_numbers(max_magnitude=3.0))),
@@ -190,6 +211,16 @@ _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
 # of one element in place other than out of place)
 @example(name="Fa(0.3+0.2i)", n_iter=40, width=3,
          picks=[(61, 3), (67, 0), (65, 0), (60, 3), (62, 3)])
+# periodic rows retire: w = 0 over z = 0 repeats at lags 1 and 4, and only
+# 4 is a multiple of its cycle length; n_iter is no multiple of width, and
+# the row retires at step 5, 20 steps before its last ring slot is due
+@example(name="z^2-1 x w^2+z", n_iter=23, width=5, picks=[(63, 0)])
+@example(name="z^2-1 x w^2+z", n_iter=300, width=5,
+         picks=[(63, 0), (64, 0), (63, 1), (3, 0), (64, 2)])
+# periodic rows of Fa(0.3+0.2i) on cycles of length 1, 2 and 3 retire at
+# different checks, mid-walk and within the last width steps
+@example(name="Fa(0.3+0.2i)", n_iter=298, width=8,
+         picks=[(67, 0), (61, 1), (65, 0), (60, 2), (62, 0), (67, 3), (5, 0)])
 def test_run_spans_matches_two_pass_walk(name, n_iter, width, picks):
     f = _MAPS[name]
     pts, params = _base(name)
@@ -583,3 +614,239 @@ def test_postcritical_cloud_queries_at_most_twice(monkeypatch, n_iter):
     pc = postcritical_cloud(f, crit, n_iter=n_iter, params=params)
     assert len(pc) == n_iter * len(crit)  # every critical orbit is bounded
     assert len(calls) <= 2
+
+
+def _ref_tail_period(tail):
+    """`engine._tail_period` before its candidate prefilter."""
+    t = np.asarray(tail, dtype=complex)
+    max_period = min(CYCLE_MAX_PERIOD, max(1, len(t) // 2))
+    for m in range(1, max_period + 1):
+        if np.max(np.abs(t[m:] - t[:-m])) < CYCLE_TOL:
+            return m
+    return None
+
+
+def _ref_walk(maps, j, x, radius, known):
+    """One critical walk of `fiber_cycles` as it ran before it stopped at
+    exact repeats: every step up to escape, a known point, a settled tail
+    or DEFAULT_MAX_ITER periods.  Returns (end, n, phase, m, x): how and at
+    which period and phase the walk ended, and the tail period and point
+    when it settled."""
+    k = len(maps)
+    phase, n = j, 0
+    tail = deque(maxlen=CYCLE_TAIL_LEN)
+    while n < DEFAULT_MAX_ITER:
+        x = maps[phase].step(x)
+        phase = phase + 1 if phase + 1 < k else 0
+        if not abs(x) <= radius:
+            return "escape", n, phase, 0, x
+        if phase:
+            continue
+        n += 1
+        tail.append(x)
+        if any(abs(x - y) < CYCLE_TOL for y in known):
+            return "known", n, phase, 0, x
+        if n % CYCLE_TAIL_LEN and n < DEFAULT_MAX_ITER:
+            continue
+        m = _ref_tail_period(tail)
+        if m is not None:
+            return "settled", n, phase, m, x
+    return "undetermined", n, phase, None, x
+
+
+def _ref_fiber_cycles(maps, trace=None):
+    """`fiber_cycles` on `_ref_walk`; each walk's (end, n, phase) is
+    appended to trace."""
+    k = len(maps)
+    radius = max(_one_var_radius(g.coeffs) for g in maps)
+    cycles, known, undetermined = [], [], 0
+    for j, g in enumerate(maps):
+        try:
+            crits = roots(g.deriv())
+        except NumericalError:
+            undetermined += g.degree - 1
+            continue
+        for c in crits:
+            end, n, phase, m, x = _ref_walk(maps, j, complex(c), radius, known)
+            if trace is not None:
+                trace.append((end, n, phase))
+            if m is None:
+                undetermined += 1
+            elif m:
+                pts, mult = _sequence_cycle(maps, m, x)
+                if not any(abs(pts[0] - y) < CYCLE_TOL for y in known):
+                    cycles.append((pts, mult))
+                    known.extend(pts[::k].tolist())
+    cycles.sort(key=lambda c: (len(c[0]), c[0][0].real, c[0][0].imag))
+    return cycles, undetermined
+
+
+def _first_repeat(maps, j, x, radius):
+    """(s, n) for the first phase-0 point x_n with the bytes of an earlier
+    x_s, within DEFAULT_MAX_ITER periods and before escape, or None."""
+    k, phase, n, seen = len(maps), j, 0, {}
+    while n < DEFAULT_MAX_ITER:
+        x = maps[phase].step(x)
+        phase = phase + 1 if phase + 1 < k else 0
+        if not abs(x) <= radius:
+            return None
+        if not phase:
+            n += 1
+            s = seen.setdefault(np.complex128(x).tobytes(), n)
+            if s < n:
+                return s, n
+    return None
+
+
+def _assert_same_cycles(got, ref):
+    assert got[1] == ref[1]
+    assert len(got[0]) == len(ref[0])
+    for (pts, mult), (rpts, rmult) in zip(got[0], ref[0]):
+        assert np.array_equal(_bits(pts), _bits(rpts))
+        assert _bits(np.array([mult])).tolist() == \
+            _bits(np.array([rmult])).tolist()
+
+
+def _seq(*cs):
+    return [Poly1(c) for c in cs]
+
+
+def _superattracting(period, c):
+    """The real parameter near c at which 0 has the given period under
+    w^2 + c (Newton on the critical orbit)."""
+    for _ in range(60):
+        x, dx = 0.0, 0.0
+        for _ in range(period):
+            x, dx = x * x + c, 2.0 * x * dx + 1.0
+        c -= x / dx
+    return c
+
+
+_FC_COEF = st.one_of(st.integers(-4, 4).map(lambda a: complex(a / 4)),
+                     st.complex_numbers(max_magnitude=1.5))
+_FC_MAPS = st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.lists(_FC_COEF, min_size=d, max_size=d).map(lambda c: Poly1(c + [1])),
+    min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=_FC_MAPS)
+# float periods 1, 2, 4 and 6 from step 1 (superattracting cycles of
+# w^2 + c; 6 does not divide CYCLE_TAIL_LEN)
+@example(maps=_seq([0, 0, 1]))
+@example(maps=_seq([-1, 0, 1]))
+@example(maps=_seq([_superattracting(4, -1.3107), 0, 1]))
+@example(maps=_seq([-1.772892, 0, 1]))
+# w^2 - 1.9 three times over: bounded chaotic orbits, undetermined
+@example(maps=_seq([-1.9, 0, 1]) * 3)
+# the first exact repeat is the tail check at period 160 itself
+@example(maps=_seq([-0.2519 - 0.4562j, 0, 1]))
+# float period 128 (the superattracting 128-cycle of the period-doubling
+# cascade), no period m <= 64 to CYCLE_TOL: undetermined
+@example(maps=_seq([_superattracting(128, -1.401107), 0, 1]))
+# the second critical orbit meets the first cycle at period 122, before
+# the tail check at 160, and at period 176, after it
+@example(maps=_seq([0.325 + 0.0837j, 0, 1]) * 2)
+@example(maps=_seq([0.3295 + 0.0814j, 0, 1]) * 2)
+# 0 -> 5 -> 25: an escape at phase 2
+@example(maps=_seq([5, 0, 1], [0, 0, 1], [0, 0, 1]))
+# w^2 - 2 with a -0.0 imaginary part: 0, -2, 2 - 0j, 2 + 0j, 2 + 0j, ...;
+# 2 - 0j == 2 + 0j, but only the second repeats, bit for bit
+@example(maps=_seq([complex(-2.0, -0.0), 0, 1]))
+def test_fiber_cycles_bit_equal_to_full_walk(maps):
+    _check_fiber_cycles(maps)
+
+
+def _check_fiber_cycles(maps):
+    trace = []
+    ref = _ref_fiber_cycles(maps, trace)
+    _assert_same_cycles(fiber_cycles(maps), ref)
+    return trace, ref
+
+
+def test_fiber_cycles_examples_reach_their_cases():
+    # the cases the examples above are named for, read off the full walk
+    def repeat(c):
+        g = Poly1([c, 0, 1])
+        return _first_repeat([g], 0, 0j, _one_var_radius(g.coeffs))
+
+    assert repeat(0) == (1, 2) and repeat(-1) == (1, 3)
+    assert repeat(_superattracting(4, -1.3107)) == (1, 5)
+    assert np.subtract(*repeat(-1.772892)) == -6
+    assert repeat(-0.2519 - 0.4562j)[1] == CYCLE_TAIL_LEN
+    assert np.subtract(*repeat(_superattracting(128, -1.401107))) == -128
+    trace, (_, undetermined) = _check_fiber_cycles(
+        _seq([_superattracting(128, -1.401107), 0, 1]))
+    assert undetermined == 1 and trace == [("undetermined", 2000, 0)]
+    for c, hit in ((0.325 + 0.0837j, 122), (0.3295 + 0.0814j, 176)):
+        trace, _ = _check_fiber_cycles(_seq([c, 0, 1]) * 2)
+        assert trace[0][0] == "settled" and trace[1] == ("known", hit, 0)
+    trace, _ = _check_fiber_cycles(_seq([5, 0, 1], [0, 0, 1], [0, 0, 1]))
+    assert trace[0] == ("escape", 0, 2)
+    # the near-margin example: a 2-cycle of multiplier modulus 0.9895
+    lam = 0.9895 * complex(math.cos(2.0), math.sin(2.0))
+    assert _check_fiber_cycles(_seq([lam / 4 - 1, 0, 1]))[1][1] == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.98, 0.99), theta=st.floats(0.0, 2.0 * math.pi),
+       cycle=st.sampled_from([1, 2]))
+@example(r=0.9895, theta=2.0, cycle=2)
+def test_fiber_cycles_near_margin_bit_equal(r, theta, cycle):
+    # an attracting fixed point or 2-cycle of w^2 + c with multiplier
+    # modulus in (0.98, 0.99): the tails settle slowly, and some 2-cycles
+    # stay undetermined; the counts must be those of the full walk
+    lam = r * complex(math.cos(theta), math.sin(theta))
+    c = lam / 2 - lam * lam / 4 if cycle == 1 else lam / 4 - 1
+    _check_fiber_cycles([Poly1([c, 0, 1])])
+
+
+@pytest.mark.parametrize("maps", [
+    _seq([0, 0, 1]), _seq([0, 0, 0, 1]), _seq([-1, 0, 1]),
+    _seq([-0.0, 0, 1], [0, -0.0, 0, 1]), _seq([1j, 0, 1]),
+])
+@pytest.mark.parametrize("x", [0j, complex(-0.0, -0.0), complex(-0.0, 0.0),
+                               complex(0.0, -0.0), 0.5 - 0.5j])
+def test_critical_walk_from_signed_zero_bit_equal(maps, x):
+    # a walk started from either zero (bytes, not ==, tell them apart)
+    radius = max(_one_var_radius(g.coeffs) for g in maps)
+    for j in range(len(maps)):
+        end, _, _, m, y = _ref_walk(maps, j, x, radius, [])
+        got_m, got_y = _critical_walk(maps, j, x, radius, [])
+        assert got_m == m
+        if m:
+            assert np.complex128(got_y).tobytes() == np.complex128(y).tobytes()
+
+
+_TAIL = st.lists(st.one_of(st.sampled_from([0j, 1e-6, 1e-6j, -1e-6,
+                                            0.5 + 0.5j]),
+                           st.complex_numbers(max_magnitude=2e-6)),
+                 min_size=2, max_size=170)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=_TAIL, period=st.integers(1, 8))
+# |t[1] - t[0]| is CYCLE_TOL exactly (no period 1: period 2), and the float
+# below it (period 1)
+@example(tail=[0j, CYCLE_TOL], period=1)
+@example(tail=[0j, np.nextafter(CYCLE_TOL, 0.0)], period=1)
+# the same distances on the diagonal, where abs rounds
+@example(tail=[0j, complex(CYCLE_TOL / math.sqrt(2), CYCLE_TOL / math.sqrt(2))],
+         period=1)
+@example(tail=[0.3 + 0.1j, 0.3 + 0.1j + CYCLE_TOL * np.exp(0.7j)], period=3)
+def test_tail_period_equals_per_period_loop(tail, period):
+    # the drawn points, and their first `period` points repeated to
+    # CYCLE_TAIL_LEN before and after them
+    t = np.asarray(tail, dtype=complex)
+    cycle = np.resize(t[:period], CYCLE_TAIL_LEN)
+    for cand in (t, np.concatenate([cycle, t]), np.concatenate([t, cycle])):
+        assert _tail_period(cand) == _ref_tail_period(cand)
+
+
+def test_tail_period_at_the_tolerance_edge():
+    # a step of exactly CYCLE_TOL does not repeat; the float below it does
+    below = np.nextafter(CYCLE_TOL, 0.0)
+    assert _tail_period([0j, CYCLE_TOL] * 80) == 2
+    assert _tail_period([0j, below] * 80) == 1
+    assert _tail_period([0j, CYCLE_TOL]) is None
+    assert _tail_period([0j, below]) == 1
