@@ -82,29 +82,53 @@ class FiberSlice:
         return X + 1j * Y
 
 
-def _preimages(c: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One backward step: the d roots x of g(x) = v for each value v, as
-    (d, n), row k holding branch k (at degree 2 the + and - square roots of
-    the quadratic formula, above it the `roots` order).  c holds the d + 1
-    coefficients of g, or is a (d + 1, n) table, column i for values[i]."""
-    d = len(c) - 1
-    if d == 2:
-        a, b, c0 = c[2], c[1], c[0]
-        disc = np.sqrt(b * b - 4.0 * a * (c0 - values))
-        return np.array([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
-    out = np.empty((d, len(values)), dtype=complex)
-    cols = c.T if c.ndim == 2 else repeat(c)
-    for i, (col, v) in enumerate(zip(cols, values)):
-        shifted = col.copy()
-        shifted[0] -= v
-        out[:, i] = roots(Poly1(shifted))
+def _square(b: np.ndarray) -> np.ndarray:
+    """b * b for each element, each part from two rounded products, as
+    numpy rounds the product of two complex scalars (its array loop may fuse
+    a multiply and an add instead)."""
+    out = np.empty_like(b)
+    out.real = b.real * b.real - b.imag * b.imag
+    out.imag = b.real * b.imag + b.imag * b.real
     return out
 
 
-def _pick(branches: np.ndarray, rng) -> np.ndarray:
-    """One random row of each column of a (d, n) branch array."""
-    d, n = branches.shape
-    return branches[rng.integers(0, d, n), np.arange(n)]
+def _branch(c, values, k=None) -> np.ndarray:
+    """Branch k of g(x) = v for each value v, k broadcasting with the
+    values: at degree 2 the + (k = 0) or - (k = 1) square root of the
+    quadratic formula, above it row k of the `roots` order.  With k None,
+    every branch, on a new axis before the last axis of the values: (d, n)
+    for n values, row k holding branch k.
+
+    c holds the d + 1 coefficients of g, lowest first: a vector, or a table
+    whose other axes broadcast with the values, (d + 1, n) with one
+    polynomial per value (J2's fiber maps) or (d + 1, m, 1) with one per row
+    of (m, n) values.  An element takes the operations of a call with its
+    own vector, so it has the same bits, except that a per-value table
+    squares b with numpy's array loop, as J2's fiber step always has.
+    """
+    per_value = np.ndim(c) == 2
+    if k is None:
+        values = np.expand_dims(values, -2)
+        if np.ndim(c) > 1:
+            c = np.expand_dims(c, -2)
+    d = len(c) - 1
+    if d == 2:
+        a, b, c0 = c[2], c[1], c[0]
+        bb = b * b if per_value else _square(b)
+        disc = np.sqrt(bb - 4.0 * a * (c0 - values))
+        x = (np.concatenate([-b + disc, -b - disc], axis=-2) if k is None
+             else np.where(k == 0, -b + disc, -b - disc))
+        x /= 2.0 * a
+        return x
+    cols, vals = np.broadcast_arrays(np.moveaxis(c, 0, -1),
+                                     np.expand_dims(values, -1))
+    out = np.empty(vals.shape[:-1] + (d,), dtype=complex)
+    for i in np.ndindex(out.shape[:-1]):
+        shifted = cols[i].copy()
+        shifted[0] -= vals[i][0]
+        out[i] = roots(Poly1(shifted))
+    out = np.moveaxis(out, -1, 0)
+    return np.concatenate(out, axis=-2) if k is None else np.choose(k, out)
 
 
 def _tree_levels(d: int, n: int) -> int:
@@ -113,17 +137,29 @@ def _tree_levels(d: int, n: int) -> int:
     return next(L for L in count() if d ** L >= n)
 
 
-def _pullback(maps, w: np.ndarray, n_random: int, n_points: int,
-              rng) -> np.ndarray:
-    """Pull the points w back through the coefficient vectors `maps`, in
-    order: one random branch per point on the first n_random maps, every
-    branch on the rest (the complete tree, branch-major); then n_points of
-    the points (all, if fewer), drawn at random and kept in tree order."""
-    for i, c in enumerate(maps):
-        branches = _preimages(c, w)
-        w = _pick(branches, rng) if i < n_random else branches.ravel()
-    idx = rng.permutation(len(w))[:n_points]
-    return w[np.sort(idx)]
+def _pullback(tables: np.ndarray, w: np.ndarray, n_random: int,
+              n_points: int, rngs) -> list:
+    """Pull the start point w[j] of each row j back through its maps, and
+    keep n_points of its points (all, if fewer): one array per row.
+
+    tables is (levels, d + 1, m), level i holding row j's i-th map in
+    column j.  Row j takes one random branch on its first n_random maps,
+    their indices drawn from its own Generator rngs[j] in one call, and
+    every branch on the rest (the complete tree, branch-major); then it
+    keeps the points at the first n_points entries of a permutation drawn
+    from rngs[j], in tree order.  Rows share only the array calls, so each
+    has the bits of a batch of one.
+    """
+    d = tables.shape[1] - 1
+    ks = np.array([rng.integers(0, d, n_random) for rng in rngs])
+    w = w[:, None]
+    for i, c in enumerate(tables):
+        if i < n_random:
+            w = _branch(c[..., None], w, ks[:, i, None])
+        else:
+            w = _branch(c[..., None], w).reshape(len(w), -1)
+    return [row[np.sort(rng.permutation(len(row))[:n_points])]
+            for row, rng in zip(w, rngs)]
 
 
 def _repelling_fixed_point(p: Poly1) -> complex:
@@ -151,9 +187,10 @@ def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
         raise PreconditionError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     z = np.array([_repelling_fixed_point(p)], dtype=complex)
-    maps = repeat(p.coeffs, burn_in + _tree_levels(p.degree, n_points))
-    return PointCloud(_pullback(maps, z, burn_in, n_points, rng), tag="Jp",
-                      seed=seed)
+    levels = burn_in + _tree_levels(p.degree, n_points)
+    tables = np.broadcast_to(p.coeffs[:, None], (levels, p.degree + 1, 1))
+    return PointCloud(_pullback(tables, z, burn_in, n_points, [rng])[0],
+                      tag="Jp", seed=seed)
 
 
 def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
@@ -166,17 +203,40 @@ def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
     tree on the last levels for even coverage.  Raises NumericalError when
     a fiber map along the orbit is not finite (the base orbit escapes).
     """
-    rng = np.random.default_rng(seed)
-    chain = np.array(f.p.orbit(z, depth), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        maps = npoly.polyval(chain, f.q.coeffs)
-    if not np.isfinite(maps).all():
-        raise NumericalError(f"a fiber map along the base orbit of {z} is "
-                             "not finite (the orbit escapes)")
-    tree_levels = min(_tree_levels(f.degree, n_points), depth)
-    w = _pullback(maps.T[::-1], np.array([2.0 + 0j]), depth - tree_levels,
-                  n_points, rng)
+    (w,) = _sample_fibers(f, [z], n_points, [seed], depth)
+    if w is None:
+        raise NumericalError(_escapes(z))
     return PointCloud(w, tag=f"Jz({z})", seed=seed)
+
+
+def _escapes(z) -> str:
+    return (f"a fiber map along the base orbit of {z} is not finite (the "
+            "orbit escapes)")
+
+
+def _sample_fibers(f: SkewProduct, zs, n_points: int, seeds,
+                   depth: int = 50) -> list:
+    """`sample_fiber_julia`'s points over each base point zs[j] with seed
+    seeds[j], all rows pulled back together, each bit-equal to its own
+    call; None for a row whose fiber maps along its base orbit are not all
+    finite, which takes no part in the pull-back."""
+    if n_points < 1:
+        raise PreconditionError("n_points must be >= 1")
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
+    chains = np.array([f.p.orbit(z, depth) for z in zs], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = npoly.polyval(chains, f.q.coeffs)
+    finite = np.isfinite(maps).all(axis=(0, 2))
+    rows = iter(())
+    if finite.any():
+        tree_levels = min(_tree_levels(f.degree, n_points), depth)
+        # (levels, d + 1, rows), the last orbit point's map first
+        tables = np.moveaxis(maps[:, finite, ::-1], -1, 0)
+        rngs = [np.random.default_rng(s) for s, ok in zip(seeds, finite) if ok]
+        rows = iter(_pullback(tables, np.full(len(rngs), 2.0 + 0j),
+                              depth - tree_levels, n_points, rngs))
+    return [next(rows) if ok else None for ok in finite]
 
 
 def fiber_slice(
@@ -344,13 +404,18 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
     base steps contract onto the base Julia set, so this stays stable even
     over strongly expanding bases.
     """
+    if n_points < 1:
+        raise PreconditionError("n_points must be >= 1")
+    if burn_in < 1:
+        raise PreconditionError("burn_in must be >= 1")
     rng = np.random.default_rng(seed)
     z = np.full(n_points, _repelling_fixed_point(f.p), dtype=complex)
     w = np.full(n_points, 2.0, dtype=complex)
     for _ in range(burn_in):
-        z = _pick(_preimages(f.p.coeffs, z), rng)
+        z = _branch(f.p.coeffs, z, rng.integers(0, f.p.degree, n_points))
         # the fiber map over each new z, one column per point
-        w = _pick(_preimages(npoly.polyval(z, f.q.coeffs), w), rng)
+        table = npoly.polyval(z, f.q.coeffs)
+        w = _branch(table, w, rng.integers(0, len(table) - 1, n_points))
     return PointCloud(np.column_stack([z, w]), tag="J2", seed=seed)
 
 

@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skewdyn import sets
 from skewdyn.contin import (
     ContinuationTrace,
     ParamPath,
     TraceStep,
+    _monodromy_degree,
     continue_orbit,
     separation_evidence,
     trace_to_csv,
 )
 from skewdyn.critpost import find_saddles
-from skewdyn.errors import PreconditionError
+from skewdyn.errors import NumericalError, PreconditionError
 from skewdyn.families import make_Fa, make_product
-from skewdyn.poly import Poly1
+from skewdyn.poly import Poly1, Poly2, SkewProduct
+from skewdyn.sets import sample_fiber_julia
 
 
 def _fa_saddle(a=-1.0):
@@ -163,3 +167,94 @@ def test_separation_product_against_itself():
     rep = separation_evidence(f, f)
     assert rep["A"] == rep["B"] == 1
     assert rep["verdict"] != "Separated"
+
+
+# ---- the monodromy loop over batched clouds
+
+
+def per_cloud_degree(f, n_steps, n_cloud, max_loops, seed):
+    """The loop as it was before each loop's clouds were sampled together:
+    one `sample_fiber_julia` call per cloud, raising where it raises."""
+    cloud0 = sample_fiber_julia(f, 1.0, n_cloud, seed=seed).points
+    marker0 = complex(cloud0[np.argmax(np.abs(cloud0))])
+    marker = marker0
+    for loop in range(1, max_loops + 1):
+        for k in range(1, n_steps + 1):
+            theta = 2.0 * np.pi * k / n_steps
+            z = np.exp(1j * theta)
+            cloud = sample_fiber_julia(f, z, n_cloud,
+                                       seed=seed + loop * n_steps + k).points
+            d = np.abs(cloud - marker)
+            near = cloud[d < 0.12]
+            if len(near) == 0:
+                return None
+            if np.max(np.abs(near[:, None] - near[None, :])) > 0.25:
+                return None
+            marker = complex(near[np.argmin(np.abs(near - marker))])
+        if abs(marker - marker0) < 0.1:
+            return loop
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericalError as e:
+        return f"NumericalError: {e}"
+
+
+PRODUCT = make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1]))
+# over z^2 - 0.1 the base point 1 stays bounded but most of the unit
+# circle escapes: with w^2 + 5z the tracking gives up (None) at k = 1,
+# before the first escaping cloud (k = 2 of 16); with w^2 + 0.2z it
+# reaches the first escaping cloud (k = 5 of 48), which raises
+BIG_SHIFT = SkewProduct(p=Poly1([-0.1, 0, 1]), q=Poly2([[0, 0, 1], [5, 0, 0]]))
+SMALL_SHIFT = SkewProduct(p=Poly1([-0.1, 0, 1]),
+                          q=Poly2([[0, 0, 1], [0.2, 0, 0]]))
+
+
+@pytest.mark.parametrize("f, n_steps, n_cloud, max_loops, seed, want", [
+    (make_Fa(-1), 192, 400, 4, 11, 2),
+    (PRODUCT, 192, 400, 4, 11, 1),
+    (make_Fa(-1), 48, 120, 2, 5, None),
+    (BIG_SHIFT, 16, 64, 2, 3, None),
+    (SMALL_SHIFT, 48, 64, 2, 3, "NumericalError: a fiber map along the "
+     "base orbit of (0.7933533402912352+0.6087614290087207j) is not finite "
+     "(the orbit escapes)"),
+])
+def test_monodromy_degree_equals_per_cloud_loop(f, n_steps, n_cloud,
+                                                max_loops, seed, want):
+    args = (f, n_steps, n_cloud, max_loops, seed)
+    got = outcome(_monodromy_degree, *args)
+    assert got == outcome(per_cloud_degree, *args)
+    assert got == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.complex_numbers(max_magnitude=1.2), st.integers(4, 40),
+       st.integers(8, 150), st.integers(1, 3), st.integers(0, 1000))
+def test_monodromy_degree_equals_per_cloud_loop_on_Fa(a, n_steps, n_cloud,
+                                                      max_loops, seed):
+    args = (make_Fa(a), n_steps, n_cloud, max_loops, seed)
+    assert outcome(_monodromy_degree, *args) == outcome(per_cloud_degree,
+                                                        *args)
+
+
+def test_separation_pulls_back_once_per_loop(monkeypatch):
+    calls = []
+    pullback = sets._pullback
+
+    def counted(tables, *args):
+        calls.append(tables.shape[-1])
+        return pullback(tables, *args)
+
+    monkeypatch.setattr(sets, "_pullback", counted)
+    for f in (make_Fa(-1), PRODUCT):
+        calls.clear()
+        deg = _monodromy_degree(f, 192, 400, 4, 11)
+        # the cloud over 1, then one batch of 192 rows per loop
+        assert calls == [1] + [192] * deg
+        assert len(calls) <= 4 + 1
+    calls.clear()
+    assert separation_evidence(make_Fa(-1), PRODUCT)["verdict"] == "Separated"
+    assert len(calls) <= 2 * (4 + 1)

@@ -25,7 +25,7 @@ from skewdyn.critpost import (
     postcritical_cloud,
     verify_trapping,
 )
-from skewdyn import engine
+from skewdyn import critpost, engine
 from skewdyn.engine import chordal_distance, fiber_cycles
 from skewdyn.errors import PreconditionError
 from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
@@ -403,3 +403,57 @@ def test_postcritical_cloud_near_attracting_part(fa_m1_crit):
     assert np.median(d) < 1e-6
     with pytest.raises(PreconditionError):
         postcritical_cloud(f, [], n_iter=10)
+
+
+# ---- verify_trapping's rings, all centers at once
+
+
+def loop_rings(centers, r, ring):
+    """The rings as verify_trapping built them one center at a time."""
+    zs, ws = [], []
+    for zc, wc in centers:
+        rho = (r / 2.0) * (1.0 + abs(wc) ** 2)
+        for _ in range(8):
+            wprim = wc + rho * ring
+            ch = chordal_distance(np.full(len(ring), wc), wprim)
+            rho = rho * r / max(np.max(ch), 1e-300)
+        zs.append(np.full(len(ring), zc))
+        ws.append(wc + rho * ring)
+    return np.concatenate(zs), np.concatenate(ws)
+
+
+RING = np.exp(1j * (2.0 * np.pi * np.arange(32) / 32))
+
+
+def ring_words(zw):
+    return [np.ascontiguousarray(a).view(np.uint64) for a in zw]
+
+
+@pytest.mark.parametrize("r", [0.5, 0.1, 0.01])
+def test_rings_bit_equal_to_per_center_loop(r):
+    rng = np.random.default_rng(5)
+    n = 3000
+    w = 10 ** rng.uniform(-8, 8, n) * np.exp(1j * rng.uniform(0, 7, n))
+    centers = np.column_stack([rng.standard_normal(n) + 1j * rng.standard_normal(n), w])
+    # the data holds centers where numpy's array square of |w| (x * x)
+    # differs from the scalar abs(w) ** 2 (C pow) the loop took
+    absw = np.hypot(w.real, w.imag)
+    assert np.any(absw ** 2 != np.array([abs(v) ** 2 for v in w]))
+    for got, want in zip(ring_words(critpost._rings(centers, r, RING)),
+                         ring_words(loop_rings(centers, r, RING))):
+        assert np.array_equal(got, want)
+    one = centers[1234:1235]
+    for got, want in zip(ring_words(critpost._rings(one, r, RING)),
+                         ring_words(loop_rings(one, r, RING))):
+        assert np.array_equal(got, want)
+
+
+def test_verify_trapping_equals_per_center_rings(fa_m1_crit, monkeypatch):
+    # 30,000 cloud points: every 30th is a center
+    f, base, crit = fa_m1_crit
+    t_cloud = postcritical_cloud(f, crit, n_iter=60)
+    assert len(t_cloud) // 1000 > 1
+    j2 = sample_J2_inverse(f, 3000, seed=1)
+    rep = verify_trapping(f, t_cloud, j2, r=0.1, m=50)
+    monkeypatch.setattr(critpost, "_rings", loop_rings)
+    assert verify_trapping(f, t_cloud, j2, r=0.1, m=50) == rep

@@ -1,25 +1,36 @@
 """The backward step of the inverse-iteration samplers.
 
-`sets._preimages` is checked bit for bit (through `.view(np.uint64)`)
-against the separate paths it replaced: the one-branch and all-branch
-quadratic formulas, the square-root path for fibers with no linear w term,
-and the per-point `fiber_poly` loop.  At degree 3 each column must equal
-the `roots` of its shifted polynomial, and the base and fiber samplers
-must hold the same complete preimage tree as the level-by-level expansion
-they replaced (in another order).
+`sets._branch` with every branch is checked bit for bit (through
+`.view(np.uint64)`) against the separate paths it replaced: the one-branch
+and all-branch quadratic formulas, the square-root path for fibers with no
+linear w term, and the per-point `fiber_poly` loop.  At degree 3 each
+column must equal the `roots` of its shifted polynomial, and the base and
+fiber samplers must hold the same complete preimage tree as the
+level-by-level expansion they replaced (in another order).
+
+The chosen-branch kernel and the pull-back over many rows are checked bit
+for bit against the one-row code they replaced: every branch followed by a
+random pick, the pull-back of one row, and `sample_fiber_julia` one base
+point at a time.  Two premises make that exact, and are tested here too:
+numpy's out-of-place array arithmetic rounds an element the same at every
+array length and layout, and one `integers(0, d, n)` draw equals n
+one-element draws.
 """
+
+from itertools import repeat
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from skewdyn.errors import NumericalError
+from skewdyn.errors import NumericalError, PreconditionError
 from skewdyn.families import make_Fa, make_fig3, make_product
 from skewdyn.poly import Poly1, Poly2, RootFindError, SkewProduct, \
     fiber_poly, roots
-from skewdyn.sets import PointCloud, _preimages, _repelling_fixed_point, \
-    directed_hausdorff, sample_J2_inverse, sample_base_julia, \
-    sample_fiber_julia
+from skewdyn.sets import PointCloud, _branch, _repelling_fixed_point, \
+    _sample_fibers, _square, _tree_levels, directed_hausdorff, \
+    sample_J2_inverse, sample_base_julia, sample_fiber_julia
 
 
 def bits(x):
@@ -148,7 +159,7 @@ def test_degree_two_vector_equals_old_paths(c):
     poly = Poly1(c)
     rng = np.random.default_rng(0)
     v = cloud(rng, 500)
-    br = _preimages(poly.coeffs, v)
+    br = _branch(poly.coeffs, v)
     assert br.shape == (2, 500)
     assert_bit_equal(br[0], old_pick(poly, v, np.zeros(500, dtype=int)))
     assert_bit_equal(br[1], old_pick(poly, v, np.ones(500, dtype=int)))
@@ -164,7 +175,7 @@ def test_degree_two_table_without_linear_term_equals_sqrt_path(f):
     rng = np.random.default_rng(1)
     z, w = cloud(rng, 2000, 1.5), cloud(rng, 2000)
     picks = rng.integers(0, 2, 2000)
-    br = _preimages(npoly.polyval(z, f.q.coeffs), w)
+    br = _branch(npoly.polyval(z, f.q.coeffs), w)
     assert_bit_equal(br[picks, np.arange(2000)],
                      old_sqrt_step(f, z, w, picks))
 
@@ -177,7 +188,7 @@ def test_non_monic_table_without_linear_term_has_the_sqrt_path_roots(lead):
     f = make_product(Poly1([0, 0, 1]), Poly1([-1, 0, lead]))
     rng = np.random.default_rng(4)
     z, w = cloud(rng, 5000, 1.5), cloud(rng, 5000)
-    br = _preimages(npoly.polyval(z, f.q.coeffs), w)
+    br = _branch(npoly.polyval(z, f.q.coeffs), w)
     root = old_sqrt_step(f, z, w, np.zeros(5000, dtype=int))
     tol = 4 * np.finfo(float).eps * np.abs(root)
     same = np.abs(br[0] - root) <= tol
@@ -189,7 +200,7 @@ def test_table_with_linear_term_equals_per_point_loop():
     rng = np.random.default_rng(2)
     z, w = cloud(rng, 1000, 1.5), cloud(rng, 1000)
     picks = rng.integers(0, 2, 1000)
-    br = _preimages(npoly.polyval(z, LINEAR.q.coeffs), w)
+    br = _branch(npoly.polyval(z, LINEAR.q.coeffs), w)
     assert_bit_equal(br[picks, np.arange(1000)],
                      old_fiber_loop(LINEAR, z, w, picks))
 
@@ -204,7 +215,7 @@ def test_table_with_complex_linear_term_is_within_ulps_of_per_point_loop():
     rng = np.random.default_rng(2)
     z, w = cloud(rng, 20000, 1.5), cloud(rng, 20000)
     picks = rng.integers(0, 2, 20000)
-    br = _preimages(npoly.polyval(z, COMPLEX_LINEAR.q.coeffs), w)
+    br = _branch(npoly.polyval(z, COMPLEX_LINEAR.q.coeffs), w)
     old = old_fiber_loop(COMPLEX_LINEAR, z, w, picks)
     err = np.abs(br[picks, np.arange(20000)] - old)
     assert np.all(err <= 16 * np.finfo(float).eps * np.abs(old))
@@ -213,8 +224,8 @@ def test_table_with_complex_linear_term_is_within_ulps_of_per_point_loop():
 def test_degree_three_columns_are_shifted_roots():
     rng = np.random.default_rng(3)
     z, w = cloud(rng, 40, 1.0), cloud(rng, 40)
-    vec = _preimages(CUBIC_P.coeffs, w)
-    table = _preimages(npoly.polyval(z, CUBIC_SKEW.q.coeffs), w)
+    vec = _branch(CUBIC_P.coeffs, w)
+    table = _branch(npoly.polyval(z, CUBIC_SKEW.q.coeffs), w)
     assert vec.shape == table.shape == (3, 40)
     for i in range(40):
         assert_bit_equal(vec[:, i], roots(CUBIC_P - Poly1([w[i]])))
@@ -268,3 +279,332 @@ def test_fiber_over_escaping_base_point_is_a_numerical_error(f, z):
 def test_roots_of_non_finite_coefficients_raise(c):
     with pytest.raises(RootFindError, match="non-finite"):
         roots(Poly1(c))
+
+
+# ---- the one-row pull-back, kept here as it was before rows were batched
+
+
+def prev_preimages(c, values):
+    """Every branch as (d, n), for a vector or a (d + 1, n) table."""
+    d = len(c) - 1
+    if d == 2:
+        a, b, c0 = c[2], c[1], c[0]
+        disc = np.sqrt(b * b - 4.0 * a * (c0 - values))
+        return np.array([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
+    out = np.empty((d, len(values)), dtype=complex)
+    cols = c.T if c.ndim == 2 else repeat(c)
+    for i, (col, v) in enumerate(zip(cols, values)):
+        shifted = col.copy()
+        shifted[0] -= v
+        out[:, i] = roots(Poly1(shifted))
+    return out
+
+
+def prev_pick(branches, rng):
+    d, n = branches.shape
+    return branches[rng.integers(0, d, n), np.arange(n)]
+
+
+def prev_pullback(maps, w, n_random, n_points, rng):
+    for i, c in enumerate(maps):
+        branches = prev_preimages(c, w)
+        w = prev_pick(branches, rng) if i < n_random else branches.ravel()
+    idx = rng.permutation(len(w))[:n_points]
+    return w[np.sort(idx)]
+
+
+def prev_base_sample(p, n_points, seed, burn_in):
+    rng = np.random.default_rng(seed)
+    z = np.array([_repelling_fixed_point(p)], dtype=complex)
+    maps = repeat(p.coeffs, burn_in + _tree_levels(p.degree, n_points))
+    return prev_pullback(maps, z, burn_in, n_points, rng)
+
+
+def prev_fiber_sample(f, z, n_points, depth, seed):
+    rng = np.random.default_rng(seed)
+    chain = np.array(f.p.orbit(z, depth), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = npoly.polyval(chain, f.q.coeffs)
+    if not np.isfinite(maps).all():
+        raise NumericalError(f"a fiber map along the base orbit of {z} is "
+                             "not finite (the orbit escapes)")
+    tree_levels = min(_tree_levels(f.degree, n_points), depth)
+    return prev_pullback(maps.T[::-1], np.array([2.0 + 0j]),
+                         depth - tree_levels, n_points, rng)
+
+
+def prev_J2(f, n_points, seed, burn_in):
+    rng = np.random.default_rng(seed)
+    z = np.full(n_points, _repelling_fixed_point(f.p), dtype=complex)
+    w = np.full(n_points, 2.0, dtype=complex)
+    for _ in range(burn_in):
+        z = prev_pick(prev_preimages(f.p.coeffs, z), rng)
+        w = prev_pick(prev_preimages(npoly.polyval(z, f.q.coeffs), w), rng)
+    return np.column_stack([z, w])
+
+
+# ---- the premises
+
+
+def wide(rng, n):
+    """n complex values with moduli spanning e^-20 .. e^20."""
+    return (np.exp(rng.uniform(-20, 20, n))
+            * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+
+def words(x):
+    return np.ascontiguousarray(x, dtype=complex).view(np.uint64).reshape(-1, 2)
+
+
+def n_differ(a, b):
+    return int((words(a) != words(b)).any(axis=1).sum())
+
+
+BINARY = {"mul": np.multiply, "add": np.add, "sub": np.subtract,
+          "div": np.divide}
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_array_arithmetic_rounds_alike_at_every_length_and_layout(op):
+    ufunc = BINARY[op]
+    rng = np.random.default_rng(20)
+    x, y = wide(rng, 20000), wide(rng, 20000)
+    full = ufunc(x, y)
+    # one element at a time, every prefix length, and strided
+    ones = np.concatenate([ufunc(x[i:i + 1], y[i:i + 1]) for i in range(2000)])
+    assert n_differ(ones, full[:2000]) == 0
+    for n in (1, 2, 3, 5, 8, 17, 192, 3600):
+        assert n_differ(ufunc(x[:n], y[:n]), full[:n]) == 0
+    assert n_differ(ufunc(x[::7], y[::7]), full[::7]) == 0
+    # a scalar coefficient against an array, as a numpy scalar, as a
+    # 0-d array, and as an (m, 1) column against (m, n) rows
+    for s in x[:5]:
+        want = ufunc(np.full(3600, s), y[:3600])
+        assert n_differ(ufunc(s, y[:3600]), want) == 0
+        assert n_differ(ufunc(np.asarray(s), y[:3600]), want) == 0
+        assert n_differ(ufunc(y[:3600], s), ufunc(y[:3600], np.full(3600, s))) == 0
+    rows = y[:3600].reshape(192 // 8, -1)
+    col = x[:len(rows), None]
+    assert n_differ(ufunc(col, rows),
+                    np.array([ufunc(c, r) for c, r in zip(col[:, 0], rows)])) == 0
+    # the kernel divides in place, one element too (an in-place product
+    # of one element is rounded differently, see `poly._horner`)
+    if op == "div":
+        z = x.copy()
+        z /= y
+        assert n_differ(z, full) == 0
+        for i in range(2000):
+            z = x[i:i + 1].copy()
+            z /= y[i]
+            assert n_differ(z, full[i:i + 1]) == 0
+
+
+def test_unary_ops_and_power_of_two_scaling_round_as_scalars():
+    rng = np.random.default_rng(21)
+    x = wide(rng, 20000)
+    for op in (np.sqrt, np.negative, lambda v: 4.0 * v, lambda v: 2.0 * v):
+        full = op(x)
+        assert n_differ(np.array([op(v) for v in x]), full) == 0
+        assert n_differ(np.concatenate([op(x[i:i + 1]) for i in range(2000)]),
+                        full[:2000]) == 0
+        assert n_differ(op(x[:, None]).ravel(), full) == 0
+
+
+def test_square_rounds_as_the_product_of_scalars():
+    # numpy's array loop may fuse a multiply and an add in a complex
+    # product (with AVX-512 it does, for about 3 in 10 squares of normal
+    # values), its product of two scalars does not; _square rounds as the
+    # scalars, so a row's b * b has the bits of its one-row call
+    rng = np.random.default_rng(22)
+    for x in (wide(rng, 20000),
+              rng.standard_normal(20000) + 1j * rng.standard_normal(20000)):
+        scalar = np.array([v * v for v in x])
+        assert n_differ(_square(x), scalar) == 0
+        assert n_differ(_square(x[:, None, None]).ravel(), scalar) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_split_and_joined_integer_draws_are_equal(d):
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        split = np.concatenate([a.integers(0, d, 1) for _ in range(60)])
+        assert np.array_equal(split, b.integers(0, d, 60))
+        # the stream goes on alike
+        assert np.array_equal(a.permutation(37), b.permutation(37))
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    rows = np.array([a.integers(0, d, 3600) for _ in range(200)])
+    assert np.array_equal(rows, b.integers(0, d, (200, 3600)))
+
+
+# ---- the chosen-branch kernel
+
+
+coefficient = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                 allow_infinity=False)
+leading = coefficient.filter(lambda c: abs(c) > 0.25)
+
+
+@st.composite
+def tables(draw, n):
+    """A degree-2 or -3 coefficient table (d + 1, n): every coefficient a
+    vector or varying with the value, b complex."""
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = (rng.standard_normal((d + 1, n)) + 1j * rng.standard_normal((d + 1, n)))
+    c[-1] = draw(leading) + 0.1 * c[-1]
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(16), st.integers(0, 2 ** 32 - 1))
+def test_chosen_branch_equals_every_branch_then_pick(c, seed):
+    d, n = len(c) - 1, c.shape[1]
+    rng = np.random.default_rng(seed)
+    v, k = 3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), \
+        rng.integers(0, d, n)
+    for coeffs in (c, c[:, 0]):   # a per-value table, a vector
+        want = prev_preimages(coeffs, v)
+        assert_bit_equal(_branch(coeffs, v, k), want[k, np.arange(n)])
+        assert_bit_equal(_branch(coeffs, v), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(5), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@example(np.array([[1 + 2j] * 3, [0.3 + 0.7j, -1.1 + 0.9j, 2.0 - 2.0j],
+                   [1.0] * 3]), 4, 0)
+def test_rows_have_the_bits_of_their_own_vectors(c, n, seed):
+    # one polynomial per row, with complex b: each row must equal the call
+    # with its own coefficient vector, which squares b as a scalar
+    d, m = len(c) - 1, c.shape[1]
+    rng = np.random.default_rng(seed)
+    v = 3 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    k = rng.integers(0, d, (m, n))
+    chosen, every = _branch(c[..., None], v, k), _branch(c[..., None], v)
+    assert chosen.shape == (m, n) and every.shape == (m, d, n)
+    for j in range(m):
+        want = prev_preimages(c[:, j], v[j])
+        assert_bit_equal(chosen[j], want[k[j], np.arange(n)])
+        assert_bit_equal(every[j], want)
+
+
+# ---- the samplers over rows
+
+
+def random_skew(draw, d):
+    """A degree-d skew product with complex coefficients, q with terms in
+    z^i w^j for i + j <= d (so b varies with z), q monic-ish in w."""
+    p = draw(st.lists(st.complex_numbers(max_magnitude=0.6), min_size=d,
+                      max_size=d))
+    q = np.zeros((d + 1, d + 1), dtype=complex)
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            q[i, j] = draw(coefficient) / 4
+    q[0, d] = draw(leading)
+    return SkewProduct(p=Poly1(p + [1.0]), q=Poly2(q))
+
+
+def sizes(d, depth):
+    """n_points around the tree sizes d^L, and above d^depth."""
+    return sorted({1, d - 1 or 1, d, d + 1, d * d - 1, d * d, d * d + 1,
+                   d ** depth + 1} - {0})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fiber_rows_equal_one_row_pullback(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    f = random_skew(data.draw, d)
+    depth = data.draw(st.integers(1, 12 if d == 2 else 5))
+    n = data.draw(st.sampled_from(sizes(d, depth)))
+    m = data.draw(st.integers(1, 5))
+    zs = data.draw(st.lists(st.complex_numbers(max_magnitude=1.6),
+                            min_size=m, max_size=m))
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=m,
+                               max_size=m))
+    rows = _sample_fibers(f, zs, n, seeds, depth)
+    assert len(rows) == m
+    for z, seed, row in zip(zs, seeds, rows):
+        try:
+            want = prev_fiber_sample(f, z, n, depth, seed)
+        except NumericalError:
+            assert row is None
+            with pytest.raises(NumericalError, match="not finite"):
+                sample_fiber_julia(f, z, n, depth, seed)
+            continue
+        assert_bit_equal(row, want)
+        assert_bit_equal(sample_fiber_julia(f, z, n, depth, seed).points,
+                         want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_base_sample_equals_one_row_pullback(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    p = Poly1(data.draw(st.lists(st.complex_numbers(max_magnitude=0.6),
+                                 min_size=d, max_size=d)) + [1.0])
+    burn_in = data.draw(st.integers(0, 30))
+    n = data.draw(st.sampled_from(sizes(d, 5)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    assert_bit_equal(sample_base_julia(p, n, seed, burn_in).points,
+                     prev_base_sample(p, n, seed, burn_in))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_J2_equals_pick_of_every_branch(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    f = random_skew(data.draw, d)
+    n = data.draw(st.integers(1, 40 if d == 2 else 8))
+    burn_in = data.draw(st.integers(1, 12 if d == 2 else 4))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    assert_bit_equal(sample_J2_inverse(f, n, seed, burn_in).points,
+                     prev_J2(f, n, seed, burn_in))
+
+
+@pytest.mark.parametrize("f, good, z_bad", [
+    (make_fig3(), [5.0, -4.0, 5.0], 100.0),
+    (make_product(Poly1([0, 0, 0, 1]), Poly1([0.2, -0.5, 0, 1])),
+     [0.3, 0.1 + 0.2j, -0.4j], 2.0),
+])
+def test_a_row_over_an_escaping_base_orbit_leaves_the_others(f, good, z_bad):
+    zs = [good[0], good[1], z_bad, good[2]]
+    seeds = [3, 4, 5, 6]
+    rows = _sample_fibers(f, zs, 30, seeds, depth=12)
+    assert rows[2] is None
+    for j in (0, 1, 3):
+        assert_bit_equal(rows[j], prev_fiber_sample(f, zs[j], 30, 12,
+                                                    seeds[j]))
+    assert _sample_fibers(f, [z_bad], 30, [1], depth=12) == [None]
+    with pytest.raises(NumericalError, match=f"orbit of {z_bad} is not"):
+        sample_fiber_julia(f, z_bad, 30, depth=12)
+
+
+def test_the_large_cloud_is_the_one_row_pullback():
+    f = make_Fa(-1)
+    assert_bit_equal(sample_fiber_julia(f, 0.5, 50000, seed=1).points,
+                     prev_fiber_sample(f, 0.5, 50000, 50, 1))
+
+
+# ---- degenerate sizes
+
+
+@pytest.mark.parametrize("kwargs", [{"n_points": 0}, {"n_points": -3},
+                                    {"n_points": 300, "depth": 0}])
+def test_fiber_sampler_rejects_degenerate_sizes(kwargs):
+    with pytest.raises(PreconditionError):
+        sample_fiber_julia(make_Fa(-1), 0.5, **kwargs)
+    with pytest.raises(PreconditionError):
+        _sample_fibers(make_Fa(-1), [0.5, 1.0], seeds=[1, 2], **kwargs)
+
+
+@pytest.mark.parametrize("n, burn_in", [(3, 0), (0, 100), (-1, 10)])
+def test_J2_sampler_rejects_degenerate_sizes(n, burn_in):
+    with pytest.raises(PreconditionError):
+        sample_J2_inverse(make_Fa(-1), n, burn_in=burn_in)
+
+
+def test_smallest_sizes_are_pulled_back():
+    f = make_Fa(-1)
+    one = sample_fiber_julia(f, 0.5, 1, depth=1).points
+    assert one.shape == (1,) and one[0] != 2.0
+    assert sample_J2_inverse(f, 1, burn_in=1).points.shape == (1, 2)
