@@ -24,8 +24,7 @@ import numpy as np
 
 from .chain import chain_report
 from .contin import ParamPath, continue_orbit, separation_evidence, trace_to_csv
-from .critpost import find_saddles, certify_axiom_a, critical_locus, \
-    postcritical_cloud
+from .critpost import find_saddles, certify_axiom_a, postcritical_cloud
 from .engine import Rect, derive_escape_radius
 from .errors import NumericalError, PreconditionError
 from .families import build_s1s2, make_Fa, make_airplane_skew, make_fig3, \
@@ -367,8 +366,7 @@ def cmd_verify_lemma(ns) -> int:
             t_cloud = PointCloud(np.concatenate([s.cycle for s in sads]),
                                  tag="Lambda")
         else:
-            crit = critical_locus(f, base, params=params)
-            t_cloud = postcritical_cloud(f, crit,
+            t_cloud = postcritical_cloud(f, base,
                                          n_iter=int_flag(ns, "n_iter"),
                                          params=params)
         rep = check_trapping(f, t_cloud, j2, r=r, m=m)

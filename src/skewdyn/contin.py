@@ -17,7 +17,8 @@ from .critpost import SaddleOrbit
 from .engine import _newton_fiber
 from .errors import NumericalError, PreconditionError
 from .poly import SkewProduct, fiber_poly
-from .sets import _csv_rows, _escapes, _sample_fibers, sample_fiber_julia
+from .sets import (_csv_rows, _escapes, _fiber_tables, _pull_fibers,
+                   sample_fiber_julia)
 
 __all__ = [
     "ParamPath",
@@ -178,18 +179,21 @@ def separation_evidence(fA: SkewProduct, fB: SkewProduct,
 
 def _monodromy_degree(f, n_steps, n_cloud, max_loops, seed):
     """Loops around the base circle until the tracked marker returns, or
-    None.  Each loop's n_steps fiber clouds are sampled in one batch; a
-    cloud over an escaping base orbit raises NumericalError when the
-    tracking reaches it, as sampling it alone would."""
+    None.  The fiber maps along the n_steps base orbits are evaluated once
+    per call, and each loop's clouds are pulled back through them in one
+    batch with that loop's seeds; a cloud over an escaping base orbit
+    raises NumericalError when the tracking reaches it, as sampling it
+    alone would."""
     cloud0 = sample_fiber_julia(f, 1.0, n_cloud, seed=seed).points
     marker0 = complex(cloud0[np.argmax(np.abs(cloud0))])
     marker = marker0
     tol_return = 0.1
     ks = range(1, n_steps + 1)
     zs = [np.exp(1j * (2.0 * np.pi * k / n_steps)) for k in ks]
+    tables, finite = _fiber_tables(f, zs)
     for loop in range(1, max_loops + 1):
-        clouds = _sample_fibers(f, zs, n_cloud,
-                                [seed + loop * n_steps + k for k in ks])
+        clouds = _pull_fibers(f, tables, finite, n_cloud,
+                              [seed + loop * n_steps + k for k in ks])
         for z, cloud in zip(zs, clouds):
             if cloud is None:
                 raise NumericalError(_escapes(z))

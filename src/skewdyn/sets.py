@@ -224,15 +224,29 @@ def _sample_fibers(f: SkewProduct, zs, n_points: int, seeds,
         raise PreconditionError("n_points must be >= 1")
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
+    return _pull_fibers(f, *_fiber_tables(f, zs, depth), n_points, seeds)
+
+
+def _fiber_tables(f: SkewProduct, zs, depth: int = 50):
+    """The fiber maps along the base orbit of each zs[j], as (tables,
+    finite): finite[j] tells whether row j's depth maps are all finite, and
+    tables, (depth, d + 1, rows), holds the finite rows' maps, the last
+    orbit point's map first."""
     chains = np.array([f.p.orbit(z, depth) for z in zs], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         maps = npoly.polyval(chains, f.q.coeffs)
     finite = np.isfinite(maps).all(axis=(0, 2))
+    return np.moveaxis(maps[:, finite, ::-1], -1, 0), finite
+
+
+def _pull_fibers(f: SkewProduct, tables, finite, n_points: int,
+                 seeds) -> list:
+    """`_sample_fibers` on the tables of `_fiber_tables`: row j's points
+    with seed seeds[j], or None where finite[j] is False."""
     rows = iter(())
     if finite.any():
+        depth = len(tables)
         tree_levels = min(_tree_levels(f.degree, n_points), depth)
-        # (levels, d + 1, rows), the last orbit point's map first
-        tables = np.moveaxis(maps[:, finite, ::-1], -1, 0)
         rngs = [np.random.default_rng(s) for s, ok in zip(seeds, finite) if ok]
         rows = iter(_pullback(tables, np.full(len(rngs), 2.0 + 0j),
                               depth - tree_levels, n_points, rngs))

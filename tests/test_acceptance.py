@@ -225,8 +225,7 @@ def test_criterion_07_trapping_neighborhoods():
     sads = find_saddles(f, 3)
     sc = PointCloud(np.concatenate([s.cycle for s in sads]))
     rep_s = verify_trapping(f, sc, j2, r=0.1, m=50)
-    crit = critical_locus(f, base, params=params)
-    pc = postcritical_cloud(f, crit, n_iter=200, params=params)
+    pc = postcritical_cloud(f, base, n_iter=200, params=params)
     rep_p = verify_trapping(f, pc, j2, r=0.1, m=50)
     try:
         verify_trapping(f, j2, j2, r=0.1, m=50)

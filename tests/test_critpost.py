@@ -31,7 +31,9 @@ from skewdyn.errors import PreconditionError
 from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
     make_product
 from skewdyn.poly import Poly1, RootFindError, fiber_poly
-from skewdyn.sets import PointCloud, sample_J2_inverse, sample_base_julia
+from skewdyn.sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
+                          min_chordal_distance, sample_J2_inverse,
+                          sample_base_julia, sphere_embed)
 
 
 def test_attract_or_escape_1d_superattracting():
@@ -392,7 +394,7 @@ def test_verify_trapping_rejects_cloud_touching_j2():
 
 def test_postcritical_cloud_near_attracting_part(fa_m1_crit):
     f, base, crit = fa_m1_crit
-    pc = postcritical_cloud(f, crit, n_iter=60)
+    pc = postcritical_cloud(f, base, n_iter=60)
     assert len(pc) > 0
     # points in the fiber over the exact fixed base point 1 converge to the
     # 2-cycle {0, -1}; everything stays within the fiber escape radius
@@ -402,7 +404,8 @@ def test_postcritical_cloud_near_attracting_part(fa_m1_crit):
     d = np.minimum(np.abs(sel[:, 1]), np.abs(sel[:, 1] + 1.0))
     assert np.median(d) < 1e-6
     with pytest.raises(PreconditionError):
-        postcritical_cloud(f, [], n_iter=10)
+        postcritical_cloud(f, PointCloud(np.zeros(0, dtype=complex)),
+                           n_iter=10)
 
 
 # ---- verify_trapping's rings, all centers at once
@@ -451,9 +454,188 @@ def test_rings_bit_equal_to_per_center_loop(r):
 def test_verify_trapping_equals_per_center_rings(fa_m1_crit, monkeypatch):
     # 30,000 cloud points: every 30th is a center
     f, base, crit = fa_m1_crit
-    t_cloud = postcritical_cloud(f, crit, n_iter=60)
+    t_cloud = postcritical_cloud(f, base, n_iter=60)
     assert len(t_cloud) // 1000 > 1
     j2 = sample_J2_inverse(f, 3000, seed=1)
     rep = verify_trapping(f, t_cloud, j2, r=0.1, m=50)
     monkeypatch.setattr(critpost, "_rings", loop_rings)
     assert verify_trapping(f, t_cloud, j2, r=0.1, m=50) == rep
+
+
+# ---- verify_trapping on byte-distinct rows
+
+
+def _ref_verify_trapping(f, t_cloud, j2, r, m=50):
+    """`verify_trapping` as it ran row by row: every cloud row mapped and
+    queried, and a ring around every strided center, repeats included."""
+    if t_cloud.dim != 2 or len(t_cloud) == 0:
+        raise PreconditionError("t_cloud must be a nonempty 2D cloud")
+    index = CloudIndex(sphere_embed(t_cloud.points))
+    spacing = 0.0
+    nn = np.zeros(len(t_cloud))
+    if len(t_cloud) > 1:
+        nn = index.nn_distances()
+        spacing = index.spacing
+    zi = t_cloud.points[:, 0]
+    wi = t_cloud.points[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1, w1 = f.p(zi), f.q(zi, wi)
+    img = sphere_embed(np.column_stack([z1, w1]))
+    dinv, _ = index.query(img)
+    zu = np.unique(zi)
+    base_spacing = CloudIndex(_as_real(zu)).spacing if len(zu) > 1 else 0.0
+    inv_tol = np.maximum(3.0 * np.maximum(nn, base_spacing), 1e-6)
+    if np.any(dinv > inv_tol):
+        worst = float(np.max(dinv - inv_tol))
+        raise PreconditionError(
+            f"cloud not forward-invariant: worst image offset exceeds the "
+            f"local resolution by {worst:.3e}"
+        )
+    gap = min_chordal_distance(t_cloud, j2)
+    if gap <= r:
+        raise PreconditionError(
+            f"cloud within chordal {gap:.3e} of the J2 cloud (need > r = {r})"
+        )
+    stride = max(1, len(t_cloud) // 1000)
+    z, w = loop_rings(t_cloud.points[::stride], r, RING)
+    best = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m + 1):
+            z, w = f.p(z), f.q(z, w)
+            bad = ~np.isfinite(w.real) | (np.abs(w) > 1e100)
+            w = np.where(bad, 1e100, w)
+            d, _ = index.query(sphere_embed(np.column_stack([z, w])))
+            ratio = float(np.max(d)) / r
+            if best is None or ratio < best[1]:
+                best = (k, ratio)
+            if ratio < 0.5:
+                return {
+                    "pass": True, "m": k, "worst_ratio": ratio, "r": r,
+                    "cloud_spacing": spacing, "j2_gap": gap,
+                }
+    return {
+        "pass": False, "m": best[0], "worst_ratio": best[1], "r": r,
+        "cloud_spacing": spacing, "j2_gap": gap,
+    }
+
+
+_TRAP_POOLS = {}
+
+
+def _trap_pool(a, n_iter):
+    """(Fa(a), the distinct rows of a small postcritical cloud of it, a J2
+    cloud), cached; a complex n_iter w gives the one row (1, w) instead
+    ((1, 0) is a fixed point of Fa(0))."""
+    key = (a, n_iter)
+    if key not in _TRAP_POOLS:
+        f = make_Fa(a)
+        if isinstance(n_iter, complex):
+            rows = np.array([[1.0, n_iter]])
+        else:
+            pc = postcritical_cloud(f, sample_base_julia(f.p, 30, seed=2),
+                                    n_iter=n_iter).points
+            rows = pc[_distinct_rows(_as_real(pc))[0]]
+        _TRAP_POOLS[key] = (f, rows, sample_J2_inverse(f, 400, seed=3))
+    return _TRAP_POOLS[key]
+
+
+def _trapping_outcome(a, n_iter, whole, n_rep, spread, flips, seed, r, m):
+    """Run `verify_trapping` and the row-by-row reference on one cloud and
+    require the same report, bit for bit, or the same PreconditionError.
+
+    The cloud holds every pool row once if whole, plus n_rep repeats of
+    the first `spread` rows, shuffled; each flip (k, j) negates real part
+    j of row k where it is a zero, making a row byte-distinct from an equal
+    one.  Returns "pass", "fail" or the error message."""
+    f, rows, j2 = _trap_pool(a, n_iter)
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, min(spread, len(rows)), n_rep)
+    idx = np.concatenate([np.arange(len(rows) if whole else 0), picks])
+    pts = rows[rng.permutation(idx)]
+    parts = pts.view(float)
+    for k, j in flips:
+        if len(pts) and parts[k % len(pts), j] == 0:
+            parts[k % len(pts), j] *= -1.0
+    cloud = PointCloud(pts)
+    try:
+        want = _ref_verify_trapping(f, cloud, j2, r, m)
+    except PreconditionError as e:
+        with pytest.raises(PreconditionError) as got:
+            verify_trapping(f, cloud, j2, r, m)
+        assert str(got.value) == str(e)
+        return str(e)
+    got = verify_trapping(f, cloud, j2, r, m)
+    assert list(got) == list(want)
+    for key in want:
+        assert type(got[key]) is type(want[key])
+        assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes()
+    return "pass" if got["pass"] else "fail"
+
+
+# every zero part of a Fa(0) cloud row negated: w = 0 over every row
+_ALL_ZERO_FLIPS = [(k, j) for k in range(64) for j in range(4)]
+
+
+@pytest.mark.parametrize("case, outcome", [
+    # mostly repeats: 16 distinct rows among 2,016
+    ((0, 40, True, 2000, 3, [], 1, 0.1, 50), "pass"),
+    # rows of 0.0 and -0.0
+    ((0, 40, True, 48, 16, _ALL_ZERO_FLIPS, 2, 0.1, 50), "pass"),
+    # one distinct row, repeated
+    ((0, 0j, True, 499, 1, [], 3, 0.1, 50), "pass"),
+    # (1, 0) and (1, -0.0)
+    ((0, 0j, True, 20, 1, [(0, 2), (5, 3)], 4, 0.1, 50), "pass"),
+    # 2,630 rows: every 2nd row is a center
+    ((0.1, 40, True, 2500, 130, [], 5, 0.1, 50), "pass"),
+    ((-1, 5, True, 300, 10, [], 6, 0.1, 50), "fail"),
+    ((0.3j, 40, True, 900, 175, [], 7, 0.01, 3), "fail"),
+    # (1, 0.5) maps to (1, 0.25)
+    ((0, 0.5j, True, 30, 1, [], 8, 0.1, 50), "not forward-invariant"),
+    ((0, 40, True, 100, 4, [], 9, 2.0, 50), "of the J2 cloud"),
+])
+def test_verify_trapping_bit_equal_to_row_by_row(case, outcome):
+    assert outcome in _trapping_outcome(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.sampled_from([(-1, 5), (-1, 40), (0, 40), (0.1, 5), (0.3j, 40),
+                          (0, 0j), (0, 0.5j)]),
+    whole=st.booleans(),
+    n_rep=st.integers(0, 2500),
+    spread=st.integers(1, 200),
+    flips=st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 3)),
+                   max_size=40),
+    seed=st.integers(0, 2 ** 32 - 1),
+    r=st.sampled_from([0.01, 0.1, 0.3, 2.0]),
+    m=st.sampled_from([1, 3, 50]),
+)
+def test_verify_trapping_bit_equal_on_random_clouds(pool, whole, n_rep,
+                                                    spread, flips, seed, r,
+                                                    m):
+    _trapping_outcome(*pool, whole, n_rep, spread, flips, seed, r, m)
+
+
+# ---- certify and verify-lemma trapping skip the orbit classification
+
+
+def test_certify_and_trapping_skip_critical_orbit_walk(tmp_path,
+                                                       monkeypatch):
+    calls = {"_run_spans": 0, "_cluster": 0}
+    for name in calls:
+        def counted(*args, real=getattr(critpost, name), name=name,
+                    **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(critpost, name, counted)
+    fa = ["--family", "Fa", "--a=-1"]
+    assert main(["certify", *fa, "--n-base", "200", "--n-j2", "400",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["verify-lemma", "trapping", *fa, "--r", "0.1", "--m", "50",
+                 "--tcloud", "postcritical", "--n-base", "150",
+                 "--n-j2", "400", "--out", str(tmp_path / "t")]) == 0
+    assert calls == {"_run_spans": 0, "_cluster": 0}
+    # the counters see the walk where it runs
+    f = make_Fa(-1)
+    critical_locus(f, sample_base_julia(f.p, 20, seed=0))
+    assert calls == {"_run_spans": 1, "_cluster": 1}

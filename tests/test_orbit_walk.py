@@ -19,9 +19,11 @@ what their full walks gave, bit for bit (`_ref_fiber_cycles`,
 `_ref_run_spans`), and `_tail_period` what its per-period loop gave.
 """
 
+import contextlib
 import dataclasses
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -29,6 +31,7 @@ import pytest
 from conftest import poly2_reference
 from hypothesis import example, given, settings, strategies as st
 
+from skewdyn import critpost
 from skewdyn.chain import repelling_periodic_points
 from skewdyn.critpost import (
     ACC_ITER,
@@ -40,6 +43,7 @@ from skewdyn.critpost import (
     _run_spans,
     acc_cloud,
     acc_full_probe,
+    certify_axiom_a,
     critical_locus,
     postcritical_cloud,
 )
@@ -59,7 +63,8 @@ from skewdyn.errors import NumericalError
 from skewdyn.families import (build_s1s2, make_airplane_skew, make_Fa,
                               make_fig3, make_product)
 from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly, roots
-from skewdyn.sets import CloudIndex, PointCloud, _as_real, sample_base_julia
+from skewdyn.sets import (CloudIndex, PointCloud, _as_real, sample_J2_inverse,
+                          sample_base_julia)
 
 
 def _ref_step_tracked(f, z, w, k, idx, snap):
@@ -546,8 +551,7 @@ def _pc_case(name, a):
         f = _PC_MAPS[name](a)
         base = sample_base_julia(f.p, 60, seed=1)
         params = derive_escape_radius(f, base_points=base.points)
-        _PC_CASES[key] = (f, base.points, params,
-                          critical_locus(f, base, params))
+        _PC_CASES[key] = (f, base, params, critical_locus(f, base, params))
     return _PC_CASES[key]
 
 
@@ -587,14 +591,23 @@ _PC_W = [0.0, -1.0, 0.5j, 1e6]
 @example(name="Fa", a=1j, n_iter=200, picks=[(4, 1)])
 def test_postcritical_cloud_matches_per_step_snap_loop(name, a, n_iter,
                                                        picks):
-    f, pts, params, crit = _pc_case(name, a)
+    f, base, params, crit = _pc_case(name, a)
+    picked = contextlib.nullcontext()
     if picks:
         crit = [CriticalSample(
-            z=complex(pts[i] if i < 0 else _PC_Z[i]),
+            z=complex(base.points[i] if i < 0 else _PC_Z[i]),
             c=complex(_PC_W[w] if isinstance(w, int) else w),
             component_id=0, status="bounded",
             omega_tail=np.zeros((0, 2), dtype=complex)) for i, w in picks]
-    got = postcritical_cloud(f, crit, n_iter=n_iter, params=params).points
+        # the picked starts: a base cloud of their z, over whose k-th point
+        # the one critical point is the k-th picked w
+        base = PointCloud([s.z for s in crit])
+        starts = (np.arange(len(crit)), np.array([s.c for s in crit]))
+        picked = mock.patch.object(critpost, "_critical_points",
+                                   lambda f, zs: starts)
+    with picked:
+        got = postcritical_cloud(f, base, n_iter=n_iter,
+                                 params=params).points
     ref = _ref_postcritical_cloud(f, crit, n_iter, params)
     assert got.shape == ref.shape and got.dtype == complex
     assert np.array_equal(_bits(got), _bits(ref))
@@ -602,7 +615,7 @@ def test_postcritical_cloud_matches_per_step_snap_loop(name, a, n_iter,
 
 @pytest.mark.parametrize("n_iter", [1, 2, 37, 200])
 def test_postcritical_cloud_queries_at_most_twice(monkeypatch, n_iter):
-    f, _, params, crit = _pc_case("Fa", -1 + 0j)
+    f, base, params, crit = _pc_case("Fa", -1 + 0j)
     calls = []
     query = CloudIndex.query
 
@@ -611,9 +624,50 @@ def test_postcritical_cloud_queries_at_most_twice(monkeypatch, n_iter):
         return query(self, *args, **kwargs)
 
     monkeypatch.setattr(CloudIndex, "query", counted)
-    pc = postcritical_cloud(f, crit, n_iter=n_iter, params=params)
+    pc = postcritical_cloud(f, base, n_iter=n_iter, params=params)
     assert len(pc) == n_iter * len(crit)  # every critical orbit is bounded
     assert len(calls) <= 2
+
+
+def _ref_certify_cloud(f, base, n_iter=200, params=None):
+    """Clause (ii)'s cloud as `certify_axiom_a` built it before: the
+    classified critical locus, then the per-step snap loop."""
+    return PointCloud(_ref_postcritical_cloud(
+        f, critical_locus(f, base, params), n_iter, params),
+        tag="PostCritical")
+
+
+def _float_bits(obj):
+    """A dict or list with every float replaced by its bytes."""
+    if isinstance(obj, dict):
+        return {k: _float_bits(v) for k, v in obj.items()}
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    return obj
+
+
+@pytest.mark.parametrize("name, f, n_base, verdict", [
+    ("Fa(0)", make_Fa(0), 200, "Certified-P2"),
+    ("Fa(0.1)", make_Fa(0.1), 200, "Certified-P2"),
+    ("Fa(-1)", make_Fa(-1), 200, "Certified-P2"),
+    ("Fa(-1)", make_Fa(-1), 3, "Inconclusive"),  # 600 postcritical rows
+    ("Fa(2)", make_Fa(2), 200, "Inconclusive"),
+    ("Fa(i)", make_Fa(1j), 200, "Failed(ii)"),
+    ("product", make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1])), 200,
+     "Certified-P2"),
+    ("airplane(3)", make_airplane_skew(3), 200, "Inconclusive"),
+])
+def test_certify_equals_critical_locus_path(name, f, n_base, verdict):
+    base = sample_base_julia(f.p, n_base, seed=3)
+    j2 = sample_J2_inverse(f, 400, seed=4)
+    params = derive_escape_radius(f, base_points=base.points)
+    got = dataclasses.asdict(certify_axiom_a(f, base, j2, params=params))
+    with mock.patch.object(critpost, "postcritical_cloud",
+                           _ref_certify_cloud):
+        want = dataclasses.asdict(certify_axiom_a(f, base, j2,
+                                                  params=params))
+    assert got["verdict"] == verdict
+    assert _float_bits(got) == _float_bits(want)
 
 
 def _ref_tail_period(tail):
