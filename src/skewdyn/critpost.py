@@ -340,10 +340,29 @@ def critical_locus(f: SkewProduct, base: PointCloud,
     return out
 
 
+def _add_states(table: dict, j: np.ndarray, w: np.ndarray):
+    """The id of each state (j[k], w[k]) in `table`, a dict from a state's
+    bytes (base-sample index, then w) to its id, as (ids, jt, wt): a state
+    not yet in the table takes the next id, in order of first occurrence,
+    and jt, wt hold those new states in id order.  Keys are bytes, so
+    w = 0.0 and w = -0.0 are different states."""
+    key = np.empty((len(j), 3), dtype=np.uint64)
+    key[:, 0] = j
+    key[:, 1:] = w.view(np.uint64).reshape(-1, 2)
+    n = len(table)
+    ids = np.array([table.setdefault(k, len(table))
+                    for k in key.view(np.dtype((np.void, 24))).ravel().tolist()],
+                   dtype=int)
+    u, at = np.unique(ids, return_index=True)
+    at = at[u >= n]
+    return ids, j[at], w[at]
+
+
 def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
                        params: EscapeParams | None = None) -> PointCloud:
     """Forward images of the fiber critical points over a base Julia
-    sample, 1 <= k <= n_iter, pruned of fiber-escaped points.
+    sample, 1 <= k <= n_iter, pruned of fiber-escaped points: step by step,
+    and at each step by critical orbit.
 
     The critical points are those of `critical_locus` (`_critical_points`
     over base.points), in its order, but their orbits are not classified:
@@ -362,6 +381,14 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
     coefficients are tabulated once, so each later step is Horner in w on
     the table.  The table takes one KD-tree query per call, and the step-1
     images one more, whatever n_iter is.
+
+    Two rows with the same base-sample index and the same w bytes have the
+    same future, and the rows are mostly such repeats: the walk holds each
+    critical orbit as the id of its state, and steps each distinct state
+    once, the first time some orbit reaches it; later steps only look up
+    its successor.  The cloud is returned as its distinct rows, in order of
+    first occurrence, with the `inverse` of the full row sequence
+    (`PointCloud`), so the rows are bit-equal to stepping every orbit.
     """
     i, ws = _critical_points(f, base.points)
     if not len(i):
@@ -369,7 +396,8 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
     if params is None:
         params = derive_escape_radius(f)
     if n_iter < 1:
-        return PointCloud(np.zeros((0, 2), dtype=complex), tag="PostCritical")
+        return PointCloud(np.zeros((0, 2), dtype=complex), tag="PostCritical",
+                          inverse=np.zeros(0, dtype=int))
     radius, base_radius = params.radius, params.base_radius
     zs = base.points[i]
     base_pts = np.unique(zs)
@@ -392,15 +420,31 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
         succ = np.zeros(len(base_pts), dtype=int)
         succ[okz] = index.query(_as_real(pz[okz]))[1]
         b = npoly.polyval(base_pts, f.q.coeffs)[::-1]
-        out = [np.column_stack([base_pts[j], w])]
+        # s: the state id of each live orbit; nxt[t]: the successor of state
+        # t, -1 where its orbit stops; jt, wt: the states first reached at
+        # this step, whose successors nxt does not hold yet
+        table = {}
+        s, jt, wt = _add_states(table, j, w)
+        js, wts, rows = [jt], [wt], [s]
+        nxt = np.zeros(0, dtype=int)
         for _ in range(n_iter - 1):
-            if not len(j):
+            if not len(s):
                 break
-            w = _horner(b[:, j], w)
-            ok = okz[j] & bounded(w, radius)
-            j, w = succ[j[ok]], w[ok]
-            out.append(np.column_stack([base_pts[j], w]))
-    return PointCloud(np.concatenate(out), tag="PostCritical")
+            if len(jt):
+                wt = _horner(b[:, jt], wt)
+                ok = okz[jt] & bounded(wt, radius)
+                t = np.full(len(jt), -1)
+                t[ok], jt, wt = _add_states(table, succ[jt[ok]], wt[ok])
+                nxt = np.concatenate([nxt, t])
+                js.append(jt)
+                wts.append(wt)
+            s = nxt[s]
+            s = s[s >= 0]
+            rows.append(s)
+    points = np.column_stack([base_pts[np.concatenate(js)],
+                              np.concatenate(wts)])
+    return PointCloud(points, tag="PostCritical",
+                      inverse=np.concatenate(rows))
 
 
 def apt_cloud(crit) -> PointCloud:
@@ -691,22 +735,30 @@ def verify_trapping(
     Returns {"pass", "m", "worst_ratio", ...}; ratios are worst image
     distance to the cloud over r.
 
-    Postcritical clouds are mostly repeated points, and equal rows have
-    equal images: the invariance check maps and queries each byte-distinct
-    row once, and the rings go around the distinct centers only, so the
-    report is the one a row-by-row check gives, bit for bit.
+    The cloud is read as its points and the `inverse` of its rows
+    (`PointCloud`; without one, every row is its own point).  Postcritical
+    clouds are mostly repeated points, and equal rows have equal images:
+    the invariance check maps and queries each point once and spreads the
+    result over the rows through the inverse; the repeat-aware spacing
+    comes from the inverse, and the rings go around the distinct points
+    among a stride of the rows.  So the report is the one a row-by-row
+    check gives, bit for bit.
     """
     if t_cloud.dim != 2 or len(t_cloud) == 0:
         raise PreconditionError("t_cloud must be a nonempty 2D cloud")
-    index = CloudIndex(sphere_embed(t_cloud.points))
+    pts, inverse = t_cloud.points, t_cloud.inverse
+    if inverse is None:
+        inverse = np.arange(len(pts))
+    # two different rows can embed to the same sphere point: the index
+    # groups the embedded points by their own bytes
+    index = CloudIndex(sphere_embed(pts), inverse)
     spacing = 0.0
     nn = np.zeros(len(t_cloud))
     if len(t_cloud) > 1:
         nn = index.nn_distances()
         spacing = index.spacing
     # forward invariance up to the cloud's local resolution at each point
-    keep, inverse = _distinct_rows(_as_real(t_cloud.points))
-    zi, wi = t_cloud.points[keep].T
+    zi, wi = pts.T
     with np.errstate(over="ignore", invalid="ignore"):
         z1, w1 = f.p(zi), f.q(zi, wi)
     dinv = index.query(sphere_embed(np.column_stack([z1, w1])))[0][inverse]
@@ -732,8 +784,9 @@ def verify_trapping(
     # the full cloud
     max_centers = 1000
     stride = max(1, len(t_cloud) // max_centers)
-    centers = t_cloud.points[::stride]
-    centers = centers[_distinct_rows(_as_real(centers))[0]]
+    strided = inverse[::stride]
+    first = np.sort(np.unique(strided, return_index=True)[1])
+    centers = pts[strided[first]]
     n_ring = 32
     phis = 2.0 * np.pi * np.arange(n_ring) / n_ring
     z, w = _rings(centers, r, np.exp(1j * phis))

@@ -44,11 +44,19 @@ __all__ = [
 @dataclass(frozen=True)
 class PointCloud:
     """Finite sample of a dynamical set; dim-1 points are complex, dim-2
-    points are rows (z, w)."""
+    points are rows (z, w).
+
+    Without `inverse` the points are the sample's rows.  A sample that is
+    mostly repeats (`critpost.postcritical_cloud`) is stored as its
+    byte-distinct rows, in order of first occurrence, in `points`, and an
+    `inverse` over the full row sequence: row k is points[inverse[k]].
+    `len` counts rows either way; set distances read `points` alone.
+    """
 
     points: np.ndarray
     tag: str = "Custom"
     seed: int = 0
+    inverse: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=complex))
@@ -58,7 +66,7 @@ class PointCloud:
         return 1 if self.points.ndim == 1 else 2
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.points if self.inverse is None else self.inverse)
 
 
 @dataclass(frozen=True)
@@ -486,15 +494,23 @@ class CloudIndex:
     The KD-tree holds each distinct row once, in order of first occurrence
     (postcritical clouds are mostly repeats, on which a KD-tree over all
     rows degenerates); distances are those of a tree over all rows.
+
+    With an `inverse`, `rows` are a cloud's states and row k of the cloud
+    is rows[inverse[k]] (`PointCloud.inverse`): the tree is built from the
+    states, grouped by their own bytes, and `inverse` and the repeat-aware
+    `nn_distances` and `spacing` cover the cloud's rows.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, inverse: np.ndarray | None = None):
         self.keep, self.inverse = _distinct_rows(rows)
+        if inverse is not None:
+            self.inverse = self.inverse[inverse]
         self.tree = _kdtree(rows[self.keep])
 
     def query(self, q: np.ndarray, workers: int = 1):
-        """Distance to the nearest row and that row's index, per query row;
-        `workers` threads split the query rows (-1: one per CPU)."""
+        """Distance to the nearest row and that row's index in `rows`, per
+        query row; `workers` threads split the query rows (-1: one per
+        CPU)."""
         d, i = self.tree.query(q, workers=workers)
         return d, self.keep[i]
 
@@ -560,11 +576,13 @@ def sphere_embed(points: np.ndarray) -> np.ndarray:
 
 
 def min_chordal_distance(a: PointCloud, b: PointCloud) -> float:
-    """Smallest chordal-product distance between points of two clouds."""
+    """Smallest chordal-product distance between points of two clouds.
+
+    Each point of a is queried once; a cloud with an `inverse` holds each
+    distinct row once, so its repeats are never queried."""
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("clouds must be nonempty")
-    pts = a.points[_distinct_rows(_as_real(a.points))[0]]
-    d, _ = CloudIndex(sphere_embed(b.points)).query(sphere_embed(pts))
+    d, _ = CloudIndex(sphere_embed(b.points)).query(sphere_embed(a.points))
     return float(np.min(d))
 
 

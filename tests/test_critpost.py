@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -25,7 +26,7 @@ from skewdyn.critpost import (
     postcritical_cloud,
     verify_trapping,
 )
-from skewdyn import critpost, engine
+from skewdyn import cli, critpost, engine, sets
 from skewdyn.engine import chordal_distance, fiber_cycles
 from skewdyn.errors import PreconditionError
 from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
@@ -532,9 +533,8 @@ def _trap_pool(a, n_iter):
         if isinstance(n_iter, complex):
             rows = np.array([[1.0, n_iter]])
         else:
-            pc = postcritical_cloud(f, sample_base_julia(f.p, 30, seed=2),
-                                    n_iter=n_iter).points
-            rows = pc[_distinct_rows(_as_real(pc))[0]]
+            rows = postcritical_cloud(f, sample_base_julia(f.p, 30, seed=2),
+                                      n_iter=n_iter).points
         _TRAP_POOLS[key] = (f, rows, sample_J2_inverse(f, 400, seed=3))
     return _TRAP_POOLS[key]
 
@@ -614,6 +614,119 @@ def test_verify_trapping_bit_equal_on_random_clouds(pool, whole, n_rep,
                                                     spread, flips, seed, r,
                                                     m):
     _trapping_outcome(*pool, whole, n_rep, spread, flips, seed, r, m)
+
+
+# ---- verify_trapping on a cloud stored as distinct states
+
+
+def _report_or_error(f, cloud, j2, r, m):
+    """verify_trapping's report as (key, type, bytes) triples, or the
+    message of its PreconditionError."""
+    try:
+        rep = verify_trapping(f, cloud, j2, r, m)
+    except PreconditionError as e:
+        return str(e)
+    return [(k, type(v), np.array(v).tobytes()) for k, v in rep.items()]
+
+
+def _embed_twins(pc, k):
+    """pc with its first k points given a twin whose w has imaginary part
+    5e-324 where pc's is 0.0: a different (z, w) row with the same
+    sphere_embed row wherever |w|^2 >= 3 (2 * 5e-324 / (1 + |w|^2) rounds
+    to 0).  Every 3rd row of such a point is its twin instead."""
+    pts = pc.points.copy()
+    twins = pts[:k].copy()
+    twins[:, 1] += 5e-324j
+    inverse = pc.inverse.copy()
+    at = np.flatnonzero(inverse < k)[::3]
+    inverse[at] += len(pts)
+    return PointCloud(np.concatenate([pts, twins]), inverse=inverse)
+
+
+@pytest.mark.parametrize("make, n_base, n_iter, twins, r, m, outcome", [
+    (lambda: make_Fa(-1), 60, 200, 0, 0.1, 50, "pass"),
+    (lambda: make_Fa(-1), 30, 200, 0, 0.1, 50, "fail"),
+    (lambda: make_Fa(0.1), 30, 200, 0, 0.1, 50, "pass"),
+    (lambda: make_Fa(0.3j), 30, 40, 0, 0.01, 3, "fail"),
+    (lambda: make_Fa(-1), 30, 5, 0, 0.1, 50, "fail"),
+    (lambda: make_Fa(0), 30, 40, 0, 2.0, 50, "of the J2 cloud"),
+    # q = (w - 3)^2 + 3 fixes the critical point w = 3 over every z: every
+    # row is (z, 3), and the twins (z, 3 + 5e-324i) embed to the same rows
+    (lambda: make_product(Poly1([0, 0, 1]), Poly1([12, -6, 1])), 40, 20, 25,
+     0.1, 50, "pass"),
+])
+def test_verify_trapping_merged_cloud_equals_plain_rows(make, n_base, n_iter,
+                                                        twins, r, m, outcome,
+                                                        monkeypatch):
+    f = make()
+    pc = postcritical_cloud(f, sample_base_julia(f.p, n_base, seed=2),
+                            n_iter=n_iter)
+    if twins:
+        pc = _embed_twins(pc, twins)
+        emb = sphere_embed(pc.points)
+        assert len(_distinct_rows(emb)[0]) == len(pc.points) - twins
+    j2 = sample_J2_inverse(f, 400, seed=3)
+    # every KD-tree holds byte-distinct rows: the index groups the
+    # embedded points by their own bytes, not by those of (z, w)
+    kdtree = scipy.spatial.cKDTree
+
+    def distinct_tree(rows):
+        key = np.ascontiguousarray(rows).view(
+            np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        assert len(np.unique(key)) == len(rows)
+        return kdtree(rows)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", distinct_tree)
+    got = _report_or_error(f, pc, j2, r, m)
+    want = _report_or_error(f, PointCloud(pc.points[pc.inverse]), j2, r, m)
+    assert got == want
+    if outcome in ("pass", "fail"):
+        assert dict((k, v) for k, _, v in got)["pass"] == \
+            np.array(outcome == "pass").tobytes()
+    else:
+        assert outcome in got
+
+
+def test_certify_and_trapping_never_hash_every_cloud_row(tmp_path,
+                                                         monkeypatch):
+    sizes, rows = [], []
+    distinct = sets._distinct_rows
+
+    def counted(r):
+        sizes.append(len(r))
+        return distinct(r)
+
+    real = critpost.postcritical_cloud
+
+    def cloud(*args, **kwargs):
+        pc = real(*args, **kwargs)
+        rows.append(len(pc))
+        return pc
+
+    for mod in (sets, critpost):
+        monkeypatch.setattr(mod, "_distinct_rows", counted)
+    for mod in (critpost, cli):
+        monkeypatch.setattr(mod, "postcritical_cloud", cloud)
+    fa = ["--family", "Fa", "--a=-1"]
+    assert main(["certify", *fa, "--n-base", "200", "--n-j2", "400",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["verify-lemma", "trapping", *fa, "--r", "0.1", "--m", "50",
+                 "--tcloud", "postcritical", "--n-base", "150",
+                 "--n-j2", "400", "--out", str(tmp_path / "t")]) == 0
+    assert rows == [40000, 22500] and sizes
+    assert max(sizes) < min(rows)
+
+
+def test_row_count_gates_inconclusive():
+    # 4,000 rows, 942 of them distinct: above MIN_PC_SAMPLES only by rows
+    f = make_Fa(-1)
+    base = sample_base_julia(f.p, 20, seed=1)
+    pc = postcritical_cloud(f, base)
+    assert len(pc) == 4000 and len(pc.points) == 942
+    assert len(pc.points) < critpost.MIN_PC_SAMPLES <= len(pc)
+    rep = certify_axiom_a(f, base, sample_J2_inverse(f, 400, seed=2))
+    assert rep.verdict != "Inconclusive"
+    assert rep.sample_counts["postcritical"] == 4000
 
 
 # ---- certify and verify-lemma trapping skip the orbit classification

@@ -12,7 +12,8 @@ per-start loop gave.  `_critical_points` must keep, bit for bit, what the
 per-point `roots()` loop kept, and `acc_full_probe` must equal its old
 per-step `fiber_poly` loop, exceptions included.  `postcritical_cloud`'s
 walk on base-sample indices must give, bit for bit, the rows of the
-per-step snap loop it replaced, with at most two KD-tree queries.
+per-step snap loop it replaced, with at most two KD-tree queries, stored
+as the byte-distinct rows in order of first occurrence and their inverse.
 `fiber_cycles`, which stops each walk at its first exact float repeat, and
 `_run_spans`, which retires exactly repeating periodic rows, must give
 what their full walks gave, bit for bit (`_ref_fiber_cycles`,
@@ -63,8 +64,8 @@ from skewdyn.errors import NumericalError
 from skewdyn.families import (build_s1s2, make_airplane_skew, make_Fa,
                               make_fig3, make_product)
 from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly, roots
-from skewdyn.sets import (CloudIndex, PointCloud, _as_real, sample_J2_inverse,
-                          sample_base_julia)
+from skewdyn.sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
+                          sample_J2_inverse, sample_base_julia)
 
 
 def _ref_step_tracked(f, z, w, k, idx, snap):
@@ -536,6 +537,9 @@ def _ref_postcritical_cloud(f, crit, n_iter, params):
 
 _PC_MAPS = {
     "product": lambda a: make_product(Poly1([0, 0, 1]), Poly1([-1, 0, 1])),
+    # the constant -1 - 0i keeps a -0.0 imaginary part in some w
+    "product(-0i)": lambda a: make_product(Poly1([0, 0, 1]),
+                                           Poly1([complex(-1, -0.0), 0, 1])),
     "airplane(3)": lambda a: make_airplane_skew(3),
     "fig3": lambda a: make_fig3(),
     "s1s2": lambda a: _s1s2(),
@@ -581,6 +585,10 @@ _PC_W = [0.0, -1.0, 0.5j, 1e6]
 # only base points 0.0 and -0.0, which np.unique merges into one sample
 @example(name="Fa", a=0.3 + 0.2j, n_iter=37,
          picks=[(0, 0), (1, 0), (2, 1), (3, 2), (0, 2)])
+# over z = -0.0 - 0i, w = -0.0 - 0i reaches the states -1 - 0i and -1 + 0i:
+# equal values, different bytes, so two states
+@example(name="product(-0i)", a=0j, n_iter=37,
+         picks=[(3, complex(-0.0, -0.0))])
 # every row dies at step 1, in the fiber or in the base
 @example(name="product", a=0j, n_iter=200,
          picks=[(-1, 3), (-7, 3), (6, 0), (4, 3)])
@@ -606,11 +614,16 @@ def test_postcritical_cloud_matches_per_step_snap_loop(name, a, n_iter,
         picked = mock.patch.object(critpost, "_critical_points",
                                    lambda f, zs: starts)
     with picked:
-        got = postcritical_cloud(f, base, n_iter=n_iter,
-                                 params=params).points
+        pc = postcritical_cloud(f, base, n_iter=n_iter, params=params)
     ref = _ref_postcritical_cloud(f, crit, n_iter, params)
+    got = pc.points[pc.inverse]
     assert got.shape == ref.shape and got.dtype == complex
     assert np.array_equal(_bits(got), _bits(ref))
+    assert len(pc) == len(ref)
+    # the points are the byte-distinct rows, in order of first occurrence
+    keep, inverse = _distinct_rows(_as_real(ref))
+    assert np.array_equal(_bits(pc.points), _bits(ref[keep]))
+    assert np.array_equal(pc.inverse, inverse)
 
 
 @pytest.mark.parametrize("n_iter", [1, 2, 37, 200])
