@@ -20,7 +20,6 @@ from .critpost import (MAX_BASE_PERIOD, acc_cloud, acc_full_probe, apt_cloud,
 from .engine import derive_escape_radius, repelling_cycles
 from .poly import Poly1, SkewProduct
 from .sets import (
-    CloudIndex,
     PointCloud,
     _as_real,
     directed_hausdorff,
@@ -57,8 +56,7 @@ def chain_report(
     f: SkewProduct,
     n_base: int = 400,
     seed: int = 7,
-    j2_fibers: int = 150,
-    per_fiber_budget: int = 24,
+    n_j2: int = 3600,
 ) -> dict:
     """Compute the accumulation clouds and classify the chain regime.
 
@@ -71,11 +69,11 @@ def chain_report(
     base = PointCloud(np.concatenate([base_rand.points, periodic]),
                       tag="Jp", seed=seed)
     params = derive_escape_radius(f, base_points=base.points)
-    crit = critical_locus(f, base, params=params)
-    apt = apt_cloud(crit)
-    j2 = sample_J2_inverse(f, j2_fibers * per_fiber_budget, seed=seed + 1)
+    locus = critical_locus(f, base, params=params)
+    apt = apt_cloud(locus)
+    j2 = sample_J2_inverse(f, n_j2, seed=seed + 1)
     w_bound = 1.5 * float(np.max(np.abs(j2.points[:, 1]))) if len(j2) else None
-    acc = acc_cloud(f, crit, params=params, w_bound=w_bound)
+    acc = acc_cloud(f, locus, params=params, w_bound=w_bound)
     report = {
         "apt_count": len(apt),
         "acc_count": len(acc),
@@ -111,7 +109,7 @@ def chain_report(
         report["regime"] = "AllEqualNonempty"
         report["probe_distance"] = 0.0
         return report
-    band = max(0.05, 3.0 * CloudIndex(_as_real(base.points)).spacing)
+    band = max(0.05, 3.0 * locus.spacing)
     sel = np.abs(acc.points[:, 0] - complex(target)) <= band
     acc_fiber_w = acc.points[sel, 1]
     if len(acc_fiber_w) == 0:

@@ -27,7 +27,7 @@ from .sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
                    _kdtree, min_chordal_distance, sphere_embed)
 
 __all__ = [
-    "CriticalSample",
+    "CriticalLocus",
     "SaddleOrbit",
     "CertificationReport",
     "attract_or_escape_1d",
@@ -51,12 +51,17 @@ PROBE_TAIL_FRAC = 0.5   # share of the probe points `acc_full_probe` keeps
 
 
 @dataclass(frozen=True)
-class CriticalSample:
-    z: complex
-    c: complex
-    component_id: int
-    status: str                       # "escaped" | "bounded"
-    omega_tail: np.ndarray            # (T, 2) complex, empty when escaped
+class CriticalLocus:
+    """The fiber critical points over a base sample, one entry per orbit."""
+    z: np.ndarray                     # base point of each orbit
+    c: np.ndarray                     # fiber critical point over z
+    component: np.ndarray             # cluster id, 0, 1, ... (`_cluster`)
+    bounded: np.ndarray               # bool: the orbit did not escape
+    tail: np.ndarray                  # (T, 2) omega-tails of bounded orbits
+    spacing: float                    # median nearest-neighbor base spacing
+
+    def __len__(self) -> int:
+        return len(self.z)
 
 
 @dataclass(frozen=True)
@@ -296,7 +301,7 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
 
 
 def critical_locus(f: SkewProduct, base: PointCloud,
-                   params: EscapeParams | None = None):
+                   params: EscapeParams | None = None) -> CriticalLocus:
     """Fiber critical points over a base Julia sample, classified and
     clustered.
 
@@ -305,14 +310,14 @@ def critical_locus(f: SkewProduct, base: PointCloud,
     are classified by orbit escape; component ids come from single-linkage
     clustering in C^2 with threshold 3x the median nearest-neighbor base
     spacing (`_cluster`), and are numbered 0, 1, ... in order of each
-    component's first sample in the returned list (by base point, then by
-    root).  Each orbit is stepped once, for params.max_iter steps, by
-    `_run_spans`: it is trusted only while the base coordinate stays near
-    the base sample (exactly periodic base points never drift, and are
-    stepped on a coefficient table of their cycle); an orbit whose fiber
-    coordinate has not escaped by the end of its trusted span counts as
-    bounded and its omega-tail is the last quarter of that span, at most
-    TAIL_LEN steps, in step order.
+    component's first orbit (by base point, then by root).  Each orbit is
+    stepped once, for params.max_iter steps, by `_run_spans`: it is trusted
+    only while the base coordinate stays near the base sample (exactly
+    periodic base points never drift, and are stepped on a coefficient
+    table of their cycle); an orbit whose fiber coordinate has not escaped
+    by the end of its trusted span counts as bounded and its omega-tail is
+    the last quarter of that span, at most TAIL_LEN steps.  `tail` holds
+    the omega-tails of the bounded orbits, by orbit and then by step.
     """
     if params is None:
         params = derive_escape_radius(f)
@@ -324,20 +329,8 @@ def critical_locus(f: SkewProduct, base: PointCloud,
     esc, owner, _, tail = _run_spans(f, zs, cs, params.max_iter, params, snap,
                                      TAIL_LEN)
     bounded = esc < 0
-    tails = np.split(tail, np.searchsorted(owner, np.arange(1, len(zs))))
-    empty = np.zeros((0, 2), dtype=complex)
-    out = []
-    for i in range(len(zs)):
-        out.append(
-            CriticalSample(
-                z=zs[i],
-                c=cs[i],
-                component_id=int(labels[i]),
-                status="bounded" if bounded[i] else "escaped",
-                omega_tail=tails[i] if bounded[i] else empty,
-            )
-        )
-    return out
+    return CriticalLocus(z=zs, c=cs, component=labels, bounded=bounded,
+                         tail=tail[bounded[owner]], spacing=index.spacing)
 
 
 def _add_states(table: dict, j: np.ndarray, w: np.ndarray):
@@ -447,17 +440,14 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
                       inverse=np.concatenate(rows))
 
 
-def apt_cloud(crit) -> PointCloud:
-    """Union of the omega-tails of bounded critical samples (pointwise
+def apt_cloud(locus: CriticalLocus) -> PointCloud:
+    """Union of the omega-tails of the bounded critical orbits (pointwise
     accumulation); empty when every critical orbit escapes."""
-    tails = [s.omega_tail for s in crit if s.status == "bounded"]
-    tails = [t for t in tails if len(t)]
-    if not tails:
-        return PointCloud(np.zeros((0, 2), dtype=complex), tag="Apt")
-    return PointCloud(np.concatenate(tails), tag="Apt")
+    return PointCloud(locus.tail, tag="Apt")
 
 
-def acc_cloud(f: SkewProduct, crit, params: EscapeParams | None = None,
+def acc_cloud(f: SkewProduct, locus: CriticalLocus,
+              params: EscapeParams | None = None,
               w_bound: float | None = None) -> PointCloud:
     """Per-component accumulation: forward-orbit tails of every member of
     each critical-locus cluster, union over clusters.
@@ -468,26 +458,23 @@ def acc_cloud(f: SkewProduct, crit, params: EscapeParams | None = None,
     ACC_ITER steps — for escapers that span ends just before fiber escape,
     so slow escapers shadowing the unstable set of the saddle part are
     retained.  The members of all contributing components are stepped in
-    one `_run_spans` walk; the points are listed by component, in id order
-    (the order of each component's first member in crit), then by step,
-    then by member, in crit order.  Fiber coordinates above w_bound
-    (transient fly-out positions) are pruned.
+    one `_run_spans` walk; the points are listed by component, in id order,
+    then by step, then by member, in locus order.  Fiber coordinates above
+    w_bound (transient fly-out positions) are pruned.
     """
-    if not crit:
+    if not len(locus):
         raise PreconditionError("empty critical locus")
     if params is None:
         params = derive_escape_radius(f)
-    all_z = np.array([s.z for s in crit])
-    all_c = np.array([s.c for s in crit])
-    index = CloudIndex(_as_real(np.unique(all_z)))
-    _, rank = np.unique([s.component_id for s in crit], return_inverse=True)
-    bounded = np.array([s.status == "bounded" for s in crit])
-    members = np.flatnonzero(np.bincount(rank, weights=bounded)[rank] > 0)
-    zs, ws = all_z[members], all_c[members]
+    index = CloudIndex(_as_real(np.unique(locus.z)))
+    comp = locus.component
+    members = np.flatnonzero(
+        np.bincount(comp, weights=locus.bounded)[comp] > 0)
+    zs, ws = locus.z[members], locus.c[members]
     _, owner, step, pts = _run_spans(f, zs, ws, ACC_ITER, params,
                                      _base_snap(f.p, index, zs),
                                      math.ceil(TAIL_FRAC * ACC_ITER))
-    pts = pts[np.lexsort((owner, step, rank[members][owner]))]
+    pts = pts[np.lexsort((owner, step, comp[members][owner]))]
     if w_bound is not None:
         pts = pts[np.abs(pts[:, 1]) <= w_bound]
     return PointCloud(pts, tag="Acc")
@@ -503,9 +490,10 @@ def acc_full_probe(
     """Full-locus accumulation probe into the fiber of z_target.
 
     Builds a backward base orbit z_{-1}, ..., z_{-depth} of z_target using
-    branch_policy (a symbol string indexing regions in f.meta["regions"],
-    cycled, or a callable choosing among candidate preimages), places the
-    fiber critical point over each z_{-k}, and pushes it forward k steps.
+    branch_policy, a symbol string indexing regions in f.meta["regions"],
+    cycled: z_{-k} is the preimage of z_{-k+1} nearest the center of its
+    symbol's region.  Places the fiber critical point over each z_{-k},
+    and pushes it forward k steps.
     Returns the last PROBE_TAIL_FRAC fraction of the resulting points, all
     lying in the fiber of z_target; a point whose orbit leaves the escape
     radius is dropped.
@@ -522,23 +510,16 @@ def acc_full_probe(
         params = derive_escape_radius(f)
     zt = complex(z_target)
     regions = f.meta.get("regions", {})
-
-    def choose(cands, k):
-        if callable(branch_policy):
-            return branch_policy(cands, k)
-        sym = branch_policy[(k - 1) % len(branch_policy)]
-        if sym not in regions:
-            raise PreconditionError(f"unknown region symbol {sym!r}")
-        center = regions[sym]
-        return cands[np.argmin(np.abs(cands - center))]
-
     back = []  # back[k-1] = z_{-k}
     z = zt
     for k in range(1, depth + 1):
         shifted = f.p.coeffs.copy()
         shifted[0] -= z
         cands = roots(Poly1(shifted))
-        z = complex(choose(cands, k))
+        sym = branch_policy[(k - 1) % len(branch_policy)]
+        if sym not in regions:
+            raise PreconditionError(f"unknown region symbol {sym!r}")
+        z = complex(cands[np.argmin(np.abs(cands - regions[sym]))])
         back.append(z)
     back = np.array(back)
     owner, crits = _critical_points(f, back)

@@ -30,7 +30,14 @@ __all__ = [
     "LEMMA_CHECKS",
 ]
 
-RAY_BALL_RADIUS = 1.0 / 16.0
+RAY_BALL_RADIUS = 1.0 / 16.0  # the exclusion ball B(2, r) around beta
+RAY_CAP = 400               # iterates a ray-surrogate sample may take
+BOX_BOUND_EPS = 0.25        # box-bound: the bound on |Im z|
+RING_RADIUS = 3.5           # escape-ring: the circle |w| = radius
+RING_FACTOR = 15.0 / 14.0   # escape-ring: the required expansion
+STRIP_DELTA = 1e-3          # strip-escape: the strip |Im w| <= delta
+BOX_GRID = 41               # box-self-map: grid points per side of the box
+BOX_AVOID_MARGIN = 0.05     # box-avoid: the margin required
 
 
 def _airplane(n):
@@ -38,8 +45,27 @@ def _airplane(n):
     return f, float(f.meta["beta"])
 
 
-def check_box_bound(n: int, n_samples: int = 100000, seed: int = 0,
-                    eps_threshold: float = 0.25) -> dict:
+def _ray_samples(n, n_samples, seed):
+    """The airplane map of base period n, up to n_samples of its base
+    Julia samples (drawn from 4 * n_samples) outside B(2, RAY_BALL_RADIUS),
+    and the first iterate at which each sample reaches the left half-plane
+    (-1 if none within RAY_CAP)."""
+    f, _ = _airplane(n)
+    cloud = sample_base_julia(f.p, 4 * n_samples, seed=seed)
+    z = cloud.points[np.abs(cloud.points - 2.0) > RAY_BALL_RADIUS][:n_samples]
+    if len(z) == 0:
+        raise PreconditionError("no base samples outside the exclusion ball")
+    first = np.full(len(z), -1, dtype=int)
+    cur = z.copy()
+    for j in range(RAY_CAP):
+        first[(first < 0) & (cur.real <= 0.0)] = j
+        if (first >= 0).all():
+            break
+        cur = f.p(cur)
+    return f, z, first
+
+
+def check_box_bound(n: int, n_samples: int = 100000, seed: int = 0) -> dict:
     """Bounding box of the base Julia set: [-2-tol, 2+tol] x [-eps, eps]."""
     f, _ = _airplane(n)
     cloud = sample_base_julia(f.p, n_samples, seed=seed)
@@ -50,49 +76,33 @@ def check_box_bound(n: int, n_samples: int = 100000, seed: int = 0,
         "n": n,
         "epsilon": eps,
         "re_max": re_max,
-        "pass": bool(eps < eps_threshold and re_max <= 2.0 + 1e-6),
+        "pass": bool(eps < BOX_BOUND_EPS and re_max <= 2.0 + 1e-6),
     }
 
 
-def check_escape_ring(n: int, n_samples: int = 10000, seed: int = 0,
-                      radius: float = 3.5,
-                      factor: float = 15.0 / 14.0) -> dict:
-    """Ring escape: |q_z(w)| >= factor * |w| on |w| = radius over the base
-    Julia sample (so the radius-disk contains every fiber bounded set)."""
+def check_escape_ring(n: int, n_samples: int = 10000, seed: int = 0) -> dict:
+    """Ring escape: |q_z(w)| >= RING_FACTOR * |w| on |w| = RING_RADIUS over
+    the base Julia sample (so that disk holds every fiber bounded set)."""
     f, _ = _airplane(n)
     rng = np.random.default_rng(seed)
     cloud = sample_base_julia(f.p, n_samples, seed=seed)
-    w = radius * np.exp(2j * np.pi * rng.random(n_samples))
+    w = RING_RADIUS * np.exp(2j * np.pi * rng.random(n_samples))
     vals = np.abs(f.q(cloud.points, w))
-    ratio = float(np.min(vals / radius))
+    ratio = float(np.min(vals / RING_RADIUS))
     return {
         "id": "escape-ring",
         "n": n,
         "min_ratio": ratio,
-        "required": factor,
-        "pass": bool(ratio >= factor - 1e-9),
+        "required": RING_FACTOR,
+        "pass": bool(ratio >= RING_FACTOR - 1e-9),
     }
 
 
-def check_ray_surrogate(n: int, n_samples: int = 1000, seed: int = 0,
-                        r: float = RAY_BALL_RADIUS, cap: int = 400) -> dict:
+def check_ray_surrogate(n: int, n_samples: int = 1000, seed: int = 0) -> dict:
     """Every base Julia sample outside the ball B(2, r) reaches the left
     half-plane within a uniform number of iterates; reports that N."""
-    f, _ = _airplane(n)
-    cloud = sample_base_julia(f.p, 4 * n_samples, seed=seed)
-    z = cloud.points[np.abs(cloud.points - 2.0) > r][:n_samples]
-    if len(z) == 0:
-        raise PreconditionError("no base samples outside the exclusion ball")
-    reached = np.zeros(len(z), dtype=bool)
-    first = np.full(len(z), -1, dtype=int)
-    cur = z.copy()
-    for j in range(cap):
-        hit = (~reached) & (cur.real <= 0.0)
-        first[hit] = j
-        reached |= hit
-        if reached.all():
-            break
-        cur = f.p(cur)
+    _, z, first = _ray_samples(n, n_samples, seed)
+    reached = first >= 0
     return {
         "id": "ray-surrogate",
         "n": n,
@@ -102,18 +112,17 @@ def check_ray_surrogate(n: int, n_samples: int = 1000, seed: int = 0,
     }
 
 
-def check_strip_escape(n: int, delta: float = 1e-3, N: int | None = None,
-                       n_samples: int = 500, seed: int = 0) -> dict:
-    """Horizontal strip |Im w| <= delta escapes D(0, 3.5) after N fiber
-    steps over base samples outside B(2, r)."""
-    f, _ = _airplane(n)
-    if N is None:
-        N = check_ray_surrogate(n, n_samples=n_samples, seed=seed)["N"] + 1
+def check_strip_escape(n: int, n_samples: int = 500, seed: int = 0) -> dict:
+    """Horizontal strip |Im w| <= STRIP_DELTA escapes D(0, 3.5) after N
+    fiber steps over base samples outside B(2, r), N one more than the
+    ray-surrogate bound."""
+    f, z, first = _ray_samples(n, n_samples, seed)
+    if (first < 0).any():
+        raise PreconditionError("a base sample never reaches Re z <= 0")
+    N = int(np.max(first)) + 1
     rng = np.random.default_rng(seed)
-    cloud = sample_base_julia(f.p, 4 * n_samples, seed=seed)
-    z = cloud.points[np.abs(cloud.points - 2.0) > RAY_BALL_RADIUS][:n_samples]
     w = (rng.uniform(-4, 4, (len(z), 64))
-         + 1j * rng.uniform(-delta, delta, (len(z), 64)))
+         + 1j * rng.uniform(-STRIP_DELTA, STRIP_DELTA, (len(z), 64)))
     zz = z[:, None] * np.ones((1, 64))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(N):
@@ -124,26 +133,24 @@ def check_strip_escape(n: int, delta: float = 1e-3, N: int | None = None,
     return {
         "id": "strip-escape",
         "n": n,
-        "delta": delta,
-        "N": int(N),
+        "delta": STRIP_DELTA,
+        "N": N,
         "min_modulus": min_mod,
         "pass": bool(min_mod > 3.5),
     }
 
 
 def check_box_self_map(n: int, delta_prime: float = 0.2,
-                       r: float = RAY_BALL_RADIUS,
-                       n_samples: int = 20000, seed: int = 0,
-                       grid: int = 41) -> dict:
+                       n_samples: int = 20000, seed: int = 0) -> dict:
     """The box {|Re w| <= 1/4, |Im w| <= delta'} maps strictly inside
     itself under the fiber maps over base Julia points near the rightmost
-    fixed point."""
+    fixed point, those within RAY_BALL_RADIUS of 2."""
     f, beta = _airplane(n)
     cloud = sample_base_julia(f.p, n_samples, seed=seed)
-    z = cloud.points[np.abs(cloud.points - 2.0) <= r]
+    z = cloud.points[np.abs(cloud.points - 2.0) <= RAY_BALL_RADIUS]
     z = np.concatenate([z, [complex(beta)]])
-    xs = np.linspace(-0.25, 0.25, grid)
-    ys = np.linspace(-delta_prime, delta_prime, grid)
+    xs = np.linspace(-0.25, 0.25, BOX_GRID)
+    ys = np.linspace(-delta_prime, delta_prime, BOX_GRID)
     X, Y = np.meshgrid(xs, ys)
     w = (X + 1j * Y).ravel()
     worst_re, worst_im = 0.0, 0.0
@@ -163,7 +170,7 @@ def check_box_self_map(n: int, delta_prime: float = 0.2,
 
 
 def check_box_avoid(n: int, delta: float = 0.2, n_samples: int = 20000,
-                    seed: int = 0, margin_required: float = 0.05) -> dict:
+                    seed: int = 0) -> dict:
     """The box {|Re w| <= 1/4, |Im w| <= delta} avoids the fiber Julia set
     over the rightmost base fixed point, with a measured margin."""
     f, beta = _airplane(n)
@@ -177,7 +184,7 @@ def check_box_avoid(n: int, delta: float = 0.2, n_samples: int = 20000,
         "n": n,
         "delta": delta,
         "margin": margin,
-        "pass": bool(margin > margin_required),
+        "pass": bool(margin > BOX_AVOID_MARGIN),
     }
 
 

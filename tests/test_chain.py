@@ -25,15 +25,13 @@ def test_repelling_periodic_points_basilica_base():
 
 
 def test_chain_all_empty_regime():
-    rep = chain_report(make_Fa(2), n_base=150, j2_fibers=40,
-                       per_fiber_budget=10, seed=7)
+    rep = chain_report(make_Fa(2), n_base=150, n_j2=400, seed=7)
     assert rep["regime"] == "AllEmpty"
     assert rep["apt_count"] == 0 and rep["acc_count"] == 0
 
 
 def test_chain_all_equal_regime():
-    rep = chain_report(make_Fa(-1), n_base=150, j2_fibers=40,
-                       per_fiber_budget=10, seed=7)
+    rep = chain_report(make_Fa(-1), n_base=150, n_j2=400, seed=7)
     assert rep["regime"] == "AllEqualNonempty"
     assert rep["apt_count"] > 0 and rep["acc_count"] > 0
     # per-component accumulation stays close to the pointwise tails
@@ -41,10 +39,8 @@ def test_chain_all_equal_regime():
 
 
 def test_chain_report_determinism():
-    a = chain_report(make_Fa(-1), n_base=100, j2_fibers=30,
-                     per_fiber_budget=8, seed=3)
-    b = chain_report(make_Fa(-1), n_base=100, j2_fibers=30,
-                     per_fiber_budget=8, seed=3)
+    a = chain_report(make_Fa(-1), n_base=100, n_j2=240, seed=3)
+    b = chain_report(make_Fa(-1), n_base=100, n_j2=240, seed=3)
     assert a["regime"] == b["regime"]
     assert np.array_equal(a["clouds"]["apt"].points, b["clouds"]["apt"].points)
     assert np.array_equal(a["clouds"]["acc"].points, b["clouds"]["acc"].points)
@@ -54,7 +50,6 @@ def test_chain_nesting():
     # the pointwise cloud embeds in the component cloud at tolerance
     from skewdyn.sets import directed_hausdorff
 
-    rep = chain_report(make_Fa(-1), n_base=150, j2_fibers=40,
-                       per_fiber_budget=10, seed=7)
+    rep = chain_report(make_Fa(-1), n_base=150, n_j2=400, seed=7)
     apt, acc = rep["clouds"]["apt"], rep["clouds"]["acc"]
     assert directed_hausdorff(apt, acc) < 1e-6

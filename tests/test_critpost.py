@@ -168,8 +168,8 @@ def test_critical_locus_fa(fa_m1_crit):
     f, base, crit = fa_m1_crit
     # the fiber critical point of w^2 + az is w = 0 over every base point
     assert len(crit) == len(base)
-    assert all(s.c == 0 for s in crit)
-    assert all(s.status == "bounded" for s in crit)
+    assert np.all(crit.c == 0)
+    assert np.all(crit.bounded)
 
 
 def test_critical_locus_single_component_over_circle():
@@ -177,7 +177,7 @@ def test_critical_locus_single_component_over_circle():
     # base sample is dense enough for the clustering threshold
     f = make_Fa(-1)
     crit = critical_locus(f, sample_base_julia(f.p, 2000, seed=0))
-    assert len({s.component_id for s in crit}) == 1
+    assert len(np.unique(crit.component)) == 1
 
 
 def test_component_status_all_or_nothing():
@@ -185,11 +185,8 @@ def test_component_status_all_or_nothing():
     # inside (a = 0.1) or well outside (a = 2) the connectedness locus
     for fam in (make_Fa(2), make_Fa(0.1)):
         cl = critical_locus(fam, sample_base_julia(fam.p, 200, seed=0))
-        by_comp = {}
-        for s in cl:
-            by_comp.setdefault(s.component_id, set()).add(s.status)
-        for statuses in by_comp.values():
-            assert len(statuses) == 1
+        for cid in np.unique(cl.component):
+            assert len(np.unique(cl.bounded[cl.component == cid])) == 1
 
 
 def test_apt_cloud_tails_on_saddle_cycle(fa_m1_crit):
@@ -206,7 +203,7 @@ def test_apt_cloud_tails_on_saddle_cycle(fa_m1_crit):
 def test_apt_cloud_empty_when_all_escape():
     f = make_Fa(2)
     crit = critical_locus(f, sample_base_julia(f.p, 200, seed=0))
-    assert all(s.status == "escaped" for s in crit)
+    assert not crit.bounded.any()
     assert len(apt_cloud(crit)) == 0
 
 
@@ -228,11 +225,13 @@ def test_acc_cloud_skips_all_escaped_components():
 
 def test_acc_full_probe_lands_in_target_fiber(fa_m1_crit):
     f, base, crit = fa_m1_crit
-    probe = acc_full_probe(f, 1.0, lambda cands, k: cands[0], depth=10)
+    probe = acc_full_probe(f, 1.0, "12", depth=10)
     if len(probe):
         assert np.all(probe.points[:, 0] == 1.0)
     with pytest.raises(PreconditionError):
-        acc_full_probe(f, 1.0, lambda cands, k: cands[0], depth=0)
+        acc_full_probe(f, 1.0, "12", depth=0)
+    with pytest.raises(PreconditionError, match="unknown region symbol"):
+        acc_full_probe(f, 1.0, "3", depth=10)
 
 
 def test_find_saddles_product_cycle():

@@ -218,10 +218,10 @@ def test_airplane_critical_locus_mostly_escapes():
     base = PointCloud(np.concatenate([np.array([beta]), base_r.points]))
     params = derive_escape_radius(f, base_points=base.points)
     crit = critical_locus(f, base, params=params)
-    assert all(s.c == 0 for s in crit)
-    over_beta = [s for s in crit if s.z == beta]
-    assert len(over_beta) == 1 and over_beta[0].status == "bounded"
-    escaped = sum(s.status == "escaped" for s in crit)
+    assert np.all(crit.c == 0)
+    over_beta = crit.z == beta
+    assert over_beta.sum() == 1 and crit.bounded[over_beta].all()
+    escaped = np.sum(~crit.bounded)
     assert escaped / len(crit) > 0.5
 
 

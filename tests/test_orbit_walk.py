@@ -6,7 +6,9 @@ with `poly2_reference`, the evaluation of q that `Poly2.__call__` ran
 before `poly._horner`; `_run_spans` must give the same escape steps and
 bit-equal tails in one pass, with its periodic rows stepped from a
 coefficient table, and `acc_cloud`'s single batch must equal the old
-per-component loop.
+per-component loop.  `critical_locus`'s record of arrays must hold, bit
+for bit, what its list of per-point samples held, and give the same apt
+and acc clouds and the same probe band.
 `_base_snap` must give every start the cycle, bit for bit, that the
 per-start loop gave.  `_critical_points` must keep, bit for bit, what the
 per-point `roots()` loop kept, and `acc_full_probe` must equal its old
@@ -38,12 +40,14 @@ from skewdyn.critpost import (
     ACC_ITER,
     PROBE_TAIL_FRAC,
     TAIL_FRAC,
-    CriticalSample,
+    TAIL_LEN,
     _base_snap,
+    _cluster,
     _critical_points,
     _run_spans,
     acc_cloud,
     acc_full_probe,
+    apt_cloud,
     certify_axiom_a,
     critical_locus,
     postcritical_cloud,
@@ -298,16 +302,15 @@ def test_base_snap_matches_per_start_loop(p, periodic, others):
             assert np.array_equal(_bits(got), _bits(cyc)), starts[i]
 
 
-def _ref_acc_cloud(f, crit, params, w_bound):
+def _ref_acc_cloud(f, locus, params, w_bound):
     """The per-component loop that `acc_cloud` batches."""
-    index = CloudIndex(_as_real(np.unique(np.array([s.z for s in crit]))))
+    index = CloudIndex(_as_real(np.unique(locus.z)))
     parts = []
-    for cid in sorted({s.component_id for s in crit}):
-        members = [s for s in crit if s.component_id == cid]
-        if {s.status for s in members} == {"escaped"}:
+    for cid in np.unique(locus.component):
+        members = locus.component == cid
+        if not locus.bounded[members].any():
             continue
-        zs = np.array([s.z for s in members])
-        ws = np.array([s.c for s in members])
+        zs, ws = locus.z[members], locus.c[members]
         snap = _base_snap(f.p, index, zs)
         _, ends = _ref_run_spans(f, zs, ws, ACC_ITER, params, snap)
         starts = _ref_tail_starts(ends, TAIL_FRAC)
@@ -328,8 +331,8 @@ def test_acc_cloud_batch_equals_per_component_loop():
         repelling_periodic_points(f.p)]))
     params = derive_escape_radius(f, base_points=base.points)
     crit = critical_locus(f, base, params=params)
-    comps = {s.component_id for s in crit}
-    mixed = {s.component_id for s in crit if s.status == "bounded"}
+    comps = set(crit.component.tolist())
+    mixed = set(crit.component[crit.bounded].tolist())
     assert len(comps) > 20 and 0 < len(mixed) < len(comps)
     for w_bound in (None, 3.0):
         got = acc_cloud(f, crit, params=params, w_bound=w_bound).points
@@ -337,6 +340,99 @@ def test_acc_cloud_batch_equals_per_component_loop():
         assert len(ref) > 0
         assert got.shape == ref.shape
         assert np.array_equal(_bits(got), _bits(ref))
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefCriticalSample:
+    """One critical point, as `critical_locus` returned them before it
+    returned one record of arrays."""
+    z: complex
+    c: complex
+    component_id: int
+    status: str                       # "escaped" | "bounded"
+    omega_tail: np.ndarray            # (T, 2) complex, empty when escaped
+
+
+def _ref_critical_locus(f, base, params):
+    """`critical_locus` as a list of per-point samples, split from the
+    walk's tails with `np.split`."""
+    i, cs = _critical_points(f, base.points)
+    zs = base.points[i]
+    index = CloudIndex(_as_real(base.points))
+    labels = _cluster(np.column_stack([zs, cs]), 3.0 * index.spacing)
+    snap = _base_snap(f.p, index, zs)
+    esc, owner, _, tail = _run_spans(f, zs, cs, params.max_iter, params, snap,
+                                     TAIL_LEN)
+    tails = np.split(tail, np.searchsorted(owner, np.arange(1, len(zs))))
+    empty = np.zeros((0, 2), dtype=complex)
+    return [_RefCriticalSample(
+        z=zs[k], c=cs[k], component_id=int(labels[k]),
+        status="bounded" if esc[k] < 0 else "escaped",
+        omega_tail=tails[k] if esc[k] < 0 else empty) for k in range(len(zs))]
+
+
+def _ref_apt_cloud(crit):
+    """`apt_cloud` on the list: the bounded samples' tails, concatenated."""
+    tails = [s.omega_tail for s in crit if s.status == "bounded"]
+    tails = [t for t in tails if len(t)]
+    if not tails:
+        return np.zeros((0, 2), dtype=complex)
+    return np.concatenate(tails)
+
+
+def _ref_acc_cloud_from_list(f, crit, params, w_bound):
+    """`acc_cloud` on the list: the arrays re-extracted from the samples,
+    then one `_run_spans` walk."""
+    all_z = np.array([s.z for s in crit])
+    all_c = np.array([s.c for s in crit])
+    index = CloudIndex(_as_real(np.unique(all_z)))
+    _, rank = np.unique([s.component_id for s in crit], return_inverse=True)
+    bounded = np.array([s.status == "bounded" for s in crit])
+    members = np.flatnonzero(np.bincount(rank, weights=bounded)[rank] > 0)
+    zs, ws = all_z[members], all_c[members]
+    _, owner, step, pts = _run_spans(f, zs, ws, ACC_ITER, params,
+                                     _base_snap(f.p, index, zs),
+                                     math.ceil(TAIL_FRAC * ACC_ITER))
+    pts = pts[np.lexsort((owner, step, rank[members][owner]))]
+    if w_bound is not None:
+        pts = pts[np.abs(pts[:, 1]) <= w_bound]
+    return pts
+
+
+@pytest.mark.parametrize("name, make, n_base", [
+    ("Fa(-1)", lambda: make_Fa(-1), 120),
+    ("airplane(3)", lambda: make_airplane_skew(3), 120),
+    ("s1s2", lambda: _s1s2(), 120),
+    ("Fa(2)", lambda: make_Fa(2), 120),
+    # dq/dw = 3 w^2: `_critical_points` runs `roots` per base point
+    ("cubic product", lambda: make_product(Poly1([0, 0, 0, 1]),
+                                           Poly1([0.3, 0, 0, 1])), 60),
+])
+def test_critical_locus_record_equals_sample_list(name, make, n_base):
+    f = make()
+    # the base `chain_report` builds: a sample and the periodic points
+    base = PointCloud(np.concatenate([
+        sample_base_julia(f.p, n_base, seed=5).points,
+        repelling_periodic_points(f.p)]))
+    params = derive_escape_radius(f, base_points=base.points)
+    locus = critical_locus(f, base, params=params)
+    ref = _ref_critical_locus(f, base, params)
+    assert len(locus) == len(ref) > 0
+    assert np.array_equal(_bits(locus.z), _bits(np.array([s.z for s in ref])))
+    assert np.array_equal(_bits(locus.c), _bits(np.array([s.c for s in ref])))
+    assert locus.component.tolist() == [s.component_id for s in ref]
+    assert locus.bounded.tolist() == [s.status == "bounded" for s in ref]
+    apt, ref_apt = apt_cloud(locus), _ref_apt_cloud(ref)
+    assert apt.points.shape == ref_apt.shape and apt.inverse is None
+    assert np.array_equal(_bits(apt.points), _bits(ref_apt))
+    for w_bound in (None, 3.0):
+        acc = acc_cloud(f, locus, params=params, w_bound=w_bound).points
+        ref_acc = _ref_acc_cloud_from_list(f, ref, params, w_bound)
+        assert acc.shape == ref_acc.shape
+        assert np.array_equal(_bits(acc), _bits(ref_acc))
+    # `chain_report`'s probe band, which took a KD-tree of its own
+    assert (max(0.05, 3.0 * locus.spacing)
+            == max(0.05, 3.0 * CloudIndex(_as_real(base.points)).spacing))
 
 
 def _ref_critical_points(f, zs):
@@ -405,8 +501,8 @@ def test_critical_points_match_per_point_roots(qc, zs):
 
 
 def _ref_acc_full_probe(f, z_target, branch_policy, depth, params):
-    """The per-step `fiber_poly` loop that `acc_full_probe` replaced
-    (a callable branch policy only)."""
+    """The per-step `fiber_poly` loop that `acc_full_probe` replaced, on a
+    callable branch policy (`_region_policy` for a symbol string)."""
     dq = f.q.dw()
     back, probes_c, ks = [], [], []
     z = complex(z_target)
@@ -439,6 +535,8 @@ def _ref_acc_full_probe(f, z_target, branch_policy, depth, params):
 
 
 def _region_policy(f, symbols):
+    """The branch choice of symbol string `symbols`: the preimage nearest
+    its region's center."""
     regions = f.meta["regions"]
 
     def choose(cands, k):
@@ -461,10 +559,11 @@ def _s1s2():
 def test_acc_full_probe_matches_fiber_poly_loop(make, target, symbols, depth):
     f = make()
     target = f.meta["probe_target"] if target is None else target
-    policy = _region_policy(f, symbols or f.meta["probe_policy"])
+    symbols = symbols or f.meta["probe_policy"]
     params = derive_escape_radius(f)
-    got = acc_full_probe(f, target, policy, depth=depth, params=params)
-    ref = _ref_acc_full_probe(f, target, policy, depth, params)
+    got = acc_full_probe(f, target, symbols, depth=depth, params=params)
+    ref = _ref_acc_full_probe(f, target, _region_policy(f, symbols), depth,
+                              params)
     assert len(ref) > 0
     assert got.points.shape == ref.shape
     assert np.array_equal(_bits(got.points), _bits(ref))
@@ -473,9 +572,9 @@ def test_acc_full_probe_matches_fiber_poly_loop(make, target, symbols, depth):
 def test_acc_full_probe_every_probe_escaped():
     f = make_Fa(2)
     params = dataclasses.replace(derive_escape_radius(f), radius=1e-3)
-    policy = _region_policy(f, "1")
-    got = acc_full_probe(f, 1.0, policy, depth=10, params=params)
-    assert _ref_acc_full_probe(f, 1.0, policy, 10, params).shape == (0, 2)
+    got = acc_full_probe(f, 1.0, "1", depth=10, params=params)
+    assert _ref_acc_full_probe(f, 1.0, _region_policy(f, "1"), 10,
+                               params).shape == (0, 2)
     assert got.points.shape == (0, 2) and got.points.dtype == complex
 
 
@@ -487,23 +586,21 @@ def test_acc_full_probe_every_probe_escaped():
               dtype=complex), NumericalError),
 ])
 def test_acc_full_probe_raises_as_fiber_poly_loop(qc, error):
-    f = SkewProduct(Poly1([0, 0, 1]), Poly2(qc))
+    f = SkewProduct(Poly1([0, 0, 1]), Poly2(qc),
+                    meta={"regions": {"1": 1.0, "2": -1.0}})
     params = derive_escape_radius(make_Fa(-1))
-    policy = lambda cands, k: cands[-1]  # noqa: E731
     with pytest.raises(error) as ref:
-        _ref_acc_full_probe(f, 4.0, policy, 5, params)
+        _ref_acc_full_probe(f, 4.0, _region_policy(f, "21"), 5, params)
     with pytest.raises(error) as got:
-        acc_full_probe(f, 4.0, policy, depth=5, params=params)
+        acc_full_probe(f, 4.0, "21", depth=5, params=params)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
 
 
-def _ref_postcritical_cloud(f, crit, n_iter, params):
+def _ref_postcritical_cloud(f, zs, ws, n_iter, params):
     """The per-step snap loop that `postcritical_cloud` replaced: every
     step maps the live rows by f and snaps each base image to its nearest
     base sample with one KD-tree query."""
-    zs = np.array([s.z for s in crit])
-    ws = np.array([s.c for s in crit])
     base_pts = np.unique(zs)
     index = CloudIndex(_as_real(base_pts))
     z = zs.copy()
@@ -600,22 +697,22 @@ _PC_W = [0.0, -1.0, 0.5j, 1e6]
 def test_postcritical_cloud_matches_per_step_snap_loop(name, a, n_iter,
                                                        picks):
     f, base, params, crit = _pc_case(name, a)
+    zs, ws = crit.z, crit.c
     picked = contextlib.nullcontext()
     if picks:
-        crit = [CriticalSample(
-            z=complex(base.points[i] if i < 0 else _PC_Z[i]),
-            c=complex(_PC_W[w] if isinstance(w, int) else w),
-            component_id=0, status="bounded",
-            omega_tail=np.zeros((0, 2), dtype=complex)) for i, w in picks]
+        zs = np.array([base.points[i] if i < 0 else _PC_Z[i]
+                       for i, _ in picks], dtype=complex)
+        ws = np.array([_PC_W[w] if isinstance(w, int) else w
+                       for _, w in picks], dtype=complex)
         # the picked starts: a base cloud of their z, over whose k-th point
         # the one critical point is the k-th picked w
-        base = PointCloud([s.z for s in crit])
-        starts = (np.arange(len(crit)), np.array([s.c for s in crit]))
+        base = PointCloud(zs)
+        starts = (np.arange(len(zs)), ws)
         picked = mock.patch.object(critpost, "_critical_points",
                                    lambda f, zs: starts)
     with picked:
         pc = postcritical_cloud(f, base, n_iter=n_iter, params=params)
-    ref = _ref_postcritical_cloud(f, crit, n_iter, params)
+    ref = _ref_postcritical_cloud(f, zs, ws, n_iter, params)
     got = pc.points[pc.inverse]
     assert got.shape == ref.shape and got.dtype == complex
     assert np.array_equal(_bits(got), _bits(ref))
@@ -645,9 +742,9 @@ def test_postcritical_cloud_queries_at_most_twice(monkeypatch, n_iter):
 def _ref_certify_cloud(f, base, n_iter=200, params=None):
     """Clause (ii)'s cloud as `certify_axiom_a` built it before: the
     classified critical locus, then the per-step snap loop."""
+    locus = critical_locus(f, base, params)
     return PointCloud(_ref_postcritical_cloud(
-        f, critical_locus(f, base, params), n_iter, params),
-        tag="PostCritical")
+        f, locus.z, locus.c, n_iter, params), tag="PostCritical")
 
 
 def _float_bits(obj):
