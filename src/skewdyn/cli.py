@@ -260,20 +260,20 @@ def cmd_render(ns) -> int:
         step = max(1, len(cloud) // n_fibers)
         targets = list(cloud.points[::step][:n_fibers])
 
-    em = Emitter(ns.out, "render", _ns_config(ns))
-    em.write("base.pgm", slice_to_pgm(base_slice(f.p, params, (res, res))))
-
-    def one(i_z):
-        i, zt = i_z
-        sl = fiber_slice(f, zt, window=window, resolution=(res, res),
-                         params=params)
-        return i, zt, slice_to_ppm(sl), sl.window
-
     from concurrent.futures import ThreadPoolExecutor
 
+    def one(zt):
+        sl = fiber_slice(f, zt, window=window, resolution=(res, res),
+                         params=params)
+        return slice_to_ppm(sl), sl.window
+
+    em = Emitter(ns.out, "render", _ns_config(ns))
     fibers_meta = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, zt, ppm, w in sorted(pool.map(one, enumerate(targets))):
+        base = pool.submit(base_slice, f.p, params, (res, res))
+        fibers = pool.map(one, targets)
+        em.write("base.pgm", slice_to_pgm(base.result()))
+        for i, (zt, (ppm, w)) in enumerate(zip(targets, fibers)):
             em.write(f"fiber_{i:02d}.ppm", ppm)
             fibers_meta.append({"index": i, "z": zt,
                                 "window": [w.re_min, w.re_max,
@@ -437,39 +437,56 @@ def cmd_separate(ns) -> int:
 def cmd_hausdorff(ns) -> int:
     f = build_family(ns)
     n_samples, seed = int_flag(ns, "n_samples"), int_flag(ns, "seed", 0)
-    workers = int_flag(ns, "threads")
+    threads = int_flag(ns, "threads")
     if ns.theta is not None:
         thetas = float_list_flag(ns, "theta")
         if ns.family != "Fa":
             raise PreconditionError("--theta comparisons need --family Fa")
+
+        def pairs():
+            ref1d = sample_base_julia(f.meta["g"], n_samples, seed=seed + 1)
+            for i, th in enumerate(thetas):
+                fiber = sample_fiber_julia(f, np.exp(1j * th), n_samples,
+                                           seed=seed)
+                ref = PointCloud(np.exp(1j * th / 2.0) * ref1d.points,
+                                 tag="rotated-1d", seed=ref1d.seed)
+                yield ({"theta": th}, f"theta={th}",
+                       [(f"fiber_{i}.csv", fiber), (f"ref_{i}.csv", ref)])
+        n_pairs = len(thetas)
     elif ns.fiber_at is None or ns.fiber_b is None:
         raise PreconditionError("need --theta or both --fiber-at and "
                                 "--fiber-b")
     else:
         za, zb = parse_complex(ns.fiber_at), parse_complex(ns.fiber_b)
+
+        def pairs():
+            ca = sample_fiber_julia(f, za, n_samples, seed=seed)
+            cb = sample_fiber_julia(f, zb, n_samples, seed=seed)
+            yield ({"z_a": za, "z_b": zb}, "hausdorff",
+                   [("fiber_a.csv", ca), ("fiber_b.csv", cb)])
+        n_pairs = 1
+    # The pool computes each pair's distance (KD-tree builds and queries,
+    # which release the GIL) while this thread samples the next pair and
+    # writes the CSVs (orjson, which holds it).  A lone pair queries on
+    # every pool thread; several pairs in flight query on one thread each,
+    # so at most `threads` threads work besides this one.
+    workers = threads if n_pairs == 1 else 1
+    from concurrent.futures import ThreadPoolExecutor
+
     em = Emitter(ns.out, "hausdorff", _ns_config(ns))
     rows = []
-    if ns.theta is not None:
-        g = f.meta["g"]
-        ref1d = sample_base_julia(g, n_samples, seed=seed + 1)
-        for i, th in enumerate(thetas):
-            zb = np.exp(1j * th)
-            fiber = sample_fiber_julia(f, zb, n_samples, seed=seed)
-            ref = PointCloud(np.exp(1j * th / 2.0) * ref1d.points,
-                             tag="rotated-1d", seed=ref1d.seed)
-            d = hausdorff_distance(fiber, ref, workers)
-            em.write(f"fiber_{i}.csv", cloud_to_csv(fiber))
-            em.write(f"ref_{i}.csv", cloud_to_csv(ref))
-            rows.append({"theta": th, "hausdorff": d})
-            print(f"theta={th}: {d:.6f}")
-    else:
-        ca = sample_fiber_julia(f, za, n_samples, seed=seed)
-        cb = sample_fiber_julia(f, zb, n_samples, seed=seed)
-        d = hausdorff_distance(ca, cb, workers)
-        em.write("fiber_a.csv", cloud_to_csv(ca))
-        em.write("fiber_b.csv", cloud_to_csv(cb))
-        rows.append({"z_a": za, "z_b": zb, "hausdorff": d})
-        print(f"hausdorff: {d:.6f}")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        jobs = []
+        for row, label, clouds in pairs():
+            (_, a), (_, b) = clouds
+            jobs.append((row, label,
+                         pool.submit(hausdorff_distance, a, b, workers)))
+            for name, cloud in clouds:
+                em.write(name, cloud_to_csv(cloud))
+        for row, label, job in jobs:
+            d = job.result()
+            rows.append({**row, "hausdorff": d})
+            print(f"{label}: {d:.6f}")
     em.write_json("hausdorff.json", {"rows": rows})
     em.finish()
     return EXIT_OK

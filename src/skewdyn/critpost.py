@@ -9,6 +9,7 @@ critical locus are surrogate-identified by epsilon-clustering.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -492,8 +493,9 @@ def acc_full_probe(
     Builds a backward base orbit z_{-1}, ..., z_{-depth} of z_target using
     branch_policy, a symbol string indexing regions in f.meta["regions"],
     cycled: z_{-k} is the preimage of z_{-k+1} nearest the center of its
-    symbol's region.  Places the fiber critical point over each z_{-k},
-    and pushes it forward k steps.
+    symbol's region (the preimages of a point equal, bit for bit, to the
+    point before it are not solved again).  Places the fiber critical
+    point over each z_{-k}, and pushes it forward k steps.
     Returns the last PROBE_TAIL_FRAC fraction of the resulting points, all
     lying in the fiber of z_target; a point whose orbit leaves the escape
     radius is dropped.
@@ -511,11 +513,13 @@ def acc_full_probe(
     zt = complex(z_target)
     regions = f.meta.get("regions", {})
     back = []  # back[k-1] = z_{-k}
-    z = zt
+    z, solved = zt, None
     for k in range(1, depth + 1):
-        shifted = f.p.coeffs.copy()
-        shifted[0] -= z
-        cands = roots(Poly1(shifted))
+        key = struct.pack("2d", z.real, z.imag)
+        if key != solved:
+            shifted = f.p.coeffs.copy()
+            shifted[0] -= z
+            cands, solved = roots(Poly1(shifted)), key
         sym = branch_policy[(k - 1) % len(branch_policy)]
         if sym not in regions:
             raise PreconditionError(f"unknown region symbol {sym!r}")

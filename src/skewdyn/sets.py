@@ -122,11 +122,14 @@ def _branch(c, values, k=None) -> np.ndarray:
     d = len(c) - 1
     if d == 2:
         a, b, c0 = c[2], c[1], c[0]
-        bb = b * b if per_value else _square(b)
-        disc = np.sqrt(bb - 4.0 * a * (c0 - values))
-        x = (np.concatenate([-b + disc, -b - disc], axis=-2) if k is None
-             else np.where(k == 0, -b + disc, -b - disc))
-        x /= 2.0 * a
+        # a finite map with huge coefficients (over an escaping base orbit)
+        # overflows to inf and NaN, as `_fiber_tables` evaluating it may
+        with np.errstate(over="ignore", invalid="ignore"):
+            bb = b * b if per_value else _square(b)
+            disc = np.sqrt(bb - 4.0 * a * (c0 - values))
+            x = (np.concatenate([-b + disc, -b - disc], axis=-2)
+                 if k is None else np.where(k == 0, -b + disc, -b - disc))
+            x /= 2.0 * a
         return x
     cols, vals = np.broadcast_arrays(np.moveaxis(c, 0, -1),
                                      np.expand_dims(values, -1))
@@ -498,14 +501,20 @@ class CloudIndex:
     With an `inverse`, `rows` are a cloud's states and row k of the cloud
     is rows[inverse[k]] (`PointCloud.inverse`): the tree is built from the
     states, grouped by their own bytes, and `inverse` and the repeat-aware
-    `nn_distances` and `spacing` cover the cloud's rows.
+    `nn_distances` and `spacing` cover the cloud's rows.  `distinct` holds
+    the distinct rows, rows[keep], the tree's own data; `len` counts the
+    cloud's rows.
     """
 
     def __init__(self, rows: np.ndarray, inverse: np.ndarray | None = None):
         self.keep, self.inverse = _distinct_rows(rows)
         if inverse is not None:
             self.inverse = self.inverse[inverse]
-        self.tree = _kdtree(rows[self.keep])
+        self.distinct = rows[self.keep]
+        self.tree = _kdtree(self.distinct)
+
+    def __len__(self) -> int:
+        return len(self.inverse)
 
     def query(self, q: np.ndarray, workers: int = 1):
         """Distance to the nearest row and that row's index in `rows`, per
@@ -526,10 +535,12 @@ class CloudIndex:
         return float(np.median(self.nn_distances()))
 
 
-def directed_hausdorff(a: PointCloud, b: PointCloud,
-                       workers: int = 1) -> float:
+def directed_hausdorff(a, b, workers: int = 1) -> float:
     """sup over a of the distance to the nearest point of b (Euclidean),
     queried on `workers` threads.
+
+    a and b are PointClouds, or the CloudIndexes of their points, which
+    `hausdorff_distance` builds once per cloud for both directions.
 
     Exact on a pruned query set (after Taha and Hanbury, IEEE TPAMI 2015):
     every 16th distinct row of a forms a subsample S, whose largest
@@ -542,9 +553,12 @@ def directed_hausdorff(a: PointCloud, b: PointCloud,
     """
     if len(a) == 0 or len(b) == 0:
         raise PreconditionError("clouds must be nonempty")
-    rows = _as_real(a.points)
-    rows = rows[_distinct_rows(rows)[0]]
-    index = CloudIndex(_as_real(b.points))
+    if isinstance(a, CloudIndex):
+        rows = a.distinct
+    else:
+        rows = _as_real(a.points)
+        rows = rows[_distinct_rows(rows)[0]]
+    index = b if isinstance(b, CloudIndex) else CloudIndex(_as_real(b.points))
     sub = rows[::16]
     d_sub, _ = index.query(sub, workers)
     r, near = _kdtree(sub).query(rows, workers=workers)
@@ -556,9 +570,13 @@ def directed_hausdorff(a: PointCloud, b: PointCloud,
 def hausdorff_distance(a: PointCloud, b: PointCloud,
                        workers: int = 1) -> float:
     """Symmetric Hausdorff distance between two point clouds, queried on
-    `workers` threads."""
+    `workers` threads; each cloud's distinct rows are found, and its tree
+    built, once."""
     if a.dim != b.dim:
         raise PreconditionError("clouds must have equal dimension")
+    if len(a) == 0 or len(b) == 0:
+        raise PreconditionError("clouds must be nonempty")
+    a, b = CloudIndex(_as_real(a.points)), CloudIndex(_as_real(b.points))
     return max(directed_hausdorff(a, b, workers),
                directed_hausdorff(b, a, workers))
 

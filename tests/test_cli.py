@@ -2,13 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import validate_schema
+from skewdyn import cli
 from skewdyn.cli import main, parse_complex, parse_poly
-from skewdyn.errors import PreconditionError
+from skewdyn.errors import NumericalError, PreconditionError
 
 
 def load(outdir, name):
@@ -291,30 +293,45 @@ def test_render_images(tmp_path):
     check_manifest(out)
 
 
-def test_render_is_independent_of_threads(tmp_path):
-    args = ["render", "--family", "fig3", "--resolution", "48",
-            "--fiber-at", "5,-4"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
-    for name in ("base.pgm", "fiber_00.ppm", "fiber_01.ppm", "render.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+def assert_independent_of_threads(tmp_path, capsys, args):
+    """Run args at --threads 1, 2 and 3: the same stdout, and the same
+    artifacts, byte for byte, in the same manifest order.  Returns the
+    artifact names."""
+    runs = []
+    for t in (1, 2, 3):
+        out = tmp_path / f"t{t}"
+        assert main(args + ["--threads", str(t), "--out", str(out)]) == 0
+        names = [a["path"] for a in check_manifest(out)["artifacts"]]
+        runs.append((capsys.readouterr().out, names,
+                     [(out / name).read_bytes() for name in names]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    return runs[0][1]
+
+
+def test_render_is_independent_of_threads(tmp_path, capsys):
+    names = assert_independent_of_threads(
+        tmp_path, capsys, ["render", "--family", "fig3", "--resolution", "48",
+                           "--fiber-at", "5,-4"])
+    assert names == ["base.pgm", "fiber_00.ppm", "fiber_01.ppm",
+                     "render.json"]
+
+
+def test_single_fiber_render_is_independent_of_threads(tmp_path, capsys):
+    names = assert_independent_of_threads(
+        tmp_path, capsys, ["render", "--family", "airplane", "--n", "3",
+                           "--fiber-at", "beta", "--resolution", "48"])
+    assert names == ["base.pgm", "fiber_00.ppm", "render.json"]
 
 
 @pytest.mark.parametrize("maps", [
     ["--p=-1,0,1", "--q=-0.2,0,1", "--fiber-at=0,-1"],  # base 2-cycle 0 <-> -1
     ["--p=0,0,1", "--q=-0.9,0,1", "--fiber-at=-1"],     # -1 -> 1 -> 1
 ])
-def test_render_over_exact_base_cycles_is_independent_of_threads(tmp_path,
-                                                                 maps):
+def test_render_over_exact_base_cycles_is_independent_of_threads(
+        tmp_path, capsys, maps):
     args = ["render", "--family", "product", "--resolution", "48", *maps]
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
-    names = [a["path"] for a in check_manifest(out1)["artifacts"]]
+    names = assert_independent_of_threads(tmp_path, capsys, args)
     assert "fiber_00.ppm" in names
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_separate_report(tmp_path):
@@ -345,15 +362,32 @@ def test_hausdorff_rotation(tmp_path):
     ["--family", "Fa", "--a=-1", "--theta", "0.5,2.0"],
     ["--family", "fig3", "--fiber-at", "5", "--fiber-b=-4"],
 ])
-def test_hausdorff_is_independent_of_threads(tmp_path, args):
-    args = ["hausdorff", *args, "--n-samples", "3000"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--threads", "2", "--out", str(out2)]) == 0
-    names = [a["path"] for a in check_manifest(out1)["artifacts"]]
-    assert "hausdorff.json" in names
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+def test_hausdorff_is_independent_of_threads(tmp_path, capsys, args):
+    names = assert_independent_of_threads(
+        tmp_path, capsys, ["hausdorff", *args, "--n-samples", "3000"])
+    csvs = (["fiber_a.csv", "fiber_b.csv"] if "--fiber-at" in args
+            else ["fiber_0.csv", "ref_0.csv", "fiber_1.csv", "ref_1.csv"])
+    assert names == csvs + ["hausdorff.json"]
+
+
+def test_numerical_failure_in_a_pooled_distance_exits_3(tmp_path, capsys,
+                                                        monkeypatch):
+    threads = []
+
+    def fail(a, b, workers=1):
+        threads.append(threading.current_thread())
+        raise NumericalError("distance failed")
+
+    monkeypatch.setattr(cli, "hausdorff_distance", fail)
+    out = tmp_path / "h"
+    assert main(["hausdorff", "--family", "Fa", "--a=-1", "--theta",
+                 "0.5,2.0", "--n-samples", "500", "--threads", "2",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: distance failed" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+    assert threads and threading.main_thread() not in threads
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -509,23 +509,42 @@ def sizes(d, depth):
                    d ** depth + 1} - {0})
 
 
+@st.composite
+def fiber_rows(draw):
+    """A skew product and `_sample_fibers` arguments for it: depth, size,
+    base points and seeds."""
+    d = draw(st.sampled_from([2, 3]))
+    f = random_skew(draw, d)
+    depth = draw(st.integers(1, 12 if d == 2 else 5))
+    n = draw(st.sampled_from(sizes(d, depth)))
+    m = draw(st.integers(1, 5))
+    zs = draw(st.lists(st.complex_numbers(max_magnitude=1.6), min_size=m,
+                       max_size=m))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=m,
+                          max_size=m))
+    return f, depth, n, zs, seeds
+
+
+# p = z^2, q = w^2 + z w + 0.01 z^2 over z0: the base orbit reaches 5e154 in
+# 9 steps, where the fiber maps are still finite but the quadratic formula's
+# b * b overflows, and the pull-back's points are NaN
+OVERFLOW_MAP = SkewProduct(p=Poly1([0, 0, 1]),
+                           q=Poly2([[0, 0, 1], [0, 1, 0], [0.01, 0, 0]]))
+OVERFLOW_Z = 4.020618360612923
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_fiber_rows_equal_one_row_pullback(data):
-    d = data.draw(st.sampled_from([2, 3]))
-    f = random_skew(data.draw, d)
-    depth = data.draw(st.integers(1, 12 if d == 2 else 5))
-    n = data.draw(st.sampled_from(sizes(d, depth)))
-    m = data.draw(st.integers(1, 5))
-    zs = data.draw(st.lists(st.complex_numbers(max_magnitude=1.6),
-                            min_size=m, max_size=m))
-    seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=m,
-                               max_size=m))
+@given(fiber_rows())
+@example((OVERFLOW_MAP, 9, 4, [OVERFLOW_Z], [0]))
+def test_fiber_rows_equal_one_row_pullback(case):
+    f, depth, n, zs, seeds = case
     rows = _sample_fibers(f, zs, n, seeds, depth)
-    assert len(rows) == m
+    assert len(rows) == len(zs)
     for z, seed, row in zip(zs, seeds, rows):
         try:
-            want = prev_fiber_sample(f, z, n, depth, seed)
+            # the reference squares b outside any errstate
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = prev_fiber_sample(f, z, n, depth, seed)
         except NumericalError:
             assert row is None
             with pytest.raises(NumericalError, match="not finite"):
@@ -534,6 +553,21 @@ def test_fiber_rows_equal_one_row_pullback(data):
         assert_bit_equal(row, want)
         assert_bit_equal(sample_fiber_julia(f, z, n, depth, seed).points,
                          want)
+
+
+def test_fiber_sample_over_an_overflowing_quadratic_formula():
+    # every RuntimeWarning is an error in this suite: the sampler must
+    # return the NaN points of the reference without one, in one row or
+    # beside a finite row
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [prev_fiber_sample(OVERFLOW_MAP, z, 4, 9, 0)
+                for z in (OVERFLOW_Z, 0.5)]
+    assert np.isnan(want[0]).all() and np.isfinite(want[1]).all()
+    assert_bit_equal(
+        sample_fiber_julia(OVERFLOW_MAP, OVERFLOW_Z, 4, 9, 0).points, want[0])
+    rows = _sample_fibers(OVERFLOW_MAP, [OVERFLOW_Z, 0.5], 4, [0, 0], 9)
+    for row, ref in zip(rows, want):
+        assert_bit_equal(row, ref)
 
 
 @settings(max_examples=30, deadline=None)

@@ -569,6 +569,28 @@ def test_acc_full_probe_matches_fiber_poly_loop(make, target, symbols, depth):
     assert np.array_equal(_bits(got.points), _bits(ref))
 
 
+@pytest.mark.parametrize("target, symbols, depth, solves", [
+    (1.0, "1", 40, 1),     # the fixed point 1 chosen again at every step
+    (1j, "12", 25, 25),    # no two chain points alike
+])
+def test_acc_full_probe_solves_a_repeated_point_once(monkeypatch, target,
+                                                     symbols, depth, solves):
+    f = make_Fa(-1)
+    params = derive_escape_radius(f)
+    want = acc_full_probe(f, target, symbols, depth=depth, params=params)
+    base_solves = []
+
+    def counted(poly):
+        if poly.degree == f.p.degree:
+            base_solves.append(poly.coeffs[0])
+        return roots(poly)
+
+    monkeypatch.setattr(critpost, "roots", counted)
+    got = acc_full_probe(f, target, symbols, depth=depth, params=params)
+    assert np.array_equal(_bits(got.points), _bits(want.points))
+    assert len(base_solves) == solves
+
+
 def test_acc_full_probe_every_probe_escaped():
     f = make_Fa(2)
     params = dataclasses.replace(derive_escape_radius(f), radius=1e-3)

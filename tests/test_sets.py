@@ -544,6 +544,36 @@ def test_cloud_index_query_workers_bit_equal():
     assert hausdorff_distance(a, b) == hausdorff_distance(a, b, workers=2)
 
 
+@pytest.mark.parametrize("dim, n_a, n_b", [(1, 3000, 2000), (2, 500, 17),
+                                            (1, 1, 1)])
+def test_hausdorff_finds_each_clouds_distinct_rows_once(monkeypatch, dim,
+                                                        n_a, n_b):
+    rng = np.random.default_rng(5)
+    a, b = (_random_cloud(rng, n, dim, True) for n in (n_a, n_b))
+    a = np.concatenate([a, a[: n_a // 3]])  # repeated rows
+    want = max(directed_hausdorff(PointCloud(a), PointCloud(b)),
+               directed_hausdorff(PointCloud(b), PointCloud(a)))
+    calls = []
+    distinct = skewdyn.sets._distinct_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return distinct(rows)
+
+    monkeypatch.setattr(skewdyn.sets, "_distinct_rows", counted)
+    for workers in (1, 2):
+        calls.clear()
+        got = hausdorff_distance(PointCloud(a), PointCloud(b), workers)
+        assert got.hex() == want.hex()
+        assert calls == [len(a), len(b)]
+    # the directed distances read an index as its cloud
+    ia, ib = CloudIndex(_as_real(a)), CloudIndex(_as_real(b))
+    assert len(ia) == len(a)
+    assert (directed_hausdorff(ia, PointCloud(b)).hex()
+            == directed_hausdorff(PointCloud(a), ib).hex()
+            == directed_hausdorff(PointCloud(a), PointCloud(b)).hex())
+
+
 def _cardioid(mu):
     """The c for which w^2 + c has a fixed point of multiplier mu."""
     return mu / 2 - mu * mu / 4
