@@ -20,6 +20,7 @@ from .critpost import (MAX_BASE_PERIOD, acc_cloud, acc_full_probe, apt_cloud,
 from .engine import derive_escape_radius, repelling_cycles
 from .poly import Poly1, SkewProduct
 from .sets import (
+    CloudIndex,
     PointCloud,
     _as_real,
     directed_hausdorff,
@@ -87,8 +88,10 @@ def chain_report(
         report["regime"] = "AptNeqAcc"
         report["acc_to_apt"] = float("inf") if len(apt) == 0 else 0.0
         return report
-    d_acc_apt = directed_hausdorff(acc, apt)
-    d_apt_acc = directed_hausdorff(apt, acc)
+    acc_index = CloudIndex(_as_real(acc.points))
+    apt_index = CloudIndex(_as_real(apt.points))
+    d_acc_apt = directed_hausdorff(acc_index, apt_index)
+    d_apt_acc = directed_hausdorff(apt_index, acc_index)
     scene = _cloud_diameter(j2)
     floor = max(d_apt_acc, 0.01 * scene)
     report["acc_to_apt"] = d_acc_apt

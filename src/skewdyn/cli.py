@@ -520,15 +520,17 @@ def build_parser():
                     "of C^2.")
     ap.add_argument("--config", help="key = value file; flags override it")
     subs = []
+    # the flags every subcommand takes, built once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    _add_family_flags(common)
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--threads", default=str(os.cpu_count() or 1))
+    common.add_argument("--config", help="key = value file; flags override it")
 
     sp = ap.add_subparsers(dest="command", required=True)
 
     def sub(name, fn, **kw):
-        s = sp.add_parser(name, **kw)
-        _add_family_flags(s)
-        s.add_argument("--out", default="out", help="output directory")
-        s.add_argument("--threads", default=str(os.cpu_count() or 1))
-        s.add_argument("--config", help="key = value file; flags override it")
+        s = sp.add_parser(name, parents=[common], **kw)
         s.set_defaults(func=fn)
         subs.append(s)
         return s

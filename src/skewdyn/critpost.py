@@ -166,9 +166,18 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     stays within a tolerance of the base sample.  Start points that are
     numerically periodic (period <= MAX_BASE_PERIOD) are stepped along their
     exact float cycle instead, which never drifts.
+
+    The guard (`_near`) answers most queries from a table of cells: the
+    sorted keys of the square cells of side h = tol/sqrt(2) (1 - 1e-6) that
+    hold a distinct sample row.  Two points in one cell are closer than
+    tol (1 - 7e-7), a margin far above the rounding of x/h.
     """
     spacing = index.spacing if len(index.inverse) > 1 else 0.0
     tol = max(5.0 * spacing, 1e-3)
+    h = tol / math.sqrt(2.0) * (1.0 - 1e-6)
+    inside, key = _cell_keys(index.distinct, h)
+    # the sentinel 2**62 exceeds every key, so a search never runs off the end
+    keys = np.append(np.unique(key[inside]), 2**62)
     keep, inverse = _distinct_rows(_as_real(starts))
     u = np.asarray(starts, dtype=complex)[keep]
     # array steps find the candidates; the scalar walk decides and builds
@@ -193,7 +202,36 @@ def _base_snap(p: Poly1, index: CloudIndex, starts: np.ndarray) -> dict:
     pad = np.zeros((len(cycles), max(lens, default=1)), dtype=complex)
     for r, c in enumerate(cycles):
         pad[r, :len(c)] = c
-    return {"index": index, "tol": tol, "row": row, "pad": pad, "lens": lens}
+    return {"index": index, "tol": tol, "h": h, "keys": keys, "row": row,
+            "pad": pad, "lens": lens}
+
+
+def _cell_keys(rows: np.ndarray, h: float):
+    """The cell of side h of each real (n, 2) row, as (inside, key): only a
+    cell whose coordinates both lie in (-2**30, 2**30), where x/h is exact
+    to 2**-23 of a cell, is inside and has a key of its own; the key of
+    any other row is that of cell (0, 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell = np.floor(rows / h)
+    inside = (np.abs(cell) < 2.0**30).all(axis=1)
+    c = np.where(inside[:, None], cell, 0.0).astype(np.int64) + 2**30
+    return inside, c[:, 0] * 2**31 + c[:, 1]
+
+
+def _near(snap: dict, rows: np.ndarray) -> np.ndarray:
+    """Whether each real (n, 2) row lies within snap's tol of the base
+    sample, as `index.query(rows)[0] <= tol`: True for a row that shares a
+    cell with a sample row (`_base_snap`), the tree's answer for the rest.
+    The tree looks no further than 2 tol, so it finds the nearest row, and
+    its distance, whenever that row is within tol."""
+    keys, tol = snap["keys"], snap["tol"]
+    inside, key = _cell_keys(rows, snap["h"])
+    near = inside & (keys[np.searchsorted(keys, key)] == key)
+    rest = ~near
+    if rest.any():
+        d = snap["index"].tree.query(rows[rest], distance_upper_bound=2 * tol)
+        near[rest] = d[0] <= tol
+    return near
 
 
 def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
@@ -216,7 +254,9 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     b_j of q evaluated once at every cycle point: `_horner` on the
     coefficients of the row's cycle phase is `Poly2.__call__` on bit-equal
     values.  The generic rows go through f.q, f.p and the drift
-    test, which are skipped once none is live.  Every value is computed as
+    test, which are skipped once none is live.  The drift test, `_near`,
+    settles most rows from the cell table of the base sample and asks the
+    KD-tree only for the rest.  Every value is computed as
     in an uncompacted walk, so the tails are bit-equal to it.
 
     A periodic row's state is its cycle phase and w.  Every `width` steps,
@@ -235,7 +275,6 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
     lag = np.arange(width - 1, -1, -1)  # at a step k = 0 mod width: k - step
     last = n_iter - width + 1 + np.arange(width)  # the steps a tail can hold
     radius, base_radius = params.radius, params.base_radius
-    index, tol = snap["index"], snap["tol"]
     row, pad, lens = snap["row"], snap["pad"], snap["lens"]
     ids = np.argsort(row < 0, kind="stable")
     z = np.asarray(zs, dtype=complex)[ids]
@@ -262,7 +301,7 @@ def _run_spans(f: SkewProduct, zs, ws, n_iter: int, params: EscapeParams,
                 # drift test: the generic rows still bounded
                 ask = ~gesc & (np.abs(zg) <= base_radius)
                 if ask.any():
-                    ask[ask] = index.query(_as_real(zg[ask]))[0] <= tol
+                    ask[ask] = _near(snap, _as_real(zg[ask]))
                 wn, zn = np.concatenate([wn, wg]), np.concatenate([zn, zg])
                 wesc = np.concatenate([wesc, gesc])
                 stop = np.concatenate([stop, gesc | ~ask])

@@ -212,7 +212,9 @@ def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
     p^depth(z) and pulls back through the chain of fiber maps, taking
     random branches on the deep (burn-in) levels and the complete branch
     tree on the last levels for even coverage.  Raises NumericalError when
-    a fiber map along the orbit is not finite (the base orbit escapes).
+    a fiber map along the orbit, or a sampled point, is not finite (the
+    base orbit escapes: its maps can stay finite while the quadratic
+    formula overflows).
     """
     (w,) = _sample_fibers(f, [z], n_points, [seed], depth)
     if w is None:
@@ -230,7 +232,8 @@ def _sample_fibers(f: SkewProduct, zs, n_points: int, seeds,
     """`sample_fiber_julia`'s points over each base point zs[j] with seed
     seeds[j], all rows pulled back together, each bit-equal to its own
     call; None for a row whose fiber maps along its base orbit are not all
-    finite, which takes no part in the pull-back."""
+    finite, which takes no part in the pull-back, or whose points are not
+    all finite."""
     if n_points < 1:
         raise PreconditionError("n_points must be >= 1")
     if depth < 1:
@@ -253,7 +256,8 @@ def _fiber_tables(f: SkewProduct, zs, depth: int = 50):
 def _pull_fibers(f: SkewProduct, tables, finite, n_points: int,
                  seeds) -> list:
     """`_sample_fibers` on the tables of `_fiber_tables`: row j's points
-    with seed seeds[j], or None where finite[j] is False."""
+    with seed seeds[j], or None where finite[j] is False or a point is not
+    finite."""
     rows = iter(())
     if finite.any():
         depth = len(tables)
@@ -261,7 +265,9 @@ def _pull_fibers(f: SkewProduct, tables, finite, n_points: int,
         rngs = [np.random.default_rng(s) for s, ok in zip(seeds, finite) if ok]
         rows = iter(_pullback(tables, np.full(len(rngs), 2.0 + 0j),
                               depth - tree_levels, n_points, rngs))
-    return [next(rows) if ok else None for ok in finite]
+    pulled = (next(rows) if ok else None for ok in finite)
+    return [w if w is not None and np.isfinite(w).all() else None
+            for w in pulled]
 
 
 def fiber_slice(

@@ -44,6 +44,7 @@ from skewdyn.critpost import (
     _base_snap,
     _cluster,
     _critical_points,
+    _near,
     _run_spans,
     acc_cloud,
     acc_full_probe,
@@ -173,6 +174,9 @@ _MAPS = {
     # after one step, a lag its cycle length 2 does not divide
     "z^2-1 x w^2+z": SkewProduct(Poly1([-1, 0, 1]),
                                  Poly2([[0, 0, 1], [1, 0, 0]])),
+    # the two-piece map: its base sample sits at |z| ~ 8192, and p(8200) at
+    # 4.2e6, beyond the cell table's 2**30 cells of the drift guard
+    "s1s2": build_s1s2(Poly1([0, 0, 1]), Poly1([-1, 0, 1]), 1, 1)[0],
 }
 _BASES = {}
 
@@ -190,7 +194,8 @@ def _base(name):
 # radius used here (escape at step 1)
 _W3 = np.exp(2j * np.pi / 3)
 _Z7 = np.exp(2j * np.pi / 7)  # a 3-cycle of z^2: 1/7 -> 2/7 -> 4/7 turns
-_SPECIAL_Z = [1.0, _W3, _W3.conjugate(), 0.0, -1.0, 0.5, 0.3 + 0.1j, _Z7]
+_SPECIAL_Z = [1.0, _W3, _W3.conjugate(), 0.0, -1.0, 0.5, 0.3 + 0.1j, _Z7,
+              8200.0]
 _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
 
 
@@ -231,6 +236,11 @@ _SPECIAL_W = [0.0, -1.0, 0.5j, 1e6]
 # different checks, mid-walk and within the last width steps
 @example(name="Fa(0.3+0.2i)", n_iter=298, width=8,
          picks=[(67, 0), (61, 1), (65, 0), (60, 2), (62, 0), (67, 3), (5, 0)])
+# s1s2: over z = 8200, w = sqrt(-q(8200, 0)) stays bounded at step 1, and the
+# drift guard asks the tree for p(8200), outside the cell table; the sample
+# rows' images are settled from the table
+@example(name="s1s2", n_iter=40, width=5,
+         picks=[(68, -2052.4911408589796j), (0, 0), (7, 1), (3, 2)])
 def test_run_spans_matches_two_pass_walk(name, n_iter, width, picks):
     f = _MAPS[name]
     pts, params = _base(name)
@@ -254,6 +264,76 @@ def test_run_spans_matches_two_pass_walk(name, n_iter, width, picks):
     assert tail.shape == (len(owner), 2) and tail.dtype == complex
     for i, t in enumerate(ref):
         assert np.array_equal(_bits(tail[owner == i]), _bits(t))
+
+
+def _cell_side(tol):
+    """The side of `_base_snap`'s cells for a drift tolerance tol."""
+    return tol / math.sqrt(2.0) * (1.0 - 1e-6)
+
+
+_H_FLOOR = _cell_side(1e-3)  # the cell side at tol's floor, 1e-3
+
+
+@st.composite
+def near_cases(draw):
+    """Base sample rows for `_base_snap`, and the angles and the far row
+    that `_near_queries` adds.
+
+    The rows lie on a lattice of step `unit` (a cell side at tol's 1e-3
+    floor among them), some with a shift beyond 2**30 cells, with
+    repeats, a lone row, or the four signed zeros; lattices of step 1e-4
+    or less put tol at its floor (5 x spacing < 1e-3), coarser ones above.
+    """
+    unit = draw(st.sampled_from([_H_FLOOR, 1e-3, 1e-4, 3e-7, 0.37, 2.0**-9]))
+    ks = draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                       min_size=1, max_size=10))
+    rows = np.array(ks, dtype=float) * unit
+    far = draw(st.lists(st.booleans(), min_size=len(ks), max_size=len(ks)))
+    shift = draw(st.sampled_from([2.0**31, -3.0e9, 7.5e11]))
+    rows[np.array(far), 0] += shift * _H_FLOOR
+    if draw(st.booleans()):
+        rows = np.concatenate([rows, [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0],
+                                      [0.0, 0.0]]])
+    reps = draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+    rows = np.concatenate([rows, rows[reps]])
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=4))
+    far_q = draw(st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=2))
+    return rows, angles, far_q
+
+
+def _near_queries(rows, tol, h, angles, far_q):
+    """Query rows around every sample row s: a lattice of step tol/8 out to
+    1.5 tol; the corners of the cells of side h about s's cell; points at
+    distance tol from s along the axes and at `angles`, each also one ulp
+    inside and outside; far rows, and rows beyond 2**30 cells of side h."""
+    g = np.arange(-12, 13) * (tol / 8)
+    lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    c = np.arange(-1, 3) * h
+    corners = np.stack(np.meshgrid(c, c), axis=-1).reshape(-1, 2)
+    a = np.concatenate([[0, np.pi / 2, np.pi, 3 * np.pi / 2], angles])
+    ring = tol * np.column_stack([np.cos(a), np.sin(a)])
+    out = []
+    for s in np.unique(rows, axis=0):
+        on = s + ring
+        out += [s + lattice, np.floor(s / h) * h + corners, on,
+                np.nextafter(on, s), np.nextafter(on, 2 * on - s)]
+    edge = 2.0**30 * h
+    out.append(np.array([far_q, [edge, 0.0], [-edge, far_q[1]],
+                         [np.nextafter(edge, 0), 0.0], [edge * 3, -edge]]))
+    return np.concatenate(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_cases())
+# a lone row at the origin, tol at its floor
+@example((np.zeros((1, 2)), [0.0], [5e-4, 5e-4]))
+def test_near_equals_tree_within_tol(case):
+    rows, angles, far_q = case
+    snap = _base_snap(Poly1([0, 0, 1]), CloudIndex(rows), np.zeros(0))
+    tol = snap["tol"]
+    q = _near_queries(rows, tol, _cell_side(tol), angles, far_q)
+    want = snap["index"].query(q)[0] <= tol
+    assert np.array_equal(_near(snap, q), want)
 
 
 def _ref_base_snap_cycles(p, starts):
