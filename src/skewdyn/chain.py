@@ -67,8 +67,7 @@ def chain_report(
     """
     base_rand = sample_base_julia(f.p, n_base, seed=seed)
     periodic = repelling_periodic_points(f.p)
-    base = PointCloud(np.concatenate([base_rand.points, periodic]),
-                      tag="Jp", seed=seed)
+    base = PointCloud(np.concatenate([base_rand.points, periodic]), seed=seed)
     params = derive_escape_radius(f, base_points=base.points)
     locus = critical_locus(f, base, params=params)
     apt = apt_cloud(locus)

@@ -5,7 +5,8 @@ evidence, and Hausdorff comparisons.
 Every command writes its artifacts into the output directory together with
 a JSON manifest listing each file with a sha256 content hash.  Exit codes:
 0 success, 2 precondition failure, 3 numerical failure, 4 negative verdict
-under --strict (certify Failed, verify-lemma fail, continue Lost).
+under --strict (certify not Certified, that is Failed or Inconclusive;
+verify-lemma fail; continue Lost).
 """
 
 from __future__ import annotations
@@ -226,9 +227,13 @@ def _ns_config(ns) -> dict:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command writes its artifacts through `em` and returns (summary,
+# negative): the line `main` prints after the manifest, or None, and
+# whether the result is a negative verdict (exit 4 under --strict).
 
 
-def cmd_render(ns) -> int:
+def cmd_render(ns, em) -> tuple:
     f = build_family(ns)
     params = derive_escape_radius(f)
     res, threads = int_flag(ns, "resolution"), int_flag(ns, "threads")
@@ -267,7 +272,6 @@ def cmd_render(ns) -> int:
                          params=params)
         return slice_to_ppm(sl), sl.window
 
-    em = Emitter(ns.out, "render", _ns_config(ns))
     fibers_meta = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         base = pool.submit(base_slice, f.p, params, (res, res))
@@ -283,45 +287,35 @@ def cmd_render(ns) -> int:
         "escape_radius": params.radius, "base_radius": params.base_radius,
         "fibers": fibers_meta,
     })
-    em.finish()
-    return EXIT_OK
+    return None, False
 
 
-def cmd_certify(ns) -> int:
+def cmd_certify(ns, em) -> tuple:
     f = build_family(ns)
     seed, margin = int_flag(ns, "seed", 0), float_flag(ns, "margin")
     base = sample_base_julia(f.p, int_flag(ns, "n_base"), seed=seed)
     j2 = sample_J2_inverse(f, int_flag(ns, "n_j2"), seed=seed + 1)
     params = derive_escape_radius(f, base_points=base.points)
     rep = certify_axiom_a(f, base, j2, margin=margin, params=params)
-    em = Emitter(ns.out, "certify", _ns_config(ns))
     em.write_json("certify.json", asdict(rep))
-    em.finish()
-    print(rep.verdict)
-    if ns.strict and not rep.verdict.startswith("Certified"):
-        return EXIT_VERDICT
-    return EXIT_OK
+    return rep.verdict, not rep.verdict.startswith("Certified")
 
 
-def cmd_chain(ns) -> int:
+def cmd_chain(ns, em) -> tuple:
     f = build_family(ns)
     rep = chain_report(f, n_base=int_flag(ns, "n_base"),
                        seed=int_flag(ns, "seed", 0))
-    em = Emitter(ns.out, "chain", _ns_config(ns))
     clouds = rep.pop("clouds")
     for key in ("apt", "acc", "j2", "probe"):
         if key in clouds and len(clouds[key]):
             em.write(f"{key}.csv", cloud_to_csv(clouds[key]))
     em.write_json("chain.json", rep)
-    em.finish()
-    print(rep["regime"])
-    return EXIT_OK
+    return rep["regime"], False
 
 
-def cmd_saddles(ns) -> int:
+def cmd_saddles(ns, em) -> tuple:
     f = build_family(ns)
     sads = find_saddles(f, max_base_period=int_flag(ns, "max_period"))
-    em = Emitter(ns.out, "saddles", _ns_config(ns))
     em.write_json("saddles.json", {
         "count": len(sads),
         "orbits": [{
@@ -333,12 +327,10 @@ def cmd_saddles(ns) -> int:
             "cycle": s.cycle,
         } for s in sads],
     })
-    em.finish()
-    print(f"{len(sads)} saddle orbit(s)")
-    return EXIT_OK
+    return f"{len(sads)} saddle orbit(s)", False
 
 
-def cmd_verify_lemma(ns) -> int:
+def cmd_verify_lemma(ns, em) -> tuple:
     lemma = LEMMA_ALIASES.get(ns.lemma, ns.lemma)
     if lemma not in LEMMA_CHECKS:
         raise PreconditionError(
@@ -363,8 +355,7 @@ def cmd_verify_lemma(ns) -> int:
             sads = find_saddles(f)
             if not sads:
                 raise PreconditionError("no saddle orbits found")
-            t_cloud = PointCloud(np.concatenate([s.cycle for s in sads]),
-                                 tag="Lambda")
+            t_cloud = PointCloud(np.concatenate([s.cycle for s in sads]))
         else:
             t_cloud = postcritical_cloud(f, base,
                                          n_iter=int_flag(ns, "n_iter"),
@@ -377,16 +368,11 @@ def cmd_verify_lemma(ns) -> int:
         elif lemma == "box-avoid":
             kwargs["delta"] = float_flag(ns, "delta")
         rep = LEMMA_CHECKS[lemma](**kwargs)
-    em = Emitter(ns.out, "verify-lemma", _ns_config(ns))
     em.write_json("lemma.json", rep)
-    em.finish()
-    print(f"{rep['id']}: {'pass' if rep['pass'] else 'fail'}")
-    if ns.strict and not rep["pass"]:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return f"{rep['id']}: {'pass' if rep['pass'] else 'fail'}", not rep["pass"]
 
 
-def cmd_continue(ns) -> int:
+def cmd_continue(ns, em) -> tuple:
     if ns.family != "Fa":
         raise PreconditionError("continuation paths are supported for the "
                                 "Fa family (parameter a)")
@@ -405,7 +391,6 @@ def cmd_continue(ns) -> int:
     samples = a0 + (a1 - a0) * np.linspace(0.0, 1.0, int_flag(ns, "steps", 2))
     path = ParamPath(build=lambda a: make_Fa(a), samples=samples, name="a")
     trace = continue_orbit(path, start, tol=tol)
-    em = Emitter(ns.out, "continue", _ns_config(ns))
     em.write("trace.csv", trace_to_csv(trace))
     em.write_json("continue.json", {
         "outcome": trace.outcome,
@@ -414,27 +399,20 @@ def cmd_continue(ns) -> int:
         "end": {"lambda": trace.steps[-1].lam, "z": trace.steps[-1].z,
                 "w": trace.steps[-1].w},
     })
-    em.finish()
-    print(trace.outcome)
-    if ns.strict and trace.outcome.startswith("Lost"):
-        return EXIT_VERDICT
-    return EXIT_OK
+    return trace.outcome, trace.outcome.startswith("Lost")
 
 
-def cmd_separate(ns) -> int:
+def cmd_separate(ns, em) -> tuple:
     fA = build_family(ns)
     fB = make_product(Poly1([0.0] * fA.degree + [1.0]), parse_poly(ns.q))
     rep = separation_evidence(fA, fB, n_steps=int_flag(ns, "steps_around"),
                               n_cloud=int_flag(ns, "n_cloud"),
                               seed=int_flag(ns, "seed", 0))
-    em = Emitter(ns.out, "separate", _ns_config(ns))
     em.write_json("separate.json", rep)
-    em.finish()
-    print(f"degrees ({rep['A']}, {rep['B']}): {rep['verdict']}")
-    return EXIT_OK
+    return f"degrees ({rep['A']}, {rep['B']}): {rep['verdict']}", False
 
 
-def cmd_hausdorff(ns) -> int:
+def cmd_hausdorff(ns, em) -> tuple:
     f = build_family(ns)
     n_samples, seed = int_flag(ns, "n_samples"), int_flag(ns, "seed", 0)
     threads = int_flag(ns, "threads")
@@ -449,7 +427,7 @@ def cmd_hausdorff(ns) -> int:
                 fiber = sample_fiber_julia(f, np.exp(1j * th), n_samples,
                                            seed=seed)
                 ref = PointCloud(np.exp(1j * th / 2.0) * ref1d.points,
-                                 tag="rotated-1d", seed=ref1d.seed)
+                                 seed=ref1d.seed)
                 yield ({"theta": th}, f"theta={th}",
                        [(f"fiber_{i}.csv", fiber), (f"ref_{i}.csv", ref)])
         n_pairs = len(thetas)
@@ -473,7 +451,6 @@ def cmd_hausdorff(ns) -> int:
     workers = threads if n_pairs == 1 else 1
     from concurrent.futures import ThreadPoolExecutor
 
-    em = Emitter(ns.out, "hausdorff", _ns_config(ns))
     rows = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         jobs = []
@@ -488,8 +465,7 @@ def cmd_hausdorff(ns) -> int:
             rows.append({**row, "hausdorff": d})
             print(f"{label}: {d:.6f}")
     em.write_json("hausdorff.json", {"rows": rows})
-    em.finish()
-    return EXIT_OK
+    return None, False
 
 
 # ------------------------------------------------------------------ parser
@@ -652,13 +628,18 @@ def main(argv=None) -> int:
         ns = ap.parse_args(argv)
         int_flag(ns, "threads")  # every subcommand takes it; check it once
         _pin_mmap_threshold()
-        return ns.func(ns)
+        em = Emitter(ns.out, ns.command, _ns_config(ns))
+        summary, negative = ns.func(ns, em)
+        em.finish()
     except PreconditionError as e:
         print(f"precondition failure: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if summary is not None:
+        print(summary)
+    return EXIT_VERDICT if ns.strict and negative else EXIT_OK
 
 
 if __name__ == "__main__":

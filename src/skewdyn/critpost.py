@@ -429,7 +429,7 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
     if params is None:
         params = derive_escape_radius(f)
     if n_iter < 1:
-        return PointCloud(np.zeros((0, 2), dtype=complex), tag="PostCritical",
+        return PointCloud(np.zeros((0, 2), dtype=complex),
                           inverse=np.zeros(0, dtype=int))
     radius, base_radius = params.radius, params.base_radius
     zs = base.points[i]
@@ -476,14 +476,13 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
             rows.append(s)
     points = np.column_stack([base_pts[np.concatenate(js)],
                               np.concatenate(wts)])
-    return PointCloud(points, tag="PostCritical",
-                      inverse=np.concatenate(rows))
+    return PointCloud(points, inverse=np.concatenate(rows))
 
 
 def apt_cloud(locus: CriticalLocus) -> PointCloud:
     """Union of the omega-tails of the bounded critical orbits (pointwise
     accumulation); empty when every critical orbit escapes."""
-    return PointCloud(locus.tail, tag="Apt")
+    return PointCloud(locus.tail)
 
 
 def acc_cloud(f: SkewProduct, locus: CriticalLocus,
@@ -517,7 +516,7 @@ def acc_cloud(f: SkewProduct, locus: CriticalLocus,
     pts = pts[np.lexsort((owner, step, comp[members][owner]))]
     if w_bound is not None:
         pts = pts[np.abs(pts[:, 1]) <= w_bound]
-    return PointCloud(pts, tag="Acc")
+    return PointCloud(pts)
 
 
 def acc_full_probe(
@@ -586,8 +585,7 @@ def acc_full_probe(
         else:
             ws.append(ww)
     ws = np.array(ws, dtype=complex)[int(len(ws) * (1.0 - PROBE_TAIL_FRAC)):]
-    return PointCloud(np.column_stack([np.full(len(ws), zt), ws]),
-                      tag="AccFullProbe")
+    return PointCloud(np.column_stack([np.full(len(ws), zt), ws]))
 
 
 def find_saddles(f: SkewProduct, max_base_period: int = MAX_BASE_PERIOD):

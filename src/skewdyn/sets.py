@@ -10,9 +10,9 @@ between point clouds; and CSV and image output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -20,7 +20,7 @@ import numpy.polynomial.polynomial as npoly
 from .engine import (EscapeParams, GRID_MAX_ITER, Rect, _trap_chains,
                      derive_escape_radius)
 from .errors import NumericalError, PreconditionError
-from .poly import Poly1, SkewProduct, fiber_poly, roots
+from .poly import Poly1, SkewProduct, _horner, fiber_poly, roots
 
 __all__ = [
     "PointCloud",
@@ -54,7 +54,6 @@ class PointCloud:
     """
 
     points: np.ndarray
-    tag: str = "Custom"
     seed: int = 0
     inverse: np.ndarray | None = None
 
@@ -77,7 +76,6 @@ class FiberSlice:
     ny: int
     membership: np.ndarray     # bool (ny, nx), True = bounded
     escape_iters: np.ndarray   # int (ny, nx), 0 where bounded
-    params: EscapeParams = field(compare=False, default=None)
 
     def cell_width(self) -> float:
         return (self.window.re_max - self.window.re_min) / self.nx
@@ -201,7 +199,7 @@ def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
     levels = burn_in + _tree_levels(p.degree, n_points)
     tables = np.broadcast_to(p.coeffs[:, None], (levels, p.degree + 1, 1))
     return PointCloud(_pullback(tables, z, burn_in, n_points, [rng])[0],
-                      tag="Jp", seed=seed)
+                      seed=seed)
 
 
 def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
@@ -219,12 +217,13 @@ def sample_fiber_julia(f: SkewProduct, z, n_points: int, depth: int = 50,
     (w,) = _sample_fibers(f, [z], n_points, [seed], depth)
     if w is None:
         raise NumericalError(_escapes(z))
-    return PointCloud(w, tag=f"Jz({z})", seed=seed)
+    return PointCloud(w, seed=seed)
 
 
 def _escapes(z) -> str:
-    return (f"a fiber map along the base orbit of {z} is not finite (the "
-            "orbit escapes)")
+    return (f"a fiber map along the base orbit of {z} is not finite, or a "
+            "point pulled back through those maps overflows (the orbit "
+            "escapes)")
 
 
 def _sample_fibers(f: SkewProduct, zs, n_points: int, seeds,
@@ -300,10 +299,11 @@ def fiber_slice(
     nx, ny = resolution
     with np.errstate(over="ignore", invalid="ignore"):
         base_orbit = f.p.orbit(z, params.max_iter)
-    esc = _escape_grid((fiber_poly(f, zc) for zc in base_orbit), window,
-                       nx, ny, params.radius,
+        # row n: the n-th fiber map's coefficients, highest power first
+        table = npoly.polyval(np.array(base_orbit), f.q.coeffs)[::-1].T
+    esc = _escape_grid(table, window, nx, ny, params.radius,
                        _fiber_traps(f, base_orbit, params.radius))
-    return FiberSlice(complex(z), window, nx, ny, esc == 0, esc, params)
+    return FiberSlice(complex(z), window, nx, ny, esc == 0, esc)
 
 
 def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
@@ -316,10 +316,10 @@ def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
     """
     nx, ny = resolution
     window = Rect.square(0.0, 1.2 * params.base_radius)
-    esc = _escape_grid(repeat(p, GRID_MAX_ITER), window, nx, ny,
-                       params.base_radius,
+    table = np.broadcast_to(p.coeffs[::-1], (GRID_MAX_ITER, p.degree + 1))
+    esc = _escape_grid(table, window, nx, ny, params.base_radius,
                        _grid_traps([p], 0, params.base_radius))
-    return FiberSlice(None, window, nx, ny, esc == 0, esc, params)
+    return FiberSlice(None, window, nx, ny, esc == 0, esc)
 
 
 # the longest period k of the fiber maps that is searched for traps.  The
@@ -370,11 +370,12 @@ def _grid_traps(maps: list, start: int, radius: float):
     return start, phases
 
 
-def _escape_grid(maps, window: Rect, nx: int, ny: int,
+def _escape_grid(table, window: Rect, nx: int, ny: int,
                  radius: float, traps=None) -> np.ndarray:
     """Escape step of every cell center of the window, (ny, nx), 0 where it
-    never escapes: step n applies the n-th map of `maps` to the cells still
-    within radius, until all have escaped or the maps run out.
+    never escapes: step n applies the n-th map, whose coefficients are row
+    n of `table` (highest power first), to the cells still within radius,
+    until all have escaped or the rows run out.
 
     Only the live cells are held: their values `w` and flat cell indices
     `idx`, in cell order, compacted on the steps where some cell escapes or
@@ -386,20 +387,18 @@ def _escape_grid(maps, window: Rect, nx: int, ny: int,
 
     The cells run through all their steps GRID_BLOCK at a time, in cell
     order, so the working set besides the result is a few block-sized
-    arrays whatever the resolution; `maps` is still read once, and only as
-    far as the slowest block needs.
+    arrays whatever the resolution.
     """
     xs = window.re_min + (np.arange(nx) + 0.5) * (window.re_max - window.re_min) / nx
     ys = window.im_min + (np.arange(ny) + 0.5) * (window.im_max - window.im_min) / ny
     esc = np.zeros(nx * ny, dtype=int)
     start, phases = traps or (0, None)
-    steps = _replay(maps)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, esc.size, GRID_BLOCK):
             idx = np.arange(lo, min(lo + GRID_BLOCK, esc.size))
             w = xs[idx % nx] + 1j * ys[idx // nx]
-            for n, g in enumerate(steps(), 1):
-                w = g(w)
+            for n, b in enumerate(table, 1):
+                w = _horner(b, w)
                 live = np.abs(w) <= radius
                 if not live.all():
                     esc[idx[~live]] = n
@@ -411,19 +410,6 @@ def _escape_grid(maps, window: Rect, nx: int, ny: int,
                     if not idx.size:
                         break
     return esc.reshape(ny, nx)
-
-
-def _replay(items):
-    """A function that returns a new iterator over `items` on each call;
-    `items` is read once, and only as far as the furthest iterator."""
-    it, seen = iter(items), []
-
-    def again():
-        yield from seen
-        for item in it:
-            seen.append(item)
-            yield item
-    return again
 
 
 def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
@@ -447,7 +433,7 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
         # the fiber map over each new z, one column per point
         table = npoly.polyval(z, f.q.coeffs)
         w = _branch(table, w, rng.integers(0, len(table) - 1, n_points))
-    return PointCloud(np.column_stack([z, w]), tag="J2", seed=seed)
+    return PointCloud(np.column_stack([z, w]), seed=seed)
 
 
 def _as_real(points: np.ndarray) -> np.ndarray:

@@ -278,6 +278,28 @@ def test_continue_strict_lost_exit_code(tmp_path, capsys):
     check_manifest(tmp_path / "b")
 
 
+@pytest.mark.parametrize("argv, line", [
+    # Fa(2): critical orbits escape mid-walk and too few rows remain
+    (["certify", "--family", "Fa", "--a=2", "--n-base", "400",
+      "--n-j2", "800"], "Inconclusive"),
+    (["certify", "--family", "Fa", "--a=1i", "--n-base", "400",
+      "--n-j2", "800"], "Failed(ii)"),
+    # epsilon = 0.40 > 0.25 at n = 3
+    (["verify-lemma", "box-bound", "--n", "3"], "box-bound: fail"),
+])
+def test_negative_verdict_exits_4_under_strict_only(tmp_path, capsys, argv,
+                                                    line):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--strict", "--out", str(b)]) == 4
+    assert capsys.readouterr().out.splitlines() == [line] * 2
+    mani_a, mani_b = check_manifest(a), check_manifest(b)
+    assert mani_a["artifacts"] == mani_b["artifacts"]
+    assert {**mani_a["config"], "strict": True} == mani_b["config"]
+    for art in mani_a["artifacts"]:
+        assert (a / art["path"]).read_bytes() == (b / art["path"]).read_bytes()
+
+
 def test_render_images(tmp_path):
     out = tmp_path / "r"
     rc = main(["render", "--family", "fig3", "--resolution", "64",

@@ -846,7 +846,7 @@ def _ref_certify_cloud(f, base, n_iter=200, params=None):
     classified critical locus, then the per-step snap loop."""
     locus = critical_locus(f, base, params)
     return PointCloud(_ref_postcritical_cloud(
-        f, locus.z, locus.c, n_iter, params), tag="PostCritical")
+        f, locus.z, locus.c, n_iter, params))
 
 
 def _float_bits(obj):

@@ -478,16 +478,17 @@ def _full_grid_escape(maps, window, nx, ny, radius):
     return esc.reshape(ny, nx)
 
 
+def _table(maps):
+    """The coefficient table `_escape_grid` steps on: row n holds the n-th
+    map's coefficients, highest power first."""
+    return np.array([g.coeffs[::-1] for g in maps])
+
+
 def _assert_same_grid(maps, window, nx, ny, radius):
-    """`_escape_grid` against the reference: bit-equal grids, and both stop
-    after the same number of maps."""
-    used = [[], []]
-    got = _escape_grid((used[0].append(g) or g for g in maps), window,
-                       nx, ny, radius)
-    want = _full_grid_escape((used[1].append(g) or g for g in maps), window,
-                             nx, ny, radius)
+    """`_escape_grid` against the reference: bit-equal grids."""
+    got = _escape_grid(_table(maps), window, nx, ny, radius)
+    want = _full_grid_escape(maps, window, nx, ny, radius)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert len(used[0]) == len(used[1])
     return got
 
 
@@ -626,8 +627,8 @@ def test_trapped_grid_bit_equal_to_full_grid(sequence, steps, half, radius,
     traps = _grid_traps(period, len(prefix), radius)
     event(f"traps: {traps is not None}, period above 6: {len(period) > 6}")
     window = Rect.square(0.0, half)
-    got = _escape_grid(iter(maps), window, nx, ny, radius, traps)
-    want = _full_grid_escape(iter(maps), window, nx, ny, radius)
+    got = _escape_grid(_table(maps), window, nx, ny, radius, traps)
+    want = _full_grid_escape(maps, window, nx, ny, radius)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -637,21 +638,17 @@ def test_trapped_grid_bit_equal_to_full_grid(sequence, steps, half, radius,
 def test_escape_grid_in_blocks_bit_equal(sequence, steps, radius, nx, ny,
                                          block):
     # blocks of any size, the last one down to a single cell, give the grid
-    # of one block and read as many maps from the iterator
+    # of one block
     period, prefix = sequence
     maps = (prefix + period * steps)[:steps]
     traps = _grid_traps(period, len(prefix), radius)
     window = Rect.square(0.0, 1.5)
-    used = [[], []]
     with mock.patch.object(skewdyn.sets, "GRID_BLOCK", block):
-        got = _escape_grid((used[0].append(g) or g for g in maps), window,
-                           nx, ny, radius, traps)
-    one = _escape_grid((used[1].append(g) or g for g in maps), window,
-                       nx, ny, radius, traps)
-    want = _full_grid_escape(iter(maps), window, nx, ny, radius)
+        got = _escape_grid(_table(maps), window, nx, ny, radius, traps)
+    one = _escape_grid(_table(maps), window, nx, ny, radius, traps)
+    want = _full_grid_escape(maps, window, nx, ny, radius)
     assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert len(used[0]) == len(used[1])
 
 
 _TRAP_CASES = [
@@ -716,8 +713,8 @@ def test_trapped_grid_checks_the_disks_of_the_current_phase():
         maps = (prefix + period * 40)[:60]
         traps = _grid_traps(period, len(prefix), 10.0)
         assert traps is not None
-        got = _escape_grid(iter(maps), window, 40, 16, 10.0, traps)
-        want = _full_grid_escape(iter(maps), window, 40, 16, 10.0)
+        got = _escape_grid(_table(maps), window, 40, 16, 10.0, traps)
+        want = _full_grid_escape(maps, window, 40, 16, 10.0)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert (want == 0).any() and (want > 0).any()
 
@@ -768,3 +765,24 @@ def test_fiber_slice_over_exact_base_cycle(f, z, start, period):
     assert np.array_equal(sl.escape_iters.view(np.uint64),
                           want.view(np.uint64))
     assert 0 < sl.membership.sum() < sl.membership.size
+
+
+@pytest.mark.parametrize("f, z", [
+    (make_fig3(), 5.0),                 # the fixed point 5 of z^2 - 20
+    (make_fig3(), 6.0),                 # an orbit that overflows to inf
+    (make_fig3(), 1e200),               # inf after one step
+    (make_Fa(-1), -0.0),
+    (make_Fa(1j), complex(0.3, -0.0)),
+    (make_airplane_skew(3), 1.5 - 0.2j),
+])
+def test_fiber_slice_steps_on_the_fiber_maps(f, z):
+    # the coefficient table fiber_slice builds in one call gives the grid
+    # of the fiber maps built one base point at a time
+    params = derive_escape_radius(f).with_max_iter(60)
+    window = Rect(-2, 2, -1.5, 1.5)
+    sl = fiber_slice(f, z, window=window, resolution=(32, 24), params=params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = [fiber_poly(f, zc) for zc in f.p.orbit(z, params.max_iter)]
+    want = _full_grid_escape(maps, window, 32, 24, params.radius)
+    assert np.array_equal(sl.escape_iters.view(np.uint64),
+                          want.view(np.uint64))
