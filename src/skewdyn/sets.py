@@ -3,7 +3,8 @@
 Base Julia sets by inverse iteration; escape-time grids of fiber slices
 and of the base plane, which stop iterating cells caught by certified
 trapping disks; fiber Julia samples by pullback along the forward base
-orbit; the two-variable Julia set by coupled inverse iteration; a
+orbit; the two-variable Julia set by inverse iteration of (z, w) together,
+random-branch chains that each end in a complete preimage tree; a
 duplicate-aware nearest-neighbour index for Hausdorff and chordal distances
 between point clouds; and CSV and image output.
 """
@@ -412,12 +413,30 @@ def _escape_grid(table, window: Rect, nx: int, ny: int,
     return esc.reshape(ny, nx)
 
 
+# Levels of the complete preimage tree that ends every J2 chain: one, the
+# smallest tree, at every degree.  At degrees 2 and 3 each level raised
+# clause (ii)'s margins above the all-random walk's, a second level more
+# than the first (README, "The J2 sampler").
+J2_TREE_LEVELS = 1
+
+
 def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
                       burn_in: int = 100) -> PointCloud:
-    """Sample the two-variable Julia set by coupled inverse iteration.
+    """Sample the two-variable Julia set J2 by inverse iteration of f.
 
-    Pulls (z, w) back together: a random base preimage z' of z followed by
-    a random fiber preimage of w under the fiber map over z'.  Backward
+    A backward step takes a base preimage z' of z and then a preimage of w
+    under the fiber map over z'.  m = ceil(n_points / d^(2L)) chains start
+    at (a repelling fixed point of p, 2) and take burn_in - L steps on
+    random branches, drawn from one Generator, a base and a fiber draw per
+    step.  On the last L = J2_TREE_LEVELS levels (at most burn_in) every
+    branch is taken, d base preimages each with d fiber preimages, so each
+    chain ends in the d^(2L) leaves of a complete preimage tree, stored
+    branch-major: the leaf of chain j with branches (kz, kw) on every level
+    sits at j + m * sum of (kw d + kz) d^(2l) over the levels l.  The
+    sample keeps the leaves at the first n_points entries of a permutation
+    drawn from the same Generator, in tree order.  Every leaf is a
+    depth-burn_in backward image of the start and has equal weight, so the
+    sample has the measure of maximal entropy, drawn in strata.  Backward
     base steps contract onto the base Julia set, so this stays stable even
     over strongly expanding bases.
     """
@@ -425,15 +444,23 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
         raise PreconditionError("n_points must be >= 1")
     if burn_in < 1:
         raise PreconditionError("burn_in must be >= 1")
+    d = f.degree
+    levels = min(J2_TREE_LEVELS, burn_in)
+    m = -(-n_points // d ** (2 * levels))
     rng = np.random.default_rng(seed)
-    z = np.full(n_points, _repelling_fixed_point(f.p), dtype=complex)
-    w = np.full(n_points, 2.0, dtype=complex)
-    for _ in range(burn_in):
-        z = _branch(f.p.coeffs, z, rng.integers(0, f.p.degree, n_points))
+    z = np.full(m, _repelling_fixed_point(f.p), dtype=complex)
+    w = np.full(m, 2.0, dtype=complex)
+    for _ in range(burn_in - levels):
+        z = _branch(f.p.coeffs, z, rng.integers(0, d, m))
         # the fiber map over each new z, one column per point
         table = npoly.polyval(z, f.q.coeffs)
-        w = _branch(table, w, rng.integers(0, len(table) - 1, n_points))
-    return PointCloud(np.column_stack([z, w]), seed=seed)
+        w = _branch(table, w, rng.integers(0, len(table) - 1, m))
+    for _ in range(levels):
+        z = _branch(f.p.coeffs, z).ravel()
+        w = _branch(npoly.polyval(z, f.q.coeffs), np.tile(w, d))
+        z, w = np.tile(z, d), w.ravel()
+    keep = np.sort(rng.permutation(len(z))[:n_points])
+    return PointCloud(np.column_stack([z[keep], w[keep]]), seed=seed)
 
 
 def _as_real(points: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ level-by-level expansion they replaced (in another order).
 The chosen-branch kernel and the pull-back over many rows are checked bit
 for bit against the one-row code they replaced: every branch followed by a
 random pick, the pull-back of one row, and `sample_fiber_julia` one base
-point at a time.  Two premises make that exact, and are tested here too:
-numpy's out-of-place array arithmetic rounds an element the same at every
-array length and layout, and one `integers(0, d, n)` draw equals n
-one-element draws.
+point at a time.  `sample_J2_inverse` is checked bit for bit against a
+loop over its chains and then over the leaves of their trees, one point at
+a time, and its leaves must map onto their chain ends.  Two premises make
+that exact, and are tested here too: numpy's out-of-place array arithmetic
+rounds an element the same at every array length and layout, and one
+`integers(0, d, n)` draw equals n one-element draws.
 """
 
 from itertools import repeat
@@ -29,8 +31,9 @@ from skewdyn.families import make_Fa, make_fig3, make_product
 from skewdyn.poly import Poly1, Poly2, RootFindError, SkewProduct, \
     fiber_poly, roots
 from skewdyn.sets import PointCloud, _branch, _repelling_fixed_point, \
-    _sample_fibers, _square, _tree_levels, directed_hausdorff, \
-    sample_J2_inverse, sample_base_julia, sample_fiber_julia
+    J2_TREE_LEVELS, _sample_fibers, _square, _tree_levels, \
+    directed_hausdorff, sample_J2_inverse, sample_base_julia, \
+    sample_fiber_julia
 
 
 def bits(x):
@@ -117,16 +120,6 @@ def old_fiber_sample(f, z, n_points, depth, seed):
             w = old_pick(qz, w, rng.integers(0, f.degree, len(w)))
     idx = rng.permutation(len(w))[:n_points]
     return w[np.sort(idx)]
-
-
-def old_J2(f, n_points, seed, burn_in):
-    rng = np.random.default_rng(seed)
-    z = np.full(n_points, _repelling_fixed_point(f.p), dtype=complex)
-    w = np.full(n_points, 2.0, dtype=complex)
-    for _ in range(burn_in):
-        z = old_pick(f.p, z, rng.integers(0, f.p.degree, n_points))
-        w = old_fiber_loop(f, z, w, rng.integers(0, f.degree, n_points))
-    return np.column_stack([z, w])
 
 
 # ---- inputs
@@ -237,7 +230,7 @@ def test_degree_three_columns_are_shifted_roots():
                                            (CUBIC_SKEW, 12, 15)])
 def test_J2_equals_per_point_loop(f, n, burn_in):
     new = sample_J2_inverse(f, n, seed=5, burn_in=burn_in).points
-    assert_bit_equal(new, old_J2(f, n, 5, burn_in))
+    assert_bit_equal(new, ref_J2(f, n, 5, burn_in))
 
 
 # ---- the degree-3 samplers
@@ -333,14 +326,36 @@ def prev_fiber_sample(f, z, n_points, depth, seed):
                          depth - tree_levels, n_points, rng)
 
 
-def prev_J2(f, n_points, seed, burn_in):
+def ref_J2(f, n_points, seed, burn_in):
+    """The J2 sampler one chain and one leaf at a time: m chains take
+    burn_in - L random steps, and each leaf of the complete tree on the
+    last L levels is found by its own descent from its chain end, its
+    branches read from its index."""
+    d = f.degree
+    levels = min(J2_TREE_LEVELS, burn_in)
+    m = -(-n_points // d ** (2 * levels))
     rng = np.random.default_rng(seed)
-    z = np.full(n_points, _repelling_fixed_point(f.p), dtype=complex)
-    w = np.full(n_points, 2.0, dtype=complex)
-    for _ in range(burn_in):
-        z = prev_pick(prev_preimages(f.p.coeffs, z), rng)
-        w = prev_pick(prev_preimages(npoly.polyval(z, f.q.coeffs), w), rng)
-    return np.column_stack([z, w])
+    draws = [(rng.integers(0, d, m), rng.integers(0, d, m))
+             for _ in range(burn_in - levels)]
+
+    def step(z, w, kz, kw):
+        z = prev_preimages(f.p.coeffs, z)[kz]
+        return z, prev_preimages(npoly.polyval(z, f.q.coeffs), w)[kw]
+
+    ends = []
+    for j in range(m):
+        z, w = np.array([_repelling_fixed_point(f.p)]), np.array([2.0 + 0j])
+        for kz, kw in draws:
+            z, w = step(z, w, kz[j], kw[j])
+        ends.append((z, w))
+    leaves = np.empty((m * d ** (2 * levels), 2), dtype=complex)
+    for i in range(len(leaves)):
+        (z, w), digits = ends[i % m], i // m
+        for _ in range(levels):   # the first level is the lowest digit
+            digits, kw_kz = divmod(digits, d * d)
+            z, w = step(z, w, *reversed(divmod(kw_kz, d)))
+        leaves[i] = z[0], w[0]
+    return leaves[np.sort(rng.permutation(len(leaves))[:n_points])]
 
 
 # ---- the premises
@@ -591,11 +606,30 @@ def test_base_sample_equals_one_row_pullback(data):
 def test_J2_equals_pick_of_every_branch(data):
     d = data.draw(st.sampled_from([2, 3]))
     f = random_skew(data.draw, d)
-    n = data.draw(st.integers(1, 40 if d == 2 else 8))
+    # up to 3 trees of d^(2L) leaves
+    n = data.draw(st.integers(1, 3 * d ** (2 * J2_TREE_LEVELS)))
     burn_in = data.draw(st.integers(1, 12 if d == 2 else 4))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     assert_bit_equal(sample_J2_inverse(f, n, seed, burn_in).points,
-                     prev_J2(f, n, seed, burn_in))
+                     ref_J2(f, n, seed, burn_in))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_J2_leaves_map_onto_their_chain_ends(data):
+    # a sample of m whole trees: f^L takes each leaf to its chain end, so
+    # the images fall on m distinct points, each the image of d^(2L) leaves
+    d = data.draw(st.sampled_from([2, 3]))
+    f = random_skew(data.draw, d)
+    levels, m = J2_TREE_LEVELS, data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    z, w = sample_J2_inverse(f, m * d ** (2 * levels), seed, 30).points.T
+    for _ in range(levels):
+        z, w = f.p(z), f.q(z, w)
+    size = 1 + np.maximum(np.abs(z), np.abs(w))
+    same = np.abs(z[:, None] - z) + np.abs(w[:, None] - w) < 1e-6 * size
+    assert (same.sum(axis=1) == d ** (2 * levels)).all()
+    assert len({row.tobytes() for row in same}) == m
 
 
 @pytest.mark.parametrize("f, good, z_bad", [
