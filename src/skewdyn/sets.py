@@ -4,7 +4,7 @@ Base Julia sets by inverse iteration; escape-time grids of fiber slices
 and of the base plane, which stop iterating cells caught by certified
 trapping disks; fiber Julia samples by pullback along the forward base
 orbit; the two-variable Julia set by inverse iteration of (z, w) together,
-random-branch chains that each end in a complete preimage tree; a
+random-branch chains that split into complete preimage trees; a
 duplicate-aware nearest-neighbour index for Hausdorff and chordal distances
 between point clouds; and CSV and image output.
 """
@@ -413,11 +413,12 @@ def _escape_grid(table, window: Rect, nx: int, ny: int,
     return esc.reshape(ny, nx)
 
 
-# Levels of the complete preimage tree that ends every J2 chain: one, the
-# smallest tree, at every degree.  At degrees 2 and 3 each level raised
-# clause (ii)'s margins above the all-random walk's, a second level more
-# than the first (README, "The J2 sampler").
-J2_TREE_LEVELS = 1
+# Levels L of the complete preimage tree in every J2 chain, by degree d
+# (0 where d is not listed: independent random walks), and the random
+# steps each kept leaf takes after it; chosen by clause (ii)'s margins
+# (README, "The J2 sampler").
+J2_TREE_LEVELS = {2: 2}
+J2_TAIL_STEPS = 10
 
 
 def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
@@ -426,41 +427,55 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
 
     A backward step takes a base preimage z' of z and then a preimage of w
     under the fiber map over z'.  m = ceil(n_points / d^(2L)) chains start
-    at (a repelling fixed point of p, 2) and take burn_in - L steps on
-    random branches, drawn from one Generator, a base and a fiber draw per
-    step.  On the last L = J2_TREE_LEVELS levels (at most burn_in) every
-    branch is taken, d base preimages each with d fiber preimages, so each
-    chain ends in the d^(2L) leaves of a complete preimage tree, stored
-    branch-major: the leaf of chain j with branches (kz, kw) on every level
-    sits at j + m * sum of (kw d + kz) d^(2l) over the levels l.  The
-    sample keeps the leaves at the first n_points entries of a permutation
-    drawn from the same Generator, in tree order.  Every leaf is a
-    depth-burn_in backward image of the start and has equal weight, so the
-    sample has the measure of maximal entropy, drawn in strata.  Backward
-    base steps contract onto the base Julia set, so this stays stable even
-    over strongly expanding bases.
+    at (a repelling fixed point of p, 2) and take random steps, drawn from
+    one Generator, a base and a fiber draw per step.  Then every branch is
+    taken on L = J2_TREE_LEVELS[d] levels (0 where d is not listed), d
+    base preimages each with d fiber preimages, so each chain splits into
+    the d^(2L) leaves of a complete preimage tree, stored branch-major: the
+    leaf of chain j with branches (kz, kw) on every level sits at
+    j + m * sum of (kw d + kz) d^(2l) over the levels l.  Where there are
+    more than n_points leaves, the leaves at the first n_points entries of
+    a permutation drawn from the same Generator are kept, in tree order.
+    Each kept leaf then takes K = J2_TAIL_STEPS random steps of its own:
+    the siblings of a tree can be images of each other under a symmetry
+    of f, and so sit at one distance from its postcritical set, but their
+    descendants do not.  The chains take burn_in - L - K steps (L and K cut
+    to fit in burn_in), so every point is a depth-burn_in backward image
+    of the start with equal weight: the sample has the measure of maximal
+    entropy.  At L = 0 this is n_points independent random walks.
+    Backward base steps contract onto the base Julia set, so this stays
+    stable even over strongly expanding bases.
     """
     if n_points < 1:
         raise PreconditionError("n_points must be >= 1")
     if burn_in < 1:
         raise PreconditionError("burn_in must be >= 1")
     d = f.degree
-    levels = min(J2_TREE_LEVELS, burn_in)
+    levels = min(J2_TREE_LEVELS.get(d, 0), burn_in)
+    tail = min(J2_TAIL_STEPS, burn_in - levels)
     m = -(-n_points // d ** (2 * levels))
     rng = np.random.default_rng(seed)
-    z = np.full(m, _repelling_fixed_point(f.p), dtype=complex)
-    w = np.full(m, 2.0, dtype=complex)
-    for _ in range(burn_in - levels):
-        z = _branch(f.p.coeffs, z, rng.integers(0, d, m))
+
+    def step(z, w):
+        z = _branch(f.p.coeffs, z, rng.integers(0, d, len(z)))
         # the fiber map over each new z, one column per point
         table = npoly.polyval(z, f.q.coeffs)
-        w = _branch(table, w, rng.integers(0, len(table) - 1, m))
+        return z, _branch(table, w, rng.integers(0, d, len(z)))
+
+    z = np.full(m, _repelling_fixed_point(f.p), dtype=complex)
+    w = np.full(m, 2.0, dtype=complex)
+    for _ in range(burn_in - levels - tail):
+        z, w = step(z, w)
     for _ in range(levels):
         z = _branch(f.p.coeffs, z).ravel()
         w = _branch(npoly.polyval(z, f.q.coeffs), np.tile(w, d))
         z, w = np.tile(z, d), w.ravel()
-    keep = np.sort(rng.permutation(len(z))[:n_points])
-    return PointCloud(np.column_stack([z[keep], w[keep]]), seed=seed)
+    if len(z) > n_points:
+        keep = np.sort(rng.permutation(len(z))[:n_points])
+        z, w = z[keep], w[keep]
+    for _ in range(tail):
+        z, w = step(z, w)
+    return PointCloud(np.column_stack([z, w]), seed=seed)
 
 
 def _as_real(points: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ The chosen-branch kernel and the pull-back over many rows are checked bit
 for bit against the one-row code they replaced: every branch followed by a
 random pick, the pull-back of one row, and `sample_fiber_julia` one base
 point at a time.  `sample_J2_inverse` is checked bit for bit against a
-loop over its chains and then over the leaves of their trees, one point at
-a time, and its leaves must map onto their chain ends.  Two premises make
+loop over its chains, then over the leaves of their trees and their random
+tails, one point at a time, and its points must map onto their tree
+leaves and chain ends.  Two premises make
 that exact, and are tested here too: numpy's out-of-place array arithmetic
 rounds an element the same at every array length and layout, and one
 `integers(0, d, n)` draw equals n one-element draws.
@@ -31,7 +32,7 @@ from skewdyn.families import make_Fa, make_fig3, make_product
 from skewdyn.poly import Poly1, Poly2, RootFindError, SkewProduct, \
     fiber_poly, roots
 from skewdyn.sets import PointCloud, _branch, _repelling_fixed_point, \
-    J2_TREE_LEVELS, _sample_fibers, _square, _tree_levels, \
+    J2_TAIL_STEPS, J2_TREE_LEVELS, _sample_fibers, _square, _tree_levels, \
     directed_hausdorff, sample_J2_inverse, sample_base_julia, \
     sample_fiber_julia
 
@@ -327,16 +328,18 @@ def prev_fiber_sample(f, z, n_points, depth, seed):
 
 
 def ref_J2(f, n_points, seed, burn_in):
-    """The J2 sampler one chain and one leaf at a time: m chains take
-    burn_in - L random steps, and each leaf of the complete tree on the
-    last L levels is found by its own descent from its chain end, its
-    branches read from its index."""
+    """The J2 sampler one chain and one point at a time: m chains take
+    burn_in - L - K random steps, each leaf of the complete tree on the
+    next L levels is found by its own descent from its chain end, its
+    branches read from its index, and each kept leaf takes its K random
+    steps alone."""
     d = f.degree
-    levels = min(J2_TREE_LEVELS, burn_in)
+    levels = min(J2_TREE_LEVELS.get(d, 0), burn_in)
+    tail = min(J2_TAIL_STEPS, burn_in - levels)
     m = -(-n_points // d ** (2 * levels))
     rng = np.random.default_rng(seed)
     draws = [(rng.integers(0, d, m), rng.integers(0, d, m))
-             for _ in range(burn_in - levels)]
+             for _ in range(burn_in - levels - tail)]
 
     def step(z, w, kz, kw):
         z = prev_preimages(f.p.coeffs, z)[kz]
@@ -348,14 +351,24 @@ def ref_J2(f, n_points, seed, burn_in):
         for kz, kw in draws:
             z, w = step(z, w, kz[j], kw[j])
         ends.append((z, w))
-    leaves = np.empty((m * d ** (2 * levels), 2), dtype=complex)
-    for i in range(len(leaves)):
+    leaves = []
+    for i in range(m * d ** (2 * levels)):
         (z, w), digits = ends[i % m], i // m
         for _ in range(levels):   # the first level is the lowest digit
             digits, kw_kz = divmod(digits, d * d)
             z, w = step(z, w, *reversed(divmod(kw_kz, d)))
-        leaves[i] = z[0], w[0]
-    return leaves[np.sort(rng.permutation(len(leaves))[:n_points])]
+        leaves.append((z, w))
+    if len(leaves) > n_points:
+        keep = np.sort(rng.permutation(len(leaves))[:n_points])
+        leaves = [leaves[i] for i in keep]
+    draws = [(rng.integers(0, d, n_points), rng.integers(0, d, n_points))
+             for _ in range(tail)]
+    out = np.empty((n_points, 2), dtype=complex)
+    for i, (z, w) in enumerate(leaves):
+        for kz, kw in draws:
+            z, w = step(z, w, kz[i], kw[i])
+        out[i] = z[0], w[0]
+    return out
 
 
 # ---- the premises
@@ -606,9 +619,11 @@ def test_base_sample_equals_one_row_pullback(data):
 def test_J2_equals_pick_of_every_branch(data):
     d = data.draw(st.sampled_from([2, 3]))
     f = random_skew(data.draw, d)
-    # up to 3 trees of d^(2L) leaves
-    n = data.draw(st.integers(1, 3 * d ** (2 * J2_TREE_LEVELS)))
-    burn_in = data.draw(st.integers(1, 12 if d == 2 else 4))
+    # at d = 2, up to 3 trees of d^(2L) leaves
+    levels = J2_TREE_LEVELS.get(d, 0)
+    n = data.draw(st.integers(1, max(40, 3 * d ** (2 * levels))
+                              if d == 2 else 8))
+    burn_in = data.draw(st.integers(1, 16))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     assert_bit_equal(sample_J2_inverse(f, n, seed, burn_in).points,
                      ref_J2(f, n, seed, burn_in))
@@ -616,20 +631,28 @@ def test_J2_equals_pick_of_every_branch(data):
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_J2_leaves_map_onto_their_chain_ends(data):
-    # a sample of m whole trees: f^L takes each leaf to its chain end, so
-    # the images fall on m distinct points, each the image of d^(2L) leaves
+def test_J2_points_map_onto_their_chain_ends(data):
+    # a sample of m whole trees: f^K takes each point to a distinct leaf,
+    # and f^L takes the leaves to their chain ends, so the images under
+    # f^(K + L) fall on m distinct points, each the image of d^(2L) points
     d = data.draw(st.sampled_from([2, 3]))
     f = random_skew(data.draw, d)
-    levels, m = J2_TREE_LEVELS, data.draw(st.integers(1, 4))
+    levels, m = J2_TREE_LEVELS.get(d, 0), data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     z, w = sample_J2_inverse(f, m * d ** (2 * levels), seed, 30).points.T
+
+    def same(z, w):
+        size = 1 + np.maximum(np.abs(z), np.abs(w))
+        return np.abs(z[:, None] - z) + np.abs(w[:, None] - w) < 1e-6 * size
+
+    for _ in range(J2_TAIL_STEPS):
+        z, w = f.p(z), f.q(z, w)
+    assert (same(z, w).sum(axis=1) == 1).all()
     for _ in range(levels):
         z, w = f.p(z), f.q(z, w)
-    size = 1 + np.maximum(np.abs(z), np.abs(w))
-    same = np.abs(z[:, None] - z) + np.abs(w[:, None] - w) < 1e-6 * size
-    assert (same.sum(axis=1) == d ** (2 * levels)).all()
-    assert len({row.tobytes() for row in same}) == m
+    ends = same(z, w)
+    assert (ends.sum(axis=1) == d ** (2 * levels)).all()
+    assert len({row.tobytes() for row in ends}) == m
 
 
 @pytest.mark.parametrize("f, good, z_bad", [
