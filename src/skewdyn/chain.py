@@ -63,7 +63,9 @@ def chain_report(
 
     The base sample is augmented with the repelling periodic points of
     period <= MAX_BASE_PERIOD, so that fibers carrying bounded critical
-    orbits over periodic bases are always represented.
+    orbits over periodic bases are always represented.  The critical
+    orbits are stepped once, by `critical_locus`, whose tails the apt and
+    acc clouds both read.
     """
     base_rand = sample_base_julia(f.p, n_base, seed=seed)
     periodic = repelling_periodic_points(f.p)
@@ -73,7 +75,7 @@ def chain_report(
     apt = apt_cloud(locus)
     j2 = sample_J2_inverse(f, n_j2, seed=seed + 1)
     w_bound = 1.5 * float(np.max(np.abs(j2.points[:, 1]))) if len(j2) else None
-    acc = acc_cloud(f, locus, params=params, w_bound=w_bound)
+    acc = acc_cloud(locus, w_bound=w_bound)
     report = {
         "apt_count": len(apt),
         "acc_count": len(acc),

@@ -9,7 +9,6 @@ critical locus are surrogate-identified by epsilon-clustering.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .engine import (
 )
 from .errors import NumericalError, PreconditionError
 from .poly import _FLOAT_MAX, Poly1, SkewProduct, _horner, fiber_poly, roots
-from .sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
+from .sets import (CloudIndex, PointCloud, _as_real, _branch, _distinct_rows,
                    _kdtree, min_chordal_distance, sphere_embed)
 
 __all__ = [
@@ -47,18 +46,20 @@ MIN_PC_SAMPLES = 1000
 MAX_BASE_PERIOD = 3     # base cycles: exact-cycle table and saddle search
 TAIL_FRAC = 0.25        # an orbit tail is the last quarter of its span
 TAIL_LEN = 64           # at most this many tail steps in `critical_locus`
-ACC_ITER = 300          # steps of each member orbit in `acc_cloud`
 PROBE_TAIL_FRAC = 0.5   # share of the probe points `acc_full_probe` keeps
 
 
 @dataclass(frozen=True)
 class CriticalLocus:
-    """The fiber critical points over a base sample, one entry per orbit."""
+    """The fiber critical points over a base sample, one entry per orbit,
+    and the tails of every orbit from one walk, by orbit and then by step."""
     z: np.ndarray                     # base point of each orbit
     c: np.ndarray                     # fiber critical point over z
     component: np.ndarray             # cluster id, 0, 1, ... (`_cluster`)
     bounded: np.ndarray               # bool: the orbit did not escape
-    tail: np.ndarray                  # (T, 2) omega-tails of bounded orbits
+    tail: np.ndarray                  # (T, 2) tails of every orbit
+    owner: np.ndarray                 # (T,) orbit index of each tail row
+    step: np.ndarray                  # (T,) step of each tail row
     spacing: float                    # median nearest-neighbor base spacing
 
     def __len__(self) -> int:
@@ -355,9 +356,9 @@ def critical_locus(f: SkewProduct, base: PointCloud,
     only while the base coordinate stays near the base sample (exactly
     periodic base points never drift, and are stepped on a coefficient
     table of their cycle); an orbit whose fiber coordinate has not escaped
-    by the end of its trusted span counts as bounded and its omega-tail is
-    the last quarter of that span, at most TAIL_LEN steps.  `tail` holds
-    the omega-tails of the bounded orbits, by orbit and then by step.
+    by the end of its trusted span counts as bounded.  Every orbit's tail,
+    escaping or not, is the last quarter of its trusted span, at most
+    TAIL_LEN steps; `apt_cloud` and `acc_cloud` both read these tails.
     """
     if params is None:
         params = derive_escape_radius(f)
@@ -366,11 +367,11 @@ def critical_locus(f: SkewProduct, base: PointCloud,
     index = CloudIndex(_as_real(base.points))
     labels = _cluster(np.column_stack([zs, cs]), 3.0 * index.spacing)
     snap = _base_snap(f.p, index, zs)
-    esc, owner, _, tail = _run_spans(f, zs, cs, params.max_iter, params, snap,
-                                     TAIL_LEN)
-    bounded = esc < 0
-    return CriticalLocus(z=zs, c=cs, component=labels, bounded=bounded,
-                         tail=tail[bounded[owner]], spacing=index.spacing)
+    esc, owner, step, tail = _run_spans(f, zs, cs, params.max_iter, params,
+                                        snap, TAIL_LEN)
+    return CriticalLocus(z=zs, c=cs, component=labels, bounded=esc < 0,
+                         tail=tail, owner=owner, step=step,
+                         spacing=index.spacing)
 
 
 def _add_states(table: dict, j: np.ndarray, w: np.ndarray):
@@ -481,39 +482,33 @@ def postcritical_cloud(f: SkewProduct, base: PointCloud, n_iter: int = 200,
 
 def apt_cloud(locus: CriticalLocus) -> PointCloud:
     """Union of the omega-tails of the bounded critical orbits (pointwise
-    accumulation); empty when every critical orbit escapes."""
-    return PointCloud(locus.tail)
+    accumulation), by orbit and then by step; empty when every critical
+    orbit escapes."""
+    return PointCloud(locus.tail[locus.bounded[locus.owner]])
 
 
-def acc_cloud(f: SkewProduct, locus: CriticalLocus,
-              params: EscapeParams | None = None,
+def acc_cloud(locus: CriticalLocus,
               w_bound: float | None = None) -> PointCloud:
-    """Per-component accumulation: forward-orbit tails of every member of
-    each critical-locus cluster, union over clusters.
+    """Per-component accumulation: the tails of every member of each
+    critical-locus cluster, union over clusters, read from the walk of
+    `critical_locus`.
 
     An all-escaped component contributes nothing, matching the
-    all-or-nothing component criterion.  Any other component contributes,
-    for each member, the last quarter of the member's trusted span within
-    ACC_ITER steps — for escapers that span ends just before fiber escape,
-    so slow escapers shadowing the unstable set of the saddle part are
-    retained.  The members of all contributing components are stepped in
-    one `_run_spans` walk; the points are listed by component, in id order,
-    then by step, then by member, in locus order.  Fiber coordinates above
-    w_bound (transient fly-out positions) are pruned.
+    all-or-nothing component criterion.  Any other component contributes
+    the tail of each member, bounded or escaping — for escapers the tail
+    ends just before fiber escape, so slow escapers shadowing the unstable
+    set of the saddle part are retained.  The points are listed by
+    component, in id order, then by step, then by member, in locus order.
+    Fiber coordinates above w_bound (transient fly-out positions) are
+    pruned.
     """
     if not len(locus):
         raise PreconditionError("empty critical locus")
-    if params is None:
-        params = derive_escape_radius(f)
-    index = CloudIndex(_as_real(np.unique(locus.z)))
     comp = locus.component
-    members = np.flatnonzero(
-        np.bincount(comp, weights=locus.bounded)[comp] > 0)
-    zs, ws = locus.z[members], locus.c[members]
-    _, owner, step, pts = _run_spans(f, zs, ws, ACC_ITER, params,
-                                     _base_snap(f.p, index, zs),
-                                     math.ceil(TAIL_FRAC * ACC_ITER))
-    pts = pts[np.lexsort((owner, step, comp[members][owner]))]
+    member = np.bincount(comp, weights=locus.bounded)[comp] > 0
+    keep = member[locus.owner]
+    owner, pts = locus.owner[keep], locus.tail[keep]
+    pts = pts[np.lexsort((owner, locus.step[keep], comp[owner]))]
     if w_bound is not None:
         pts = pts[np.abs(pts[:, 1]) <= w_bound]
     return PointCloud(pts)
@@ -530,9 +525,9 @@ def acc_full_probe(
 
     Builds a backward base orbit z_{-1}, ..., z_{-depth} of z_target using
     branch_policy, a symbol string indexing regions in f.meta["regions"],
-    cycled: z_{-k} is the preimage of z_{-k+1} nearest the center of its
-    symbol's region (the preimages of a point equal, bit for bit, to the
-    point before it are not solved again).  Places the fiber critical
+    cycled: z_{-k} is the preimage of z_{-k+1} (every branch of
+    `sets._branch`: the quadratic formula at degree 2, `roots` above it)
+    nearest the center of its symbol's region.  Places the fiber critical
     point over each z_{-k}, and pushes it forward k steps.
     Returns the last PROBE_TAIL_FRAC fraction of the resulting points, all
     lying in the fiber of z_target; a point whose orbit leaves the escape
@@ -551,13 +546,9 @@ def acc_full_probe(
     zt = complex(z_target)
     regions = f.meta.get("regions", {})
     back = []  # back[k-1] = z_{-k}
-    z, solved = zt, None
+    z = zt
     for k in range(1, depth + 1):
-        key = struct.pack("2d", z.real, z.imag)
-        if key != solved:
-            shifted = f.p.coeffs.copy()
-            shifted[0] -= z
-            cands, solved = roots(Poly1(shifted)), key
+        cands = _branch(f.p.coeffs, np.array([z])).ravel()
         sym = branch_policy[(k - 1) % len(branch_policy)]
         if sym not in regions:
             raise PreconditionError(f"unknown region symbol {sym!r}")

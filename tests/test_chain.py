@@ -1,7 +1,11 @@
-import numpy as np
+from unittest import mock
 
+import numpy as np
+import pytest
+
+from skewdyn import critpost
 from skewdyn.chain import chain_report, repelling_periodic_points
-from skewdyn.families import make_Fa
+from skewdyn.families import build_s1s2, make_Fa
 from skewdyn.poly import Poly1
 
 
@@ -53,3 +57,20 @@ def test_chain_nesting():
     rep = chain_report(make_Fa(-1), n_base=150, n_j2=400, seed=7)
     apt, acc = rep["clouds"]["apt"], rep["clouds"]["acc"]
     assert directed_hausdorff(apt, acc) < 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_Fa(-1),
+    # its base rows repeat, so an index over the distinct base points would
+    # give a second walk another drift tolerance
+    lambda: build_s1s2(Poly1([0, 0, 1]), Poly1([-1, 0, 1]), 1, 1)[0],
+], ids=["Fa(-1)", "s1s2"])
+def test_chain_report_walks_the_critical_orbits_once(monkeypatch, make):
+    counted = {name: mock.Mock(wraps=getattr(critpost, name))
+               for name in ("_run_spans", "_base_snap")}
+    for name, m in counted.items():
+        monkeypatch.setattr(critpost, name, m)
+    rep = chain_report(make(), n_base=100, n_j2=240, seed=7)
+    assert rep["acc_count"] > 0
+    assert {name: m.call_count for name, m in counted.items()} == {
+        "_run_spans": 1, "_base_snap": 1}

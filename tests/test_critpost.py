@@ -210,7 +210,7 @@ def test_apt_cloud_empty_when_all_escape():
 def test_acc_cloud_contains_apt(fa_m1_crit):
     f, base, crit = fa_m1_crit
     apt = apt_cloud(crit)
-    acc = acc_cloud(f, crit)
+    acc = acc_cloud(crit)
     assert len(acc) >= len(apt)
     from skewdyn.sets import directed_hausdorff
 
@@ -220,7 +220,7 @@ def test_acc_cloud_contains_apt(fa_m1_crit):
 def test_acc_cloud_skips_all_escaped_components():
     f = make_Fa(2)
     crit = critical_locus(f, sample_base_julia(f.p, 200, seed=0))
-    assert len(acc_cloud(f, crit)) == 0
+    assert len(acc_cloud(crit)) == 0
 
 
 def test_acc_full_probe_lands_in_target_fiber(fa_m1_crit):

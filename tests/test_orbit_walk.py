@@ -5,10 +5,11 @@ replays every orbit from step 1 to collect its tail, stepping every row
 with `poly2_reference`, the evaluation of q that `Poly2.__call__` ran
 before `poly._horner`; `_run_spans` must give the same escape steps and
 bit-equal tails in one pass, with its periodic rows stepped from a
-coefficient table, and `acc_cloud`'s single batch must equal the old
-per-component loop.  `critical_locus`'s record of arrays must hold, bit
-for bit, what its list of per-point samples held, and give the same apt
-and acc clouds and the same probe band.
+coefficient table, and `acc_cloud`, which reads the tails of
+`critical_locus`'s walk, must equal a per-component walk of the members.
+`critical_locus`'s record of arrays must hold, bit for bit, what its list
+of per-point samples held, and give the same apt and acc clouds and the
+same probe band.
 `_base_snap` must give every start the cycle, bit for bit, that the
 per-start loop gave.  `_critical_points` must keep, bit for bit, what the
 per-point `roots()` loop kept, and `acc_full_probe` must equal its old
@@ -37,7 +38,6 @@ from hypothesis import example, given, settings, strategies as st
 from skewdyn import critpost
 from skewdyn.chain import repelling_periodic_points
 from skewdyn.critpost import (
-    ACC_ITER,
     PROBE_TAIL_FRAC,
     TAIL_FRAC,
     TAIL_LEN,
@@ -69,8 +69,8 @@ from skewdyn.errors import NumericalError
 from skewdyn.families import (build_s1s2, make_airplane_skew, make_Fa,
                               make_fig3, make_product)
 from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly, roots
-from skewdyn.sets import (CloudIndex, PointCloud, _as_real, _distinct_rows,
-                          sample_J2_inverse, sample_base_julia)
+from skewdyn.sets import (CloudIndex, PointCloud, _as_real, _branch,
+                          _distinct_rows, sample_J2_inverse, sample_base_julia)
 
 
 def _ref_step_tracked(f, z, w, k, idx, snap):
@@ -382,9 +382,13 @@ def test_base_snap_matches_per_start_loop(p, periodic, others):
             assert np.array_equal(_bits(got), _bits(cyc)), starts[i]
 
 
-def _ref_acc_cloud(f, locus, params, w_bound):
-    """The per-component loop that `acc_cloud` batches."""
-    index = CloudIndex(_as_real(np.unique(locus.z)))
+def _ref_acc_cloud(f, base, locus, params, w_bound):
+    """`acc_cloud` by its definition, one component at a time: the tails of
+    the members of each component that holds a bounded orbit, each member
+    walked for params.max_iter steps under the drift guard of
+    `critical_locus` (its base sample, its tolerance) and keeping the last
+    TAIL_FRAC of its trusted span in at most TAIL_LEN slots."""
+    index = CloudIndex(_as_real(base.points))
     parts = []
     for cid in np.unique(locus.component):
         members = locus.component == cid
@@ -392,8 +396,8 @@ def _ref_acc_cloud(f, locus, params, w_bound):
             continue
         zs, ws = locus.z[members], locus.c[members]
         snap = _base_snap(f.p, index, zs)
-        _, ends = _ref_run_spans(f, zs, ws, ACC_ITER, params, snap)
-        starts = _ref_tail_starts(ends, TAIL_FRAC)
+        _, ends = _ref_run_spans(f, zs, ws, params.max_iter, params, snap)
+        starts = _ref_tail_starts(ends, TAIL_FRAC, tail_cap=TAIL_LEN)
         pts = _ref_collect_windows(f, zs, ws, starts, ends, snap)
         if w_bound is not None and len(pts):
             pts = pts[np.abs(pts[:, 1]) <= w_bound]
@@ -415,8 +419,8 @@ def test_acc_cloud_batch_equals_per_component_loop():
     mixed = set(crit.component[crit.bounded].tolist())
     assert len(comps) > 20 and 0 < len(mixed) < len(comps)
     for w_bound in (None, 3.0):
-        got = acc_cloud(f, crit, params=params, w_bound=w_bound).points
-        ref = _ref_acc_cloud(f, crit, params, w_bound)
+        got = acc_cloud(crit, w_bound=w_bound).points
+        ref = _ref_acc_cloud(f, base, crit, params, w_bound)
         assert len(ref) > 0
         assert got.shape == ref.shape
         assert np.array_equal(_bits(got), _bits(ref))
@@ -431,6 +435,8 @@ class _RefCriticalSample:
     component_id: int
     status: str                       # "escaped" | "bounded"
     omega_tail: np.ndarray            # (T, 2) complex, empty when escaped
+    tail: np.ndarray                  # (T, 2) complex, escaped or not
+    tail_steps: np.ndarray            # (T,) the step of each tail row
 
 
 def _ref_critical_locus(f, base, params):
@@ -441,14 +447,16 @@ def _ref_critical_locus(f, base, params):
     index = CloudIndex(_as_real(base.points))
     labels = _cluster(np.column_stack([zs, cs]), 3.0 * index.spacing)
     snap = _base_snap(f.p, index, zs)
-    esc, owner, _, tail = _run_spans(f, zs, cs, params.max_iter, params, snap,
-                                     TAIL_LEN)
-    tails = np.split(tail, np.searchsorted(owner, np.arange(1, len(zs))))
+    esc, owner, step, tail = _run_spans(f, zs, cs, params.max_iter, params,
+                                        snap, TAIL_LEN)
+    cut = np.searchsorted(owner, np.arange(1, len(zs)))
+    tails, steps = np.split(tail, cut), np.split(step, cut)
     empty = np.zeros((0, 2), dtype=complex)
     return [_RefCriticalSample(
         z=zs[k], c=cs[k], component_id=int(labels[k]),
         status="bounded" if esc[k] < 0 else "escaped",
-        omega_tail=tails[k] if esc[k] < 0 else empty) for k in range(len(zs))]
+        omega_tail=tails[k] if esc[k] < 0 else empty,
+        tail=tails[k], tail_steps=steps[k]) for k in range(len(zs))]
 
 
 def _ref_apt_cloud(crit):
@@ -460,20 +468,16 @@ def _ref_apt_cloud(crit):
     return np.concatenate(tails)
 
 
-def _ref_acc_cloud_from_list(f, crit, params, w_bound):
-    """`acc_cloud` on the list: the arrays re-extracted from the samples,
-    then one `_run_spans` walk."""
-    all_z = np.array([s.z for s in crit])
-    all_c = np.array([s.c for s in crit])
-    index = CloudIndex(_as_real(np.unique(all_z)))
-    _, rank = np.unique([s.component_id for s in crit], return_inverse=True)
-    bounded = np.array([s.status == "bounded" for s in crit])
-    members = np.flatnonzero(np.bincount(rank, weights=bounded)[rank] > 0)
-    zs, ws = all_z[members], all_c[members]
-    _, owner, step, pts = _run_spans(f, zs, ws, ACC_ITER, params,
-                                     _base_snap(f.p, index, zs),
-                                     math.ceil(TAIL_FRAC * ACC_ITER))
-    pts = pts[np.lexsort((owner, step, rank[members][owner]))]
+def _ref_acc_cloud_from_list(crit, w_bound):
+    """`acc_cloud` on the list: the tail rows of every sample whose
+    component holds a bounded sample, sorted by component, step and
+    sample."""
+    contributing = {s.component_id for s in crit if s.status == "bounded"}
+    rows = sorted((s.component_id, int(step), k, tuple(pt))
+                  for k, s in enumerate(crit)
+                  if s.component_id in contributing
+                  for step, pt in zip(s.tail_steps, s.tail))
+    pts = np.array([r[3] for r in rows], dtype=complex).reshape(-1, 2)
     if w_bound is not None:
         pts = pts[np.abs(pts[:, 1]) <= w_bound]
     return pts
@@ -506,8 +510,8 @@ def test_critical_locus_record_equals_sample_list(name, make, n_base):
     assert apt.points.shape == ref_apt.shape and apt.inverse is None
     assert np.array_equal(_bits(apt.points), _bits(ref_apt))
     for w_bound in (None, 3.0):
-        acc = acc_cloud(f, locus, params=params, w_bound=w_bound).points
-        ref_acc = _ref_acc_cloud_from_list(f, ref, params, w_bound)
+        acc = acc_cloud(locus, w_bound=w_bound).points
+        ref_acc = _ref_acc_cloud_from_list(ref, w_bound)
         assert acc.shape == ref_acc.shape
         assert np.array_equal(_bits(acc), _bits(ref_acc))
     # `chain_report`'s probe band, which took a KD-tree of its own
@@ -582,14 +586,14 @@ def test_critical_points_match_per_point_roots(qc, zs):
 
 def _ref_acc_full_probe(f, z_target, branch_policy, depth, params):
     """The per-step `fiber_poly` loop that `acc_full_probe` replaced, on a
-    callable branch policy (`_region_policy` for a symbol string)."""
+    callable branch policy (`_region_policy` for a symbol string) choosing
+    among every branch of p(x) = z (`sets._branch`)."""
     dq = f.q.dw()
     back, probes_c, ks = [], [], []
     z = complex(z_target)
     for k in range(1, depth + 1):
-        shifted = f.p.coeffs.copy()
-        shifted[0] -= z
-        z = complex(branch_policy(roots(Poly1(shifted)), k))
+        z = complex(branch_policy(_branch(f.p.coeffs, np.array([z])).ravel(),
+                                  k))
         back.append(z)
         with np.errstate(all="ignore"):
             dcoef = npoly.polyval(z, dq.coeffs)
@@ -647,28 +651,6 @@ def test_acc_full_probe_matches_fiber_poly_loop(make, target, symbols, depth):
     assert len(ref) > 0
     assert got.points.shape == ref.shape
     assert np.array_equal(_bits(got.points), _bits(ref))
-
-
-@pytest.mark.parametrize("target, symbols, depth, solves", [
-    (1.0, "1", 40, 1),     # the fixed point 1 chosen again at every step
-    (1j, "12", 25, 25),    # no two chain points alike
-])
-def test_acc_full_probe_solves_a_repeated_point_once(monkeypatch, target,
-                                                     symbols, depth, solves):
-    f = make_Fa(-1)
-    params = derive_escape_radius(f)
-    want = acc_full_probe(f, target, symbols, depth=depth, params=params)
-    base_solves = []
-
-    def counted(poly):
-        if poly.degree == f.p.degree:
-            base_solves.append(poly.coeffs[0])
-        return roots(poly)
-
-    monkeypatch.setattr(critpost, "roots", counted)
-    got = acc_full_probe(f, target, symbols, depth=depth, params=params)
-    assert np.array_equal(_bits(got.points), _bits(want.points))
-    assert len(base_solves) == solves
 
 
 def test_acc_full_probe_every_probe_escaped():
