@@ -65,7 +65,11 @@ def chain_report(
     period <= MAX_BASE_PERIOD, so that fibers carrying bounded critical
     orbits over periodic bases are always represented.  The critical
     orbits are stepped once, by `critical_locus`, whose tails the apt and
-    acc clouds both read.
+    acc clouds both read.  When the two agree, `acc_full_probe` pushes the
+    critical points over a backward chain of p's most repelling fixed point
+    t into the fiber of t (the probe cloud's z column), and the regime is
+    AccNeqA when a probe point lies farther than PROBE_THRESHOLD from every
+    acc point within the probe band of t.
     """
     base_rand = sample_base_julia(f.p, n_base, seed=seed)
     periodic = repelling_periodic_points(f.p)
@@ -101,20 +105,14 @@ def chain_report(
     if d_acc_apt > RATIO_THRESHOLD * floor:
         report["regime"] = "AptNeqAcc"
         return report
-    target = f.meta.get("probe_target")
-    policy = f.meta.get("probe_policy", "1")
-    if target is None:
-        report["regime"] = "AllEqualNonempty"
-        report["probe"] = None
-        return report
-    probe = acc_full_probe(f, target, policy, params=params)
+    probe = acc_full_probe(f, params=params)
     report["clouds"]["probe"] = probe
     if len(probe) == 0:
         report["regime"] = "AllEqualNonempty"
         report["probe_distance"] = 0.0
         return report
     band = max(0.05, 3.0 * locus.spacing)
-    sel = np.abs(acc.points[:, 0] - complex(target)) <= band
+    sel = np.abs(acc.points[:, 0] - probe.points[0, 0]) <= band
     acc_fiber_w = acc.points[sel, 1]
     if len(acc_fiber_w) == 0:
         far = float("inf")

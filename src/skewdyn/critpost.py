@@ -24,7 +24,8 @@ from .engine import (
 from .errors import NumericalError, PreconditionError
 from .poly import _FLOAT_MAX, Poly1, SkewProduct, _horner, fiber_poly, roots
 from .sets import (CloudIndex, PointCloud, _as_real, _branch, _distinct_rows,
-                   _kdtree, min_chordal_distance, sphere_embed)
+                   _kdtree, _repelling_fixed_points, min_chordal_distance,
+                   sphere_embed)
 
 __all__ = [
     "CriticalLocus",
@@ -516,22 +517,22 @@ def acc_cloud(locus: CriticalLocus,
 
 def acc_full_probe(
     f: SkewProduct,
-    z_target,
-    branch_policy,
     depth: int = 40,
     params: EscapeParams | None = None,
 ) -> PointCloud:
-    """Full-locus accumulation probe into the fiber of z_target.
+    """Full-locus accumulation probe into the fiber of a target t in J_p.
 
-    Builds a backward base orbit z_{-1}, ..., z_{-depth} of z_target using
-    branch_policy, a symbol string indexing regions in f.meta["regions"],
-    cycled: z_{-k} is the preimage of z_{-k+1} (every branch of
-    `sets._branch`: the quadratic formula at degree 2, `roots` above it)
-    nearest the center of its symbol's region.  Places the fiber critical
-    point over each z_{-k}, and pushes it forward k steps.
+    t and an aim a come from p alone, from one solve of p(z) = z
+    (`sets._repelling_fixed_points`): t is the repelling fixed point with
+    the largest |p'|, the point every sampler starts from, and a is the
+    repelling fixed point farthest from t, or t itself when p has no other.
+    The backward base orbit z_{-1}, ..., z_{-depth} of t takes at each step
+    the preimage of z_{-k+1} nearest a (every branch of `sets._branch`:
+    the quadratic formula at degree 2, `roots` above it).  Places the fiber
+    critical point over each z_{-k}, and pushes it forward k steps.
     Returns the last PROBE_TAIL_FRAC fraction of the resulting points, all
-    lying in the fiber of z_target; a point whose orbit leaves the escape
-    radius is dropped.
+    lying in the fiber of t; a point whose orbit leaves the escape radius
+    is dropped.
 
     The critical points come from `_critical_points` over the whole chain,
     and a chain point where `roots` fails raises what `roots` raised.  The
@@ -543,16 +544,14 @@ def acc_full_probe(
         raise PreconditionError("depth must be >= 1")
     if params is None:
         params = derive_escape_radius(f)
-    zt = complex(z_target)
-    regions = f.meta.get("regions", {})
+    fixed = _repelling_fixed_points(f.p)
+    zt = fixed[0]
+    aim = fixed[np.argmax(np.abs(fixed - zt))]
     back = []  # back[k-1] = z_{-k}
     z = zt
-    for k in range(1, depth + 1):
+    for _ in range(depth):
         cands = _branch(f.p.coeffs, np.array([z])).ravel()
-        sym = branch_policy[(k - 1) % len(branch_policy)]
-        if sym not in regions:
-            raise PreconditionError(f"unknown region symbol {sym!r}")
-        z = complex(cands[np.argmin(np.abs(cands - regions[sym]))])
+        z = cands[np.argmin(np.abs(cands - aim))]
         back.append(z)
     back = np.array(back)
     owner, crits = _critical_points(f, back)

@@ -42,7 +42,7 @@ class S1S2Constants:
     d: int
 
 
-def make_product(p: Poly1, q: Poly1, name: str = "product") -> SkewProduct:
+def make_product(p: Poly1, q: Poly1) -> SkewProduct:
     """Product map (p(z), q(w)) as a degenerate skew product."""
     if p.degree != q.degree:
         raise PreconditionError(
@@ -52,11 +52,7 @@ def make_product(p: Poly1, q: Poly1, name: str = "product") -> SkewProduct:
         raise PreconditionError("degrees must be >= 2")
     qc = np.zeros((1, q.degree + 1), dtype=complex)
     qc[0, :] = q.coeffs
-    return SkewProduct(p=p, q=Poly2(qc),
-                       meta={"name": name,
-                             "regions": {"1": 1.0, "2": -1.0},
-                             "probe_target": 1.0,
-                             "probe_policy": "1"})
+    return SkewProduct(p=p, q=Poly2(qc), meta={"name": "product"})
 
 
 def make_Fa(a) -> SkewProduct:
@@ -72,9 +68,6 @@ def make_Fa(a) -> SkewProduct:
             "name": "Fa",
             "a": a,
             "g": Poly1([a, 0.0, 1.0]),
-            "regions": {"1": 1.0, "2": -1.0},
-            "probe_target": 1.0,
-            "probe_policy": "1",
         },
     )
 
@@ -169,9 +162,6 @@ def make_airplane_skew(n: int) -> SkewProduct:
             "n": n,
             "c": c,
             "beta": float(beta),
-            "regions": {"1": float(beta), "2": -float(beta)},
-            "probe_target": float(beta),
-            "probe_policy": "1",
         },
     )
 
@@ -186,10 +176,7 @@ def make_fig3() -> SkewProduct:
     return SkewProduct(
         p=Poly1([-20.0, 0.0, 1.0]),
         q=Poly2(qc),
-        meta={"name": "fig3",
-              "regions": {"1": 5.0, "2": -4.0},
-              "probe_target": 5.0,
-              "probe_policy": "1"},
+        meta={"name": "fig3"},
     )
 
 
@@ -345,21 +332,5 @@ def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     # plus p(z) - z in the w-constant column
     qc[: d + 1, 0] += p_coeffs
     qc[1, 0] -= 1.0
-    f = SkewProduct(
-        p=p,
-        q=Poly2(qc),
-        meta={
-            "name": "s1s2",
-            "regions": {"1": complex(R), "2": complex(-R)},
-            "probe_policy": "2",
-        },
-    )
     consts = S1S2Constants(M=M, r=r, R=R, a=complex(a), xi=xi, k1=k1, k2=k2, d=d)
-    # probe target: the fixed base point inside the first root disk
-    fixed = roots(p - Poly1([0.0, 1.0]))
-    in_d1 = fixed[np.abs(fixed - R) < 2 * r]
-    meta = dict(f.meta)
-    meta["probe_target"] = complex(in_d1[0]) if len(in_d1) else complex(fixed[0])
-    meta["constants"] = consts
-    f = SkewProduct(p=f.p, q=f.q, meta=meta)
-    return f, consts
+    return SkewProduct(p=p, q=Poly2(qc), meta={"name": "s1s2"}), consts

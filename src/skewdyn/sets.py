@@ -172,14 +172,16 @@ def _pullback(tables: np.ndarray, w: np.ndarray, n_random: int,
             for row, rng in zip(w, rngs)]
 
 
-def _repelling_fixed_point(p: Poly1) -> complex:
+def _repelling_fixed_points(p: Poly1) -> np.ndarray:
+    """The repelling fixed points of p, by decreasing |p'| (ties in `roots`
+    order), from one solve of p(z) = z; every sampler starts from the
+    first."""
     fix = roots(p - Poly1([0.0, 1.0]))
-    dp = p.deriv()
-    mults = np.abs(dp(fix))
-    rep = fix[mults > 1.0]
-    if len(rep) == 0:
+    mults = np.abs(p.deriv()(fix))
+    rep = mults > 1.0
+    if not rep.any():
         raise NumericalError("no repelling fixed point found")
-    return complex(rep[np.argmax(np.abs(dp(rep)))])
+    return fix[rep][np.argsort(-mults[rep], kind="stable")]
 
 
 def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
@@ -196,7 +198,7 @@ def sample_base_julia(p: Poly1, n_points: int, seed: int = 0,
     if n_points < 1:
         raise PreconditionError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
-    z = np.array([_repelling_fixed_point(p)], dtype=complex)
+    z = _repelling_fixed_points(p)[:1]
     levels = burn_in + _tree_levels(p.degree, n_points)
     tables = np.broadcast_to(p.coeffs[:, None], (levels, p.degree + 1, 1))
     return PointCloud(_pullback(tables, z, burn_in, n_points, [rng])[0],
@@ -462,7 +464,7 @@ def sample_J2_inverse(f: SkewProduct, n_points: int, seed: int = 0,
         table = npoly.polyval(z, f.q.coeffs)
         return z, _branch(table, w, rng.integers(0, d, len(z)))
 
-    z = np.full(m, _repelling_fixed_point(f.p), dtype=complex)
+    z = np.full(m, _repelling_fixed_points(f.p)[0])
     w = np.full(m, 2.0, dtype=complex)
     for _ in range(burn_in - levels - tail):
         z, w = step(z, w)

@@ -225,13 +225,11 @@ def test_acc_cloud_skips_all_escaped_components():
 
 def test_acc_full_probe_lands_in_target_fiber(fa_m1_crit):
     f, base, crit = fa_m1_crit
-    probe = acc_full_probe(f, 1.0, "12", depth=10)
-    if len(probe):
-        assert np.all(probe.points[:, 0] == 1.0)
+    probe = acc_full_probe(f, depth=10)
+    assert len(probe) > 0
+    assert np.all(probe.points[:, 0] == 1.0)
     with pytest.raises(PreconditionError):
-        acc_full_probe(f, 1.0, "12", depth=0)
-    with pytest.raises(PreconditionError, match="unknown region symbol"):
-        acc_full_probe(f, 1.0, "3", depth=10)
+        acc_full_probe(f, depth=0)
 
 
 def test_find_saddles_product_cycle():

@@ -13,7 +13,7 @@ from skewdyn.families import (
     make_product,
     solve_superattracting_param,
 )
-from skewdyn.poly import Poly1, fiber_poly
+from skewdyn.poly import Poly1, fiber_poly, roots
 from skewdyn.sets import sample_base_julia
 
 
@@ -280,8 +280,8 @@ def test_s1s2_constants_and_map_steps(monkeypatch):
 def test_s1s2_fiber_near_target_polynomial(s1s2_basic):
     f, consts, s1, s2 = s1s2_basic
     # fixed base point inside the first root disk
-    z1 = f.meta["probe_target"]
-    assert abs(z1 - consts.R) < 2 * consts.r
+    fixed = roots(f.p - Poly1([0, 1]))
+    z1 = fixed[np.abs(fixed - consts.R) < 2 * consts.r][0]
     qz = fiber_poly(f, z1)
     dist = np.sum(np.abs(qz.coeffs - s1.coeffs))
     assert dist < 2 * consts.r

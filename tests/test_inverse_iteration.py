@@ -31,7 +31,7 @@ from skewdyn.errors import NumericalError, PreconditionError
 from skewdyn.families import make_Fa, make_fig3, make_product
 from skewdyn.poly import Poly1, Poly2, RootFindError, SkewProduct, \
     fiber_poly, roots
-from skewdyn.sets import PointCloud, _branch, _repelling_fixed_point, \
+from skewdyn.sets import PointCloud, _branch, _repelling_fixed_points, \
     J2_TAIL_STEPS, J2_TREE_LEVELS, _sample_fibers, _square, _tree_levels, \
     directed_hausdorff, sample_J2_inverse, sample_base_julia, \
     sample_fiber_julia
@@ -98,7 +98,7 @@ def old_fiber_loop(f, z, w, wpicks):
 
 def old_base_sample(p, n_points, seed, burn_in=100):
     rng = np.random.default_rng(seed)
-    z = np.array([_repelling_fixed_point(p)], dtype=complex)
+    z = _repelling_fixed_points(p)[:1]
     for _ in range(burn_in):
         z = old_pick(p, z, rng.integers(0, p.degree, 1))
     while len(z) < n_points:
@@ -309,7 +309,7 @@ def prev_pullback(maps, w, n_random, n_points, rng):
 
 def prev_base_sample(p, n_points, seed, burn_in):
     rng = np.random.default_rng(seed)
-    z = np.array([_repelling_fixed_point(p)], dtype=complex)
+    z = _repelling_fixed_points(p)[:1]
     maps = repeat(p.coeffs, burn_in + _tree_levels(p.degree, n_points))
     return prev_pullback(maps, z, burn_in, n_points, rng)
 
@@ -347,7 +347,7 @@ def ref_J2(f, n_points, seed, burn_in):
 
     ends = []
     for j in range(m):
-        z, w = np.array([_repelling_fixed_point(f.p)]), np.array([2.0 + 0j])
+        z, w = _repelling_fixed_points(f.p)[:1], np.array([2.0 + 0j])
         for kz, kw in draws:
             z, w = step(z, w, kz[j], kw[j])
         ends.append((z, w))

@@ -88,9 +88,9 @@ def test_certify_verdict_is_the_product_truth(tmp_path, p, g, seed):
 
 
 @pytest.mark.parametrize("c", [-1, complex(-0.12, 0.75)])
-def test_chain_regime_is_the_product_truth(tmp_path, c):
+@pytest.mark.parametrize("p", BASES)
+def test_chain_regime_is_the_product_truth(tmp_path, p, c):
     fate = critical_fate(c)
     assert fate != "escapes" and abs(fate) < 1.0   # g has an attracting cycle
-    rep = run(tmp_path, ["chain"] + product_flags(BASES["z^2"], c),
-              "chain.json")
+    rep = run(tmp_path, ["chain"] + product_flags(BASES[p], c), "chain.json")
     assert rep["regime"] == "AllEqualNonempty"

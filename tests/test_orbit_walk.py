@@ -584,16 +584,16 @@ def test_critical_points_match_per_point_roots(qc, zs):
     assert np.array_equal(_bits(c), _bits(ref_c))
 
 
-def _ref_acc_full_probe(f, z_target, branch_policy, depth, params):
+def _ref_acc_full_probe(f, target, aim, depth, params):
     """The per-step `fiber_poly` loop that `acc_full_probe` replaced, on a
-    callable branch policy (`_region_policy` for a symbol string) choosing
-    among every branch of p(x) = z (`sets._branch`)."""
+    backward chain of `target` that takes, among every branch of p(x) = z
+    (`sets._branch`), the preimage nearest `aim`."""
     dq = f.q.dw()
     back, probes_c, ks = [], [], []
-    z = complex(z_target)
+    z = complex(target)
     for k in range(1, depth + 1):
-        z = complex(branch_policy(_branch(f.p.coeffs, np.array([z])).ravel(),
-                                  k))
+        cands = _branch(f.p.coeffs, np.array([z])).ravel()
+        z = complex(cands[np.argmin(np.abs(cands - aim))])
         back.append(z)
         with np.errstate(all="ignore"):
             dcoef = npoly.polyval(z, dq.coeffs)
@@ -611,54 +611,68 @@ def _ref_acc_full_probe(f, z_target, branch_policy, depth, params):
                     ok = False
                     break
             if ok:
-                pts.append((k, complex(z_target), ww))
+                pts.append((k, complex(target), ww))
     pts.sort(key=lambda t: t[0])
     cut = int(len(pts) * (1.0 - PROBE_TAIL_FRAC))
     return np.array([(p[1], p[2]) for p in pts[cut:]],
                     dtype=complex).reshape(-1, 2)
 
 
-def _region_policy(f, symbols):
-    """The branch choice of symbol string `symbols`: the preimage nearest
-    its region's center."""
-    regions = f.meta["regions"]
-
-    def choose(cands, k):
-        center = regions[symbols[(k - 1) % len(symbols)]]
-        return cands[np.argmin(np.abs(cands - center))]
-    return choose
+def _target_and_aim(p):
+    """The probe's target, the repelling fixed point of p with the largest
+    |p'|, and its aim, the repelling fixed point farthest from it."""
+    dp = p.deriv()
+    rep = [complex(z) for z in roots(p - Poly1([0, 1]))
+           if abs(dp.step(complex(z))) > 1.0]
+    target = max(rep, key=lambda z: abs(dp.step(z)))  # the first of ties
+    return target, max(rep, key=lambda z: abs(z - target))
 
 
 def _s1s2():
     return build_s1s2(Poly1([0, 0, 1]), Poly1([-1, 0, 1]), 1, 1)[0]
 
 
-@pytest.mark.parametrize("make, target, symbols, depth", [
-    (lambda: make_Fa(-1), 1.0, "1", 40),
-    (lambda: make_Fa(-1), 1j, "12", 25),
-    (lambda: make_Fa(0.3 + 0.2j), 1.0, "21", 40),
-    (_s1s2, None, None, 40),
-    (_s1s2, None, "12", 15),
-])
-def test_acc_full_probe_matches_fiber_poly_loop(make, target, symbols, depth):
-    f = make()
-    target = f.meta["probe_target"] if target is None else target
-    symbols = symbols or f.meta["probe_policy"]
+PROBE_MAPS = {
+    "Fa(-1)": lambda: make_Fa(-1),
+    "Fa(0.3+0.2i)": lambda: make_Fa(0.3 + 0.2j),
+    "s1s2": _s1s2,
+    "fig3": make_fig3,
+    "airplane(3)": lambda: make_airplane_skew(3),
+    "z^2-1 x w^2-1": lambda: make_product(Poly1([-1, 0, 1]),
+                                          Poly1([-1, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", PROBE_MAPS)
+def test_acc_full_probe_matches_fiber_poly_loop(name):
+    f = PROBE_MAPS[name]()
     params = derive_escape_radius(f)
-    got = acc_full_probe(f, target, symbols, depth=depth, params=params)
-    ref = _ref_acc_full_probe(f, target, _region_policy(f, symbols), depth,
-                              params)
+    got = acc_full_probe(f, params=params)
+    target, aim = _target_and_aim(f.p)
+    ref = _ref_acc_full_probe(f, target, aim, 40, params)
     assert len(ref) > 0
     assert got.points.shape == ref.shape
+    assert np.array_equal(_bits(got.points), _bits(ref))
+
+
+def test_s1s2_probe_is_the_chain_toward_minus_R():
+    # from the fixed point in the first root disk, about +R, each step
+    # takes the preimage nearest the second disk, about -R
+    f, consts = build_s1s2(Poly1([0, 0, 1]), Poly1([-1, 0, 1]), 1, 1)
+    fixed = roots(f.p - Poly1([0, 1]))
+    target = fixed[np.abs(fixed - consts.R) < 2 * consts.r][0]
+    params = derive_escape_radius(f)
+    ref = _ref_acc_full_probe(f, target, -consts.R, 40, params)
+    got = acc_full_probe(f, params=params)
+    assert len(ref) > 0
     assert np.array_equal(_bits(got.points), _bits(ref))
 
 
 def test_acc_full_probe_every_probe_escaped():
     f = make_Fa(2)
     params = dataclasses.replace(derive_escape_radius(f), radius=1e-3)
-    got = acc_full_probe(f, 1.0, "1", depth=10, params=params)
-    assert _ref_acc_full_probe(f, 1.0, _region_policy(f, "1"), 10,
-                               params).shape == (0, 2)
+    got = acc_full_probe(f, depth=10, params=params)
+    assert _ref_acc_full_probe(f, 1.0, 1.0, 10, params).shape == (0, 2)
     assert got.points.shape == (0, 2) and got.points.dtype == complex
 
 
@@ -670,13 +684,15 @@ def test_acc_full_probe_every_probe_escaped():
               dtype=complex), NumericalError),
 ])
 def test_acc_full_probe_raises_as_fiber_poly_loop(qc, error):
-    f = SkewProduct(Poly1([0, 0, 1]), Poly2(qc),
-                    meta={"regions": {"1": 1.0, "2": -1.0}})
+    # p = z^2 - 2: the target is its fixed point 2, and the chain's first
+    # step is -2, the preimage of 2 nearest the other fixed point -1
+    f = SkewProduct(Poly1([-2, 0, 1]), Poly2(qc))
+    assert _target_and_aim(f.p) == (2, -1)
     params = derive_escape_radius(make_Fa(-1))
     with pytest.raises(error) as ref:
-        _ref_acc_full_probe(f, 4.0, _region_policy(f, "21"), 5, params)
+        _ref_acc_full_probe(f, 2.0, -1.0, 5, params)
     with pytest.raises(error) as got:
-        acc_full_probe(f, 4.0, "21", depth=5, params=params)
+        acc_full_probe(f, depth=5, params=params)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
 
