@@ -28,11 +28,11 @@ from .contin import ParamPath, continue_orbit, separation_evidence, trace_to_csv
 from .critpost import find_saddles, certify_axiom_a, postcritical_cloud
 from .engine import Rect, derive_escape_radius
 from .errors import NumericalError, PreconditionError
-from .families import build_s1s2, make_Fa, make_airplane_skew, make_fig3, \
-    make_product
+from .families import airplane_beta, build_s1s2, make_Fa, \
+    make_airplane_skew, make_fig3, make_product
 from .lemmas import LEMMA_CHECKS, check_s1s2_bounds, check_s1s2_constants, \
     check_trapping
-from .poly import Poly1
+from .poly import Poly1, fiber_poly
 from .sets import PointCloud, base_slice, cloud_to_csv, fiber_slice, \
     hausdorff_distance, sample_J2_inverse, sample_base_julia, \
     sample_fiber_julia, slice_to_pgm, slice_to_ppm
@@ -253,10 +253,10 @@ def cmd_render(ns, em) -> tuple:
         for tok in str(ns.fiber_at).split(","):
             tok = tok.strip()
             if tok == "beta":
-                if "beta" not in f.meta:
+                if ns.family != "airplane":
                     raise PreconditionError(
                         "--fiber-at beta needs --family airplane")
-                targets.append(complex(f.meta["beta"]))
+                targets.append(complex(airplane_beta(f)))
             else:
                 targets.append(parse_complex(tok))
     elif n_fibers:
@@ -389,7 +389,7 @@ def cmd_continue(ns, em) -> tuple:
                                 f"start parameter; found {len(sads)}")
     start = sads[orbit]
     samples = a0 + (a1 - a0) * np.linspace(0.0, 1.0, int_flag(ns, "steps", 2))
-    path = ParamPath(build=lambda a: make_Fa(a), samples=samples, name="a")
+    path = ParamPath(build=make_Fa, samples=samples)
     trace = continue_orbit(path, start, tol=tol)
     em.write("trace.csv", trace_to_csv(trace))
     em.write_json("continue.json", {
@@ -422,7 +422,8 @@ def cmd_hausdorff(ns, em) -> tuple:
             raise PreconditionError("--theta comparisons need --family Fa")
 
         def pairs():
-            ref1d = sample_base_julia(f.meta["g"], n_samples, seed=seed + 1)
+            ref1d = sample_base_julia(fiber_poly(f, 1.0), n_samples,
+                                      seed=seed + 1)
             for i, th in enumerate(thetas):
                 fiber = sample_fiber_julia(f, np.exp(1j * th), n_samples,
                                            seed=seed)

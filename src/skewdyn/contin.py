@@ -35,7 +35,6 @@ class ParamPath:
 
     build: callable
     samples: np.ndarray
-    name: str = "lambda"
 
     def __post_init__(self):
         object.__setattr__(self, "samples",
@@ -59,7 +58,6 @@ class ContinuationTrace:
     steps: list
     outcome: str                # "Completed" | "Lost(...)"
     lost_at: complex | None = None
-    reason: str | None = None
 
 
 def _solve_at(f, z_pred, w_pred, n_base, n_fiber, tol):
@@ -124,8 +122,7 @@ def continue_orbit(path: ParamPath, start: SaddleOrbit,
                         break
                 if not ok:
                     return ContinuationTrace(
-                        steps, f"Lost(divergence)", lost_at=target,
-                        reason="divergence")
+                        steps, "Lost(divergence)", lost_at=target)
             zt, wt, mub_t, muv_t, rest = sol
             if abs(muv_t) >= 1.0 or abs(mub_t) <= 1.0:
                 # localize the multiplier crossing by bisection
@@ -144,8 +141,7 @@ def continue_orbit(path: ParamPath, start: SaddleOrbit,
                     if abs(hi - lo) < 1e-12:
                         break
                 return ContinuationTrace(
-                    steps, "Lost(multiplier-crossing)", lost_at=hi,
-                    reason="multiplier-crossing")
+                    steps, "Lost(multiplier-crossing)", lost_at=hi)
             z, w, mu_b, mu_v, res = zt, wt, mub_t, muv_t, rest
             steps.append(TraceStep(target, z, w, mu_b, mu_v, res))
             prev_lam = target

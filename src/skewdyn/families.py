@@ -25,6 +25,7 @@ __all__ = [
     "make_Fa",
     "solve_superattracting_param",
     "make_airplane_skew",
+    "airplane_beta",
     "build_s1s2",
     "make_fig3",
 ]
@@ -52,7 +53,7 @@ def make_product(p: Poly1, q: Poly1) -> SkewProduct:
         raise PreconditionError("degrees must be >= 2")
     qc = np.zeros((1, q.degree + 1), dtype=complex)
     qc[0, :] = q.coeffs
-    return SkewProduct(p=p, q=Poly2(qc), meta={"name": "product"})
+    return SkewProduct(p=p, q=Poly2(qc))
 
 
 def make_Fa(a) -> SkewProduct:
@@ -61,15 +62,7 @@ def make_Fa(a) -> SkewProduct:
     qc = np.zeros((2, 3), dtype=complex)
     qc[0, 2] = 1.0
     qc[1, 0] = a
-    return SkewProduct(
-        p=Poly1([0.0, 0.0, 1.0]),
-        q=Poly2(qc),
-        meta={
-            "name": "Fa",
-            "a": a,
-            "g": Poly1([a, 0.0, 1.0]),
-        },
-    )
+    return SkewProduct(p=Poly1([0.0, 0.0, 1.0]), q=Poly2(qc))
 
 
 def _orbit_newton(c: float, n: int, steps: int) -> float:
@@ -102,46 +95,29 @@ def solve_superattracting_param(n: int) -> float:
     """Real parameter c closest to -2 whose critical point has exact
     period n under w^2 + c.
 
-    Root-scan of the n-th orbit polynomial on the real axis with exact
-    period filtering and a Newton polish.  Near -2 the period-n roots
-    crowd closer than the scan's grid spacing (2 + c_n is about
-    (2 + c_{n-1}) / 4), so a scan can miss the one closest to -2; Newton
-    from -2 + (2 + c_{m-1}) / 4, for m = 3, ..., n from c_2 = -1, adds it
-    when it has exact period n and no scanned root lies within 1e-12.
+    Near -2 the period-m roots crowd together, 2 + c_m being about
+    (2 + c_{m-1}) / 4, so Newton on c -> f_c^m(0) from
+    -2 + (2 + c_{m-1}) / 4, for m = 3, ..., n from c_2 = -1, climbs down
+    the ladder of roots closest to -2.  The result is the double with the
+    least |f_c^n(0)| among the last iterate and its two neighbours.
     """
     if not 2 <= n <= 12:
         raise PreconditionError("n must be in [2, 12]")
-    # offset endpoints so rational roots never land exactly on a grid node
-    grid = np.linspace(-2.000013, 0.500017, 200001)
-    x = grid.copy()  # orbit_1 = c
-    for _ in range(n - 1):
-        x = x * x + grid
-    sign = np.sign(x)
-    idx = np.where(sign[:-1] * sign[1:] < 0)[0]
-    candidates = []
-    for i in idx:
-        lo, hi = grid[i], grid[i + 1]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            xm = mid
-            for _ in range(n - 1):
-                xm = xm * xm + mid
-            # lo only moves onto points of its own sign, sign[i]
-            if np.sign(xm) == sign[i]:
-                lo = mid
-            else:
-                hi = mid
-        c = _orbit_newton(0.5 * (lo + hi), n, 8)
-        if _exact_period(c, n):
-            candidates.append(c)
     c = -1.0
     for m in range(3, n + 1):
         c = _orbit_newton(-2.0 + (2.0 + c) / 4.0, m, 40)
-    if _exact_period(c, n) and all(abs(c - x) > 1e-12 for x in candidates):
-        candidates.append(c)
-    if not candidates:
+
+    def residual(x):
+        v = x
+        for _ in range(n - 1):
+            v = v * v + x
+        return abs(v)
+
+    c = min((c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)),
+            key=residual)
+    if not _exact_period(c, n):
         raise NumericalError(f"no superattracting parameter found for n={n}")
-    return float(min(candidates))  # the real solution closest to -2
+    return c
 
 
 def make_airplane_skew(n: int) -> SkewProduct:
@@ -153,17 +129,13 @@ def make_airplane_skew(n: int) -> SkewProduct:
     qc[0, 2] = 1.0
     qc[0, 0] = 4.0
     qc[1, 0] = -2.0
-    beta = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * c))
-    return SkewProduct(
-        p=Poly1([c, 0.0, 1.0]),
-        q=Poly2(qc),
-        meta={
-            "name": "airplane",
-            "n": n,
-            "c": c,
-            "beta": float(beta),
-        },
-    )
+    return SkewProduct(p=Poly1([c, 0.0, 1.0]), q=Poly2(qc))
+
+
+def airplane_beta(f: SkewProduct) -> float:
+    """The beta fixed point (1 + sqrt(1 - 4c)) / 2 of the airplane map's
+    base z^2 + c, the landing point of the zero external ray."""
+    return 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * f.p.coeffs[0].real))
 
 
 def make_fig3() -> SkewProduct:
@@ -173,11 +145,7 @@ def make_fig3() -> SkewProduct:
     qc[0, 0] = -20.5
     qc[1, 0] = -0.9
     qc[2, 0] = 1.0
-    return SkewProduct(
-        p=Poly1([-20.0, 0.0, 1.0]),
-        q=Poly2(qc),
-        meta={"name": "fig3"},
-    )
+    return SkewProduct(p=Poly1([-20.0, 0.0, 1.0]), q=Poly2(qc))
 
 
 def _annulus_chordal_margin(pts: np.ndarray, M: float) -> float:
@@ -333,4 +301,4 @@ def build_s1s2(s1: Poly1, s2: Poly1, k1: int, k2: int, seed: int = 0):
     qc[: d + 1, 0] += p_coeffs
     qc[1, 0] -= 1.0
     consts = S1S2Constants(M=M, r=r, R=R, a=complex(a), xi=xi, k1=k1, k2=k2, d=d)
-    return SkewProduct(p=p, q=Poly2(qc), meta={"name": "s1s2"}), consts
+    return SkewProduct(p=p, q=Poly2(qc)), consts

@@ -13,7 +13,8 @@ import numpy as np
 from .critpost import verify_trapping
 from .errors import PreconditionError
 from .families import (S1S2Constants, _lower_part, _postcritical_points,
-                       _ring_margin, _s1s2_conditions, make_airplane_skew)
+                       _ring_margin, _s1s2_conditions, airplane_beta,
+                       make_airplane_skew)
 from .poly import Poly1, SkewProduct, fiber_poly
 from .sets import sample_base_julia
 
@@ -42,7 +43,7 @@ BOX_AVOID_MARGIN = 0.05     # box-avoid: the margin required
 
 def _airplane(n):
     f = make_airplane_skew(n)
-    return f, float(f.meta["beta"])
+    return f, airplane_beta(f)
 
 
 def _ray_samples(n, n_samples, seed):

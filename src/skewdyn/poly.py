@@ -9,7 +9,7 @@ extends to the projective plane).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -169,7 +169,6 @@ class SkewProduct:
 
     p: Poly1
     q: Poly2
-    meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def degree(self) -> int:

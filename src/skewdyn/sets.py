@@ -75,8 +75,12 @@ class FiberSlice:
     window: Rect
     nx: int
     ny: int
-    membership: np.ndarray     # bool (ny, nx), True = bounded
     escape_iters: np.ndarray   # int (ny, nx), 0 where bounded
+
+    @property
+    def membership(self) -> np.ndarray:
+        """bool (ny, nx), True = bounded."""
+        return self.escape_iters == 0
 
     def cell_width(self) -> float:
         return (self.window.re_max - self.window.re_min) / self.nx
@@ -306,7 +310,7 @@ def fiber_slice(
         table = npoly.polyval(np.array(base_orbit), f.q.coeffs)[::-1].T
     esc = _escape_grid(table, window, nx, ny, params.radius,
                        _fiber_traps(f, base_orbit, params.radius))
-    return FiberSlice(complex(z), window, nx, ny, esc == 0, esc)
+    return FiberSlice(complex(z), window, nx, ny, esc)
 
 
 def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
@@ -322,7 +326,7 @@ def base_slice(p: Poly1, params: EscapeParams, resolution) -> FiberSlice:
     table = np.broadcast_to(p.coeffs[::-1], (GRID_MAX_ITER, p.degree + 1))
     esc = _escape_grid(table, window, nx, ny, params.base_radius,
                        _grid_traps([p], 0, params.base_radius))
-    return FiberSlice(None, window, nx, ny, esc == 0, esc)
+    return FiberSlice(None, window, nx, ny, esc)
 
 
 # the longest period k of the fiber maps that is searched for traps.  The
@@ -682,7 +686,6 @@ def cloud_to_csv(cloud: PointCloud) -> str:
 def slice_to_pgm(slice_: FiberSlice) -> bytes:
     """Binary portable graymap of escape iterations (0 = bounded)."""
     g = (slice_.escape_iters % 256).astype(np.uint8)
-    g[slice_.membership] = 0
     header = f"P5\n{slice_.nx} {slice_.ny}\n255\n".encode()
     return header + g.tobytes()
 
@@ -693,6 +696,5 @@ def slice_to_ppm(slice_: FiberSlice) -> bytes:
     rgb = np.zeros((slice_.ny, slice_.nx, 3), dtype=np.uint8)
     for k in range(3):
         rgb[:, :, k] = ramp
-    rgb[slice_.membership] = 0
     header = f"P6\n{slice_.nx} {slice_.ny}\n255\n".encode()
     return header + rgb.tobytes()

@@ -61,8 +61,7 @@ def test_multiplier_crossing_detected():
     # 4(a + 1) = -1 exactly at a = -1.25
     start = _fa_saddle()
     trace = continue_orbit(_path(-1.0, -2.0, 41), start)
-    assert trace.outcome.startswith("Lost")
-    assert trace.reason == "multiplier-crossing"
+    assert trace.outcome == "Lost(multiplier-crossing)"
     assert abs(trace.lost_at - (-1.25)) < 1e-3
 
 

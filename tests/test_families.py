@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from skewdyn.errors import PreconditionError
+from skewdyn.errors import NumericalError, PreconditionError
 from skewdyn.families import (
     S1S2Constants,
     _exact_period,
     _orbit_newton,
+    airplane_beta,
     build_s1s2,
     make_Fa,
     make_airplane_skew,
@@ -55,7 +56,7 @@ def test_fa_invariant_curve_identity():
     rng = np.random.default_rng(2)
     for a in (-1.0, 0.7 - 0.4j):
         f = make_Fa(a)
-        g = f.meta["g"]
+        g = Poly1([a, 0, 1])
         t = 2 * np.pi * rng.random(1000)
         x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
         z = np.exp(2j * t)
@@ -70,7 +71,7 @@ def test_fa_vertical_derivative_identity():
     # |dq_z/dw| on the invariant curve equals |g_a'| at the curve parameter
     rng = np.random.default_rng(3)
     f = make_Fa(-1)
-    g = f.meta["g"]
+    g = Poly1([-1, 0, 1])
     t = 2 * np.pi * rng.random(1000)
     x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
     lhs = np.abs(2.0 * x * np.exp(1j * t))
@@ -176,6 +177,16 @@ def test_superattracting_param_range():
         solve_superattracting_param(13)
 
 
+def test_superattracting_param_raises_when_the_ladder_misses(monkeypatch):
+    # a ladder that lands on c = 0, whose critical point is fixed, has no
+    # exact period n
+    import skewdyn.families as families
+
+    monkeypatch.setattr(families, "_orbit_newton", lambda c, n, steps: 0.0)
+    with pytest.raises(NumericalError):
+        solve_superattracting_param(5)
+
+
 def test_airplane_skew_structure():
     f = make_airplane_skew(3)
     # q(z, w) = w^2 + 4 - 2z
@@ -189,7 +200,7 @@ def test_airplane_skew_structure():
 
 def test_airplane_beta_fiber_attracts_critical_point():
     f = make_airplane_skew(3)
-    beta = f.meta["beta"]
+    beta = airplane_beta(f)
     assert abs(f.p(beta) - beta) < 1e-9  # fixed base point
     qb = fiber_poly(f, beta)
     # the fiber critical point w = 0 converges to an attracting fixed point
@@ -213,7 +224,7 @@ def test_airplane_critical_locus_mostly_escapes():
     from skewdyn.sets import PointCloud
 
     f = make_airplane_skew(3)
-    beta = complex(f.meta["beta"])
+    beta = complex(airplane_beta(f))
     base_r = sample_base_julia(f.p, 200, seed=0)
     base = PointCloud(np.concatenate([np.array([beta]), base_r.points]))
     params = derive_escape_radius(f, base_points=base.points)

@@ -10,8 +10,8 @@ from skewdyn.engine import Rect, _close_disk_chain, _trap_chains, \
     derive_escape_radius
 from skewdyn.errors import PreconditionError
 import skewdyn.sets
-from skewdyn.families import make_Fa, make_airplane_skew, make_fig3, \
-    make_product
+from skewdyn.families import airplane_beta, make_Fa, make_airplane_skew, \
+    make_fig3, make_product
 from skewdyn.poly import Poly1, Poly2, SkewProduct, fiber_poly
 from skewdyn.sets import (
     CloudIndex,
@@ -738,7 +738,7 @@ def test_no_trap_disks_without_an_attracting_cycle():
     # airplane(3) over beta: the float base orbit drifts and never repeats
     f = make_airplane_skew(3)
     params = derive_escape_radius(f)
-    orbit = f.p.orbit(f.meta["beta"], params.max_iter)
+    orbit = f.p.orbit(airplane_beta(f), params.max_iter)
     assert _fiber_traps(f, orbit, params.radius) is None
 
 
